@@ -10,13 +10,27 @@ accepting set.  State 0 is always the start state.
 Construction paths: :func:`from_regex` and :func:`from_pattern` run a Thompson
 build followed by subset construction; the set operations run pairwise product
 constructions.  Both raise :class:`~policylens.errors.StateBlowup` past
-``state_cap``.
+``state_cap``.  Every result is minimized by Hopcroft partition refinement.
+
+Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
+:meth:`Dfa.intersect` and :meth:`Dfa.difference` are memoized on
+``(op, left, right, state_cap)`` and :func:`from_pattern` on
+``(pattern text, state_cap)``.  The policy-level entry points (compilation,
+comparison, sampling, summarization) and the ``count`` and ``requests``
+commands each enter a scope.  The scope is re-entrant: nested scopes share the
+outermost one's table, which is dropped when the outermost scope exits, so
+memory is bounded by the work of one command and there is no size setting.
+Cached values are the same canonical DFAs a fresh build returns, and a build
+that raises :class:`~policylens.errors.StateBlowup` stores nothing.  Outside a
+scope every operation is computed afresh.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .alphabet import FULL_MASK, char_bit
 from .errors import StateBlowup
@@ -45,6 +59,62 @@ _Row = tuple[tuple[int, int], ...]  # ((mask, target), ...) partitioning the alp
 
 def _low_bit(mask: int) -> int:
     return mask & -mask
+
+
+# -- operation cache -----------------------------------------------------------
+
+_T = TypeVar("_T")
+_MISSING = object()
+
+
+class OperationCache:
+    """Memo table of one :func:`operation_cache` scope, with hit and miss counts."""
+
+    __slots__ = ("table", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.table: dict[Hashable, object] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable, compute: Callable[..., _T], *args: object) -> _T:
+        value = self.table.get(key, _MISSING)
+        if value is _MISSING:
+            self.misses += 1
+            value = self.table[key] = compute(*args)
+        else:
+            self.hits += 1
+        return value  # type: ignore[return-value]
+
+
+_ACTIVE: ContextVar[OperationCache | None] = ContextVar("policylens_operation_cache", default=None)
+
+
+@contextmanager
+def operation_cache() -> Iterator[OperationCache]:
+    """Scope in which DFA products and pattern compiles are memoized.
+
+    Re-entrant: an inner scope yields the enclosing scope's cache.  The cache
+    is dropped when the outermost scope exits, by return or by exception.
+    Also usable as a decorator, ``@operation_cache()``."""
+    cache = _ACTIVE.get()
+    if cache is not None:
+        yield cache
+        return
+    cache = OperationCache()
+    token = _ACTIVE.set(cache)
+    try:
+        yield cache
+    finally:
+        _ACTIVE.reset(token)
+
+
+def _memoized(key: Hashable, compute: Callable[..., _T], *args: object) -> _T:
+    """``compute(*args)``, served from the active operation cache if there is one."""
+    cache = _ACTIVE.get()
+    if cache is None:
+        return compute(*args)
+    return cache.get(key, compute, *args)
 
 
 class Dfa:
@@ -127,13 +197,13 @@ class Dfa:
         return _canonicalize(rows, 0, accepting)
 
     def union(self, other: "Dfa", state_cap: int = DEFAULT_STATE_CAP) -> "Dfa":
-        return _product(self, other, lambda a, b: a or b, state_cap)
+        return _cached_product("union", self, other, state_cap)
 
     def intersect(self, other: "Dfa", state_cap: int = DEFAULT_STATE_CAP) -> "Dfa":
-        return _product(self, other, lambda a, b: a and b, state_cap)
+        return _cached_product("intersect", self, other, state_cap)
 
     def difference(self, other: "Dfa", state_cap: int = DEFAULT_STATE_CAP) -> "Dfa":
-        return _product(self, other, lambda a, b: a and not b, state_cap)
+        return _cached_product("difference", self, other, state_cap)
 
     # -- analyses -------------------------------------------------------------
 
@@ -291,24 +361,7 @@ def _canonicalize(trans: list[list[tuple[int, int]]], start: int, accepting: set
     rtrans = [[(mask, idx[t]) for mask, t in trans[s]] for s in states]
     racc = {idx[s] for s in states if s in accepting}
 
-    # Moore refinement: states are merged iff they agree on acceptance and on
-    # the block of every successor.
-    block = [1 if i in racc else 0 for i in range(m)]
-    nblocks = len(set(block))
-    while True:
-        sig_ids: dict[tuple, int] = {}
-        nxt = [0] * m
-        for i in range(m):
-            merged: dict[int, int] = {}
-            for mask, t in rtrans[i]:
-                b = block[t]
-                merged[b] = merged.get(b, 0) | mask
-            sig = (block[i], tuple(sorted(merged.items())))
-            nxt[i] = sig_ids.setdefault(sig, len(sig_ids))
-        block = nxt
-        if len(sig_ids) == nblocks:
-            break
-        nblocks = len(sig_ids)
+    block = _coarsest_partition(rtrans, racc)
 
     qtrans: dict[int, dict[int, int]] = {}
     for i in range(m):
@@ -337,6 +390,67 @@ def _canonicalize(trans: list[list[tuple[int, int]]], start: int, accepting: set
     )
     final_acc = frozenset(order[block[i]] for i in racc)
     return Dfa(rows, final_acc)
+
+
+def _coarsest_partition(trans: list[list[tuple[int, int]]], accepting: set[int]) -> list[int]:
+    """Block id of every state in the coarsest partition that separates
+    accepting from rejecting states and that every transition respects.
+
+    Hopcroft's refinement, with the characters of a row handled together:
+    states are split by the mask of characters that lead into the splitter
+    block.  Because ``trans`` is total, the mask into the largest part of a
+    split block follows from the masks into the others, so that part never
+    needs to become a splitter itself."""
+    n = len(trans)
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, row in enumerate(trans):
+        for mask, t in row:
+            preds[t].append((s, mask))
+    acc = set(accepting)
+    rej = set(range(n)) - acc
+    if not acc or not rej:
+        return [0] * n
+    members = [rej, acc]
+    block = [1 if s in acc else 0 for s in range(n)]
+    waiting = [1 if len(acc) <= len(rej) else 0]
+    while waiting:
+        into: dict[int, int] = {}
+        for t in members[waiting.pop()]:
+            for s, mask in preds[t]:
+                into[s] = into.get(s, 0) | mask
+        touched: dict[int, dict[int, set[int]]] = {}
+        for s, mask in into.items():
+            touched.setdefault(block[s], {}).setdefault(mask, set()).add(s)
+        for y, groups in touched.items():
+            parts = list(groups.values())
+            rest = members[y]
+            if sum(map(len, parts)) < len(rest):
+                for part in parts:
+                    rest -= part
+                parts.append(rest)
+            elif len(parts) == 1:
+                continue
+            largest = max(parts, key=len)
+            members[y] = largest
+            for part in parts:
+                if part is not largest:
+                    new_id = len(members)
+                    members.append(part)
+                    waiting.append(new_id)
+                    for s in part:
+                        block[s] = new_id
+    return block
+
+
+_KEEP: dict[str, Callable[[bool, bool], bool]] = {
+    "union": lambda a, b: a or b,
+    "intersect": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+}
+
+
+def _cached_product(op: str, a: Dfa, b: Dfa, state_cap: int) -> Dfa:
+    return _memoized((op, a, b, state_cap), _product, a, b, _KEEP[op], state_cap)
 
 
 def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool], state_cap: int) -> Dfa:
@@ -476,4 +590,8 @@ def from_pattern(pattern: object, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     text = getattr(pattern, "text", pattern)
     if not isinstance(text, str):
         raise TypeError(f"expected a pattern string, got {type(text).__name__}")
+    return _memoized(("pattern", text, state_cap), _compile_pattern, text, state_cap)
+
+
+def _compile_pattern(text: str, state_cap: int) -> Dfa:
     return from_regex(wildcard(text), state_cap)

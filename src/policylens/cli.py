@@ -25,6 +25,8 @@ from typing import NoReturn
 
 import click
 
+from . import __version__
+from .automata import operation_cache
 from .errors import (
     CubeBlowup,
     InsufficientLanguage,
@@ -59,8 +61,16 @@ EXIT_PARTIAL = 4
 DEFAULT_SEED = 0
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current standard stream.  Naming the stream keeps
+    click from caching a wrapper per stream object, an entry that is never
+    freed, so repeated in-process runs with redirected output do not keep
+    every redirected stream alive."""
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def _fail(message: str, code: int) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -123,7 +133,7 @@ def _scalar(v: object) -> str:
 
 
 def _emit(report: dict, fmt: str, out: str | None, summary: str) -> None:
-    click.echo(summary)
+    _echo(summary)
     if fmt == "json":
         body = json.dumps(report, indent=2, ensure_ascii=False)
     else:
@@ -134,7 +144,7 @@ def _emit(report: dict, fmt: str, out: str | None, summary: str) -> None:
         except OSError as e:
             _fail(str(e), EXIT_INPUT)
     else:
-        click.echo(body)
+        _echo(body)
 
 
 def _run_guarded(fn, *args, **kwargs):
@@ -208,7 +218,7 @@ def _make_provider(kind: str, config_path: str | None) -> LlmProvider:
 
 
 @click.group()
-@click.version_option(package_name="policylens")
+@click.version_option(version=__version__, prog_name="policylens")
 def main() -> None:
     """Policy analysis: compile access policies to automata, summarize them as
     regexes, verify the summaries, and compare policies."""
@@ -292,6 +302,7 @@ def diff(policy1, policy2, samples, bound, threshold, attempts, seed, dim, provi
 @click.option("--out", default=None)
 @click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "text"]))
 @click.option("--no-timestamp", is_flag=True, default=False)
+@operation_cache()
 def count(policy_path, dim, bound, out, fmt, no_timestamp):
     """Count the strings (length <= bound) one dimension of the policy allows."""
     doc = _run_guarded(_load_policy, policy_path)
@@ -321,6 +332,7 @@ def count(policy_path, dim, bound, out, fmt, no_timestamp):
 @click.option("--out", default=None)
 @click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "text"]))
 @click.option("--no-timestamp", is_flag=True, default=False)
+@operation_cache()
 def requests(policy_path, count_per_side, seed, out, fmt, no_timestamp):
     """Emit verified allowed and denied sample requests for a policy."""
     if count_per_side < 0:
@@ -342,7 +354,7 @@ def requests(policy_path, count_per_side, seed, out, fmt, no_timestamp):
         try:
             reqs = sample_from_set(side, count_per_side, seed)
         except InsufficientLanguage:
-            click.echo(f"warning: no {label} requests exist; emitting partial output", err=True)
+            _echo(f"warning: no {label} requests exist; emitting partial output", err=True)
             sides[label] = []
             partial = True
             continue

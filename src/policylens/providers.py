@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import os
 from abc import ABC, abstractmethod
-from typing import Mapping, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ProviderError
 from .regex import escape_literal
+
+if TYPE_CHECKING:
+    import requests
 
 SAMPLES_BEGIN = "<<<SAMPLES"
 SAMPLES_END = "SAMPLES>>>"
@@ -113,9 +114,17 @@ class HttpProvider(LlmProvider):
         self.temperature = temperature
         self.timeout = timeout
         self.retries = retries
-        self.session = session or requests.Session()
+        if session is None:
+            # Imported on first use: only this provider needs the HTTP client,
+            # and importing it costs every other command about 10 MB and 0.1 s.
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def complete(self, prompt: str) -> str:
+        import requests
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -18,10 +18,17 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
-from .automata import DEFAULT_STATE_CAP, Dfa, empty_dfa, from_pattern, universe_dfa
+from .automata import (
+    DEFAULT_STATE_CAP,
+    Dfa,
+    _memoized,
+    empty_dfa,
+    from_pattern,
+    operation_cache,
+    universe_dfa,
+)
 from .errors import CubeBlowup, InsufficientLanguage, SchemaError
 from .policy import Effect, PatternClause, PolicyDocument
 from .sampler import SamplerConfig, sample
@@ -207,6 +214,7 @@ def policy_schema(doc: PolicyDocument) -> DimensionSchema:
     return DimensionSchema(tuple(keys))
 
 
+@operation_cache()
 def compile_policy(
     doc: PolicyDocument,
     cube_cap: int = DEFAULT_CUBE_CAP,
@@ -274,11 +282,11 @@ def decide_request(doc: PolicyDocument, request: Mapping[str, str]) -> Effect:
 # -- sampling and comparison --------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
 def _regex_of(dfa: Dfa) -> RegexAst:
-    return dfa.extract_regex()
+    return _memoized(("extract", dfa), dfa.extract_regex)
 
 
+@operation_cache()
 def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]]:
     """Up to ``k`` distinct member requests, deterministic for a given seed.
 
@@ -303,10 +311,12 @@ def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]
     return out
 
 
+@operation_cache()
 def sample_requests(
     doc: PolicyDocument, k: int, seed: int = 0
 ) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
-    """k allowed and k denied requests, every one re-verified by decide_request."""
+    """k allowed and k denied requests, every one re-verified against the
+    compiled allowed set."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
@@ -316,10 +326,10 @@ def sample_requests(
     allowed = sample_from_set(allowed_set, k, seed)
     denied = sample_from_set(denied_set, k, seed)
     for req in allowed:
-        if decide_request(doc, req) != Effect.ALLOW:
+        if not contains(allowed_set, req):
             raise RuntimeError(f"sampled request {req!r} failed allow verification")
     for req in denied:
-        if decide_request(doc, req) != Effect.DENY:
+        if contains(allowed_set, req):
             raise RuntimeError(f"sampled request {req!r} failed deny verification")
     return allowed, denied
 
@@ -338,6 +348,7 @@ class PermissivenessVerdict:
     witnesses_second: tuple[dict[str, str], ...]  # allowed by policy 2 only
 
 
+@operation_cache()
 def compare_policies(
     p1: PolicyDocument,
     p2: PolicyDocument,

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .automata import DEFAULT_STATE_CAP, Dfa, from_regex
+from .automata import DEFAULT_STATE_CAP, Dfa, from_regex, operation_cache
 from .errors import PolicyLensError, ProviderError, RegexSyntaxError
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
@@ -132,7 +132,7 @@ def quantify_similarity(r1: RegexAst, r2: RegexAst, bound: int) -> Fraction:
 
 def _similarity_counts(d1: Dfa, d2: Dfa, bound: int) -> tuple[Fraction, tuple[int, int]]:
     inter = d1.intersect(d2).count_models(bound)
-    union = d1.union(d2).count_models(bound)
+    union = d1.count_models(bound) + d2.count_models(bound) - inter
     if union == 0:
         # Both languages empty within the bound: equal, so similarity 1.
         return Fraction(1), (0, 0)
@@ -277,11 +277,15 @@ def summarize_set(
 
     t0 = time.perf_counter()
     counts_by_attempt: dict[int, tuple[int, int]] = {}
+    # Attempts often return the same regex; ASTs are interned, so each
+    # distinct candidate is compiled and counted once.
+    scores: dict[RegexAst, tuple[Fraction, tuple[int, int]]] = {}
     for cand in candidates:
         if cand.ast is not None:
-            cand.similarity, counts_by_attempt[cand.attempt] = _similarity_counts(
-                dfa, from_regex(cand.ast, cfg.state_cap), cfg.bound
-            )
+            if cand.ast not in scores:
+                cand_dfa = from_regex(cand.ast, cfg.state_cap)
+                scores[cand.ast] = _similarity_counts(dfa, cand_dfa, cfg.bound)
+            cand.similarity, counts_by_attempt[cand.attempt] = scores[cand.ast]
     timings["similarity"] = time.perf_counter() - t0
 
     scored = [c for c in candidates if c.similarity is not None]
@@ -316,6 +320,7 @@ def summarize_set(
     )
 
 
+@operation_cache()
 def generate_summarization(
     doc: PolicyDocument, cfg: SimplifierConfig, provider: LlmProvider
 ) -> SummarizationReport:
@@ -329,6 +334,7 @@ def generate_summarization(
     return report
 
 
+@operation_cache()
 def summarize_difference(
     p1: PolicyDocument, p2: PolicyDocument, cfg: SimplifierConfig, provider: LlmProvider
 ) -> tuple[SummarizationReport, SummarizationReport]:

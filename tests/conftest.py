@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,31 @@ MUSIC_REGEX = r"(mp3s/A1/.*\.mp3)|(lyrics/A1/.*\.txt)"
 
 def corpus_paths() -> list[Path]:
     return sorted(POLICY_DIR.glob("*.json"))
+
+
+def _random_pattern(rng: random.Random) -> str:
+    return "".join(rng.choice("ab*?") for _ in range(rng.randint(0, 2)))
+
+
+def random_policy_text(rng: random.Random) -> str:
+    """JSON text of a small random policy over patterns in a, b, * and ?."""
+    stmts = []
+    for _ in range(rng.randint(1, 4)):
+        stmt: dict = {"Effect": rng.choice(["Allow", "Deny"])}
+        for name in ("Principal", "Action", "Resource"):
+            key = ("Not" + name) if rng.random() < 0.25 else name
+            stmt[key] = [_random_pattern(rng) for _ in range(rng.randint(1, 2))]
+        nconds = rng.choices([0, 1, 2], weights=[5, 3, 2])[0]
+        if nconds:
+            cond: dict = {}
+            for _ in range(nconds):
+                op = rng.choice(["StringEquals", "StringNotEquals", "StringLike", "StringNotLike"])
+                cond.setdefault(op, {})[rng.choice(["env", "ref"])] = [
+                    _random_pattern(rng) for _ in range(rng.randint(1, 2))
+                ]
+            stmt["Condition"] = cond
+        stmts.append(stmt)
+    return json.dumps({"Statement": stmts})
 
 
 @pytest.fixture(scope="session")

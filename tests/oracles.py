@@ -2,8 +2,9 @@
 
 Nothing here may call into the engine's matching/counting/evaluation logic:
 the wildcard matcher is a direct DP, regex membership goes through Python's
-``re`` module, and the policy evaluator applies the allow/deny rule
-statement by statement on concrete requests.
+``re`` module, the policy evaluator applies the allow/deny rule
+statement by statement on concrete requests, and the minimizer is Moore's
+round-by-round refinement.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 from functools import lru_cache
 from itertools import product
 
-from policylens.alphabet import chars_of
+from policylens.alphabet import FULL_MASK, chars_of
 from policylens.policy import Effect, PolicyDocument
 from policylens.regex import CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union
 
@@ -83,3 +84,54 @@ def ref_decide(doc: PolicyDocument, request: dict[str, str]) -> bool:
     if not allowed:
         return False
     return not any(s.effect == Effect.DENY and stmt_matches(s) for s in doc.statements)
+
+
+def moore_canonical(
+    trans: list[list[tuple[int, int]]], start: int, accepting: set[int]
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], frozenset[int]]:
+    """(rows, accepting) of the canonical minimal DFA of a total transition
+    table: trim to the reachable states, refine by Moore's rounds until the
+    block count is stable, then number blocks breadth-first from the start
+    with edges ordered by lowest character.  The empty language is one
+    rejecting state with a self-loop."""
+    reach, stack = {start}, [start]
+    while stack:
+        for _, t in trans[stack.pop()]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    if not reach & set(accepting):
+        return (((FULL_MASK, 0),),), frozenset()
+
+    def merged(s: int, block: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for mask, t in trans[s]:
+            out[block[t]] = out.get(block[t], 0) | mask
+        return out
+
+    block = {s: int(s in accepting) for s in reach}
+    while True:
+        sigs = {s: (block[s], tuple(sorted(merged(s, block).items()))) for s in reach}
+        ids = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        refined = {s: ids[sigs[s]] for s in reach}
+        if len(ids) == len(set(block.values())):
+            break
+        block = refined
+    rep = {}
+    for s in sorted(reach):
+        rep.setdefault(block[s], s)
+
+    def low(mask: int) -> int:
+        return mask & -mask
+
+    order, bfs = {block[start]: 0}, [block[start]]
+    for b in bfs:
+        for tb, _ in sorted(merged(rep[b], block).items(), key=lambda kv: low(kv[1])):
+            if tb not in order:
+                order[tb] = len(order)
+                bfs.append(tb)
+    rows = tuple(
+        tuple(sorted(((m, order[tb]) for tb, m in merged(rep[b], block).items()), key=lambda e: low(e[0])))
+        for b in bfs
+    )
+    return rows, frozenset(order[block[s]] for s in reach if s in accepting)

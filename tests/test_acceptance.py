@@ -37,7 +37,14 @@ from policylens.requestsets import compile_policy, contains, project
 from policylens.sampler import SamplerConfig, sample
 from policylens.simplifier import SimplifierConfig, generate_summarization, quantify_similarity
 
-from conftest import ALLOW_ALL_POLICY, DENY_ALL_POLICY, MUSIC_POLICY, MUSIC_REGEX, corpus_paths
+from conftest import (
+    ALLOW_ALL_POLICY,
+    DENY_ALL_POLICY,
+    MUSIC_POLICY,
+    MUSIC_REGEX,
+    corpus_paths,
+    random_policy_text,
+)
 from oracles import glob_match, re_accepts, strings_up_to, ref_decide
 
 
@@ -198,37 +205,13 @@ def test_criterion_04_extraction_round_trip():
              f"in {elapsed:.2f}s (<120s)")
 
 
-def _random_pattern(rng: random.Random) -> str:
-    return "".join(rng.choice("ab*?") for _ in range(rng.randint(0, 2)))
-
-
-def _random_policy_text(rng: random.Random) -> str:
-    stmts = []
-    for _ in range(rng.randint(1, 4)):
-        stmt: dict = {"Effect": rng.choice(["Allow", "Deny"])}
-        for name in ("Principal", "Action", "Resource"):
-            key = ("Not" + name) if rng.random() < 0.25 else name
-            stmt[key] = [_random_pattern(rng) for _ in range(rng.randint(1, 2))]
-        nconds = rng.choices([0, 1, 2], weights=[5, 3, 2])[0]
-        if nconds:
-            cond: dict = {}
-            for _ in range(nconds):
-                op = rng.choice(["StringEquals", "StringNotEquals", "StringLike", "StringNotLike"])
-                cond.setdefault(op, {})[rng.choice(["env", "ref"])] = [
-                    _random_pattern(rng) for _ in range(rng.randint(1, 2))
-                ]
-            stmt["Condition"] = cond
-        stmts.append(stmt)
-    return json.dumps({"Statement": stmts})
-
-
 def test_criterion_05_compilation_matches_reference_evaluator():
     t0 = time.perf_counter()
     rng = random.Random(501)
     values = strings_up_to("ab", 2)
     tuples_checked = 0
     for _ in range(100):
-        doc = parse_policy(_random_policy_text(rng))
+        doc = parse_policy(random_policy_text(rng))
         allowed = compile_policy(doc)
         dims = allowed.schema.dimensions
         for tup in product(values, repeat=len(dims)):

@@ -11,12 +11,13 @@ from policylens.automata import (
     empty_dfa,
     from_pattern,
     from_regex,
+    operation_cache,
     universe_dfa,
 )
 from policylens.errors import AlphabetError, StateBlowup
 from policylens.regex import EMPTY, char_class, literal, parse_regex, print_regex, star
 
-from oracles import glob_match, re_accepts, strings_up_to
+from oracles import glob_match, moore_canonical, re_accepts, strings_up_to
 
 
 def sub_star(alphabet: str) -> Dfa:
@@ -143,6 +144,66 @@ def test_state_cap_enforced():
         from_regex(parse_regex("(a|b)*abb(a|b)*"), state_cap=2)
 
 
+# -- operation cache -----------------------------------------------------------
+
+
+def test_operation_cache_counts_hits_and_returns_the_stored_dfa():
+    a, b = from_pattern("*a?"), from_pattern("b*")
+    with operation_cache() as cache:
+        first = a.intersect(b)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert a.intersect(b) is first
+        assert (cache.hits, cache.misses) == (1, 1)
+        a.union(b)  # same operands, different operation: a miss
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert from_pattern("*a?") is from_pattern("*a?")
+        assert (cache.hits, cache.misses) == (2, 3)
+    assert first == a.intersect(b)
+
+
+def test_nested_operation_scopes_share_one_cache():
+    a, b = from_pattern("*a?"), from_pattern("b*")
+    with operation_cache() as outer:
+        with operation_cache() as inner:
+            assert inner is outer
+            a.difference(b)
+        a.difference(b)
+        assert (outer.hits, outer.misses) == (1, 1)
+
+
+def test_no_cache_is_active_after_the_outermost_scope_exits():
+    a, b = from_pattern("*a?"), from_pattern("b*")
+    with operation_cache() as done:
+        a.union(b)
+    with pytest.raises(RuntimeError):
+        with operation_cache() as failed:
+            with operation_cache():
+                a.union(b)
+                raise RuntimeError("boom")
+    counts = [(c.hits, c.misses) for c in (done, failed)]
+    a.union(b)
+    from_pattern("*a?")
+    assert [(c.hits, c.misses) for c in (done, failed)] == counts
+    with operation_cache() as fresh:
+        assert fresh is not done and fresh is not failed
+        assert (fresh.hits, fresh.misses) == (0, 0)
+
+
+def test_operation_cache_keys_on_state_cap():
+    a, b = from_pattern("*a?"), from_pattern("*b?")
+    expected = a.union(b)
+    with operation_cache():
+        wide = a.union(b, state_cap=1000)
+        assert wide == expected
+        for _ in range(2):  # a blowup is never stored, so it repeats
+            with pytest.raises(StateBlowup):
+                a.union(b, state_cap=2)
+        assert a.union(b, state_cap=1000) is wide
+        from_pattern("*a??", state_cap=1000)
+        with pytest.raises(StateBlowup):
+            from_pattern("*a??", state_cap=2)
+
+
 def test_from_parts_validation_and_canonicalization():
     full = FULL_MASK
     a_mask = mask_of("a")
@@ -184,6 +245,25 @@ def test_minimization_canonicity_random_tables():
         assert d1.equivalent(d2)
         # complement twice is identity in canonical form
         assert d1.complement().complement() == d1
+
+
+def test_minimizer_matches_moore_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randint(1, 12)
+        copies = rng.randint(1, 4)  # copies of one state are equivalent
+        masks = _random_partition(rng, parts=rng.randint(1, 4))
+        base = [[(m, rng.randrange(k)) for m in masks] for _ in range(k)]
+        rows = [
+            [(m, t + k * rng.randrange(copies)) for m, t in base[s % k]]
+            for s in range(k * copies)
+        ]
+        p = rng.random()
+        accepting_base = {b for b in range(k) if rng.random() < p}
+        accepting = {s for s in range(k * copies) if s % k in accepting_base}
+        start = rng.randrange(k * copies)
+        d = Dfa.from_parts(rows, start, accepting)
+        assert (d.transitions, d.accepting) == moore_canonical(rows, start, accepting)
 
 
 def _random_partition(rng: random.Random, parts: int) -> list[int]:

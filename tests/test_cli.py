@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -226,3 +230,19 @@ def test_http_provider_config_missing_keys(runner, tmp_path):
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
+
+
+def test_in_process_runs_release_redirected_streams():
+    # One command's stdout and stderr, each a fresh stream, must not outlive it.
+    refs = []
+    for argv in (["count", MUSIC, "--no-timestamp"], ["requests", DENY_ALL, "-k", "1"],
+                 ["count", MUSIC, "--dim", "galaxy"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.suppress(SystemExit):
+                main.main(args=argv, prog_name="policylens", standalone_mode=False)
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import requests
@@ -163,3 +166,10 @@ def test_load_provider():
         load_provider("http", {"model": "m"})
     with pytest.raises(ProviderError):
         load_provider("carrier-pigeon")
+
+
+def test_cli_start_up_does_not_import_the_http_client():
+    code = "import sys, policylens.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from policylens.automata import Dfa, from_regex
+from policylens import requestsets
+from policylens.automata import Dfa, OperationCache, from_regex, operation_cache
 from policylens.errors import CubeBlowup, InsufficientLanguage, SchemaError
 from policylens.policy import Effect, parse_policy
 from policylens.regex import parse_regex
@@ -28,7 +30,7 @@ from policylens.requestsets import (
     universe_set,
 )
 
-from conftest import MUSIC_REGEX, corpus_paths
+from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
 from oracles import ref_decide
 
 SCHEMA = DimensionSchema()
@@ -294,3 +296,51 @@ def test_cube_cap_enforced():
         set_union(x, rs((d("b"), d("b"), d("b"))), cube_cap=1)
     with pytest.raises(CubeBlowup):
         set_difference(rs((d("[ab]"), d("[ab]"), d("[ab]"))), x, cube_cap=1)
+
+
+# -- operation cache -----------------------------------------------------------
+
+
+def _cache_workload(docs):
+    sets = [compile_policy(doc) for doc in docs]
+    projections = [[project(x, dim) for dim in x.schema.dimensions] for x in sets]
+    verdicts = [compare_policies(p1, p2) for p1, p2 in zip(docs, docs[1:])]
+    return sets, projections, verdicts
+
+
+def test_operation_cache_matches_uncached_path(monkeypatch):
+    rng = random.Random(701)
+    docs = [parse_policy(p.read_text()) for p in corpus_paths()]
+    docs += [parse_policy(random_policy_text(rng)) for _ in range(30)]
+    # One scope over everything, so entries are shared across policies too.
+    with operation_cache() as cache:
+        cached = _cache_workload(docs)
+    assert cache.hits > 0
+    # The oracle: every operation computed afresh, even inside a scope.
+    monkeypatch.setattr(OperationCache, "get", lambda self, key, compute, *args: compute(*args))
+    assert _cache_workload(docs) == cached
+
+
+def test_repeated_clause_hits_the_cache():
+    doc = parse_policy(
+        '{"Statement": ['
+        '{"Effect": "Allow", "Principal": "*", "Action": "s3:Get*", "Resource": "logs/*"},'
+        '{"Effect": "Allow", "Principal": "*", "Action": "s3:List*", "Resource": "logs/*"}]}'
+    )
+    with operation_cache() as cache:
+        compile_policy(doc)
+    assert cache.hits >= 1
+
+
+def test_sample_requests_compiles_once(music_doc, monkeypatch):
+    calls = []
+    real = requestsets.compile_policy
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(requestsets, "compile_policy", counting)
+    allowed, denied = sample_requests(music_doc, 3, seed=5)
+    assert len(allowed) == 3 and len(denied) == 3
+    assert len(calls) == 1

@@ -147,6 +147,20 @@ def test_summarize_low_similarity_falls_back(music_doc):
     assert report.candidates[0].similarity == Fraction(0)
 
 
+def test_repeated_candidate_is_compiled_once(music_doc, monkeypatch):
+    from policylens import simplifier
+
+    compiled = []
+    real = simplifier.from_regex
+    monkeypatch.setattr(simplifier, "from_regex", lambda r, *a: compiled.append(r) or real(r, *a))
+    cfg = SimplifierConfig(samples=50, bound=6, attempts=3)
+    report = generate_summarization(music_doc, cfg, MockProvider(script=["zzzz", "zzzz", MUSIC_REGEX]))
+    assert len(compiled) == 2
+    first, second, third = report.candidates
+    assert first.similarity == second.similarity == Fraction(0)
+    assert third.similarity == Fraction(1) and report.chosen == MUSIC_REGEX
+
+
 def test_summarize_unparseable_candidates_fall_back(music_doc):
     provider = MockProvider(script=["(?=x)"])
     report = generate_summarization(music_doc, SMALL, provider)
