@@ -18,8 +18,9 @@ Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 ``(pattern text, state_cap)``.  The policy-level entry points (compilation,
 comparison, sampling, summarization) and the ``count`` and ``requests``
 commands each enter a scope.  The scope is re-entrant: nested scopes share the
-outermost one's table, which is dropped when the outermost scope exits, so
-memory is bounded by the work of one command and there is no size setting.
+outermost one's table, which is dropped when the outermost scope exits.  A
+scope spans one command, so memory is bounded by that command's work and
+there is no size setting; it is not meant to be held open across commands.
 Cached values are the same canonical DFAs a fresh build returns, and a build
 that raises :class:`~policylens.errors.StateBlowup` stores nothing.  Outside a
 scope every operation is computed afresh.

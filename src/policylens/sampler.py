@@ -63,17 +63,7 @@ def sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str:
                 children = [c for c in union_children(node) if not c.lang_empty]
                 stack.append(("v", rng.choice(children)))
             elif isinstance(node, Star):
-                if isinstance(node.inner, CharClass):
-                    # The continuation loop below, inlined for the common
-                    # star of one class: the same draws in the same order.
-                    chars = chars_of(node.inner.mask)
-                    thresh = cfg.threshold
-                    while length < cfg.max_length and rng.random() >= thresh:
-                        out.append(rng.choice(chars))
-                        length += 1
-                        thresh *= cfg.growth
-                else:
-                    stack.append(("s", node.inner, cfg.threshold))
+                stack.append(("s", node.inner, cfg.threshold))
             else:
                 raise EmptyLanguage("cannot sample from the empty language")
         else:
