@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -29,6 +30,10 @@ SAMPLES_END = "SAMPLES>>>"
 MOCK_TIMEOUT = "<<TIMEOUT>>"
 
 API_KEY_ENV = "POLICYLENS_API_KEY"
+
+# Wait before retry i (1-based): BACKOFF_BASE_S * 2**(i-1), at most BACKOFF_MAX_S.
+BACKOFF_BASE_S = 0.5
+BACKOFF_MAX_S = 8.0
 
 
 class LlmProvider(ABC):
@@ -93,7 +98,11 @@ class MockProvider(LlmProvider):
 
 
 class HttpProvider(LlmProvider):
-    """Chat-completions client over HTTP with a bounded retry budget."""
+    """Chat-completions client over HTTP with a bounded retry budget.
+
+    Connection errors, timeouts, 429 and 5xx are retried up to ``retries``
+    times with exponential backoff; any other 4xx fails at once.
+    """
 
     name = "http"
 
@@ -133,19 +142,31 @@ class HttpProvider(LlmProvider):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last: Exception | None = None
-        for _ in range(self.retries + 1):
+        # Only transport failures, rate limiting (429) and server errors
+        # (5xx) can succeed on a later attempt; any other error is final.
+        last = ""
+        for attempt in range(self.retries + 1):
+            if attempt:
+                time.sleep(min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_MAX_S))
             try:
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
-                resp.raise_for_status()
-                data = resp.json()
-                return data["choices"][0]["message"]["content"]
+            except (requests.ConnectionError, requests.Timeout) as e:
+                last = str(e)
+                continue
+            except requests.RequestException as e:
+                raise ProviderError(f"provider request failed: {e}") from None
+            status = resp.status_code
+            if status == 429 or status >= 500:
+                last = f"HTTP {status}"
+                continue
+            if status >= 400:
+                raise ProviderError(f"provider rejected the request: HTTP {status}")
+            try:
+                return resp.json()["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as e:
                 raise ProviderError(f"malformed provider response: {e}") from None
-            except requests.RequestException as e:
-                last = e
         raise ProviderError(f"provider request failed after {self.retries + 1} attempts: {last}")
 
 

@@ -3,19 +3,23 @@
 Nothing here may call into the engine's matching/counting/evaluation logic:
 the wildcard matcher is a direct DP, regex membership goes through Python's
 ``re`` module, the policy evaluator applies the allow/deny rule
-statement by statement on concrete requests, and the minimizer is Moore's
-round-by-round refinement.
+statement by statement on concrete requests, the minimizer is Moore's
+round-by-round refinement, and the sampler walks the AST node by node,
+picking with ``rng.choice``.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from functools import lru_cache
 from itertools import product
 
 from policylens.alphabet import FULL_MASK, chars_of
+from policylens.errors import EmptyLanguage
 from policylens.policy import Effect, PolicyDocument
-from policylens.regex import CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union
+from policylens.regex import EPSILON, CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union, union_children
+from policylens.sampler import SamplerConfig
 
 
 @lru_cache(maxsize=100_000)
@@ -135,3 +139,43 @@ def moore_canonical(
         for b in bfs
     )
     return rows, frozenset(order[block[s]] for s in reach if s in accepting)
+
+
+def reference_sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str:
+    """The sampler's draw as a direct walk of the AST, re-interpreting every
+    node on every visit and picking with ``rng.choice``.  The engine's
+    sampler must make the same draws from the same random stream."""
+    if r.lang_empty:
+        raise EmptyLanguage("cannot sample from the empty language")
+    out: list[str] = []
+    length = 0
+    # Work stack: ("v", node) expands a node; ("s", body, thresh) is a star
+    # continuation deciding whether to run one more body expansion.
+    stack: list[tuple] = [("v", r)]
+    while stack:
+        item = stack.pop()
+        if item[0] == "v":
+            node = item[1]
+            if node is EPSILON:
+                continue
+            if isinstance(node, CharClass):
+                out.append(rng.choice(chars_of(node.mask)))
+                length += 1
+            elif isinstance(node, Concat):
+                stack.append(("v", node.right))
+                stack.append(("v", node.left))
+            elif isinstance(node, Union):
+                children = [c for c in union_children(node) if not c.lang_empty]
+                stack.append(("v", rng.choice(children)))
+            elif isinstance(node, Star):
+                stack.append(("s", node.inner, cfg.threshold))
+            else:
+                raise EmptyLanguage("cannot sample from the empty language")
+        else:
+            _, body, thresh = item
+            if length >= cfg.max_length:
+                continue
+            if rng.random() >= thresh:
+                stack.append(("s", body, thresh * cfg.growth))
+                stack.append(("v", body))
+    return "".join(out)

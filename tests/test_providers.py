@@ -9,9 +9,11 @@ import sys
 import pytest
 import requests
 
+from policylens import providers
 from policylens.errors import ProviderError
 from policylens.providers import (
     API_KEY_ENV,
+    BACKOFF_MAX_S,
     MOCK_TIMEOUT,
     SAMPLES_BEGIN,
     SAMPLES_END,
@@ -73,14 +75,18 @@ def test_mock_default_without_samples_block():
         MockProvider().complete("prompt with no samples")
 
 
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """The provider's backoff waits, recorded instead of slept."""
+    waits: list[float] = []
+    monkeypatch.setattr(providers.time, "sleep", waits.append)
+    return waits
+
+
 class FakeResponse:
     def __init__(self, status: int, body: object):
         self.status_code = status
         self._body = body
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
 
     def json(self):
         if isinstance(self._body, Exception):
@@ -154,6 +160,55 @@ def test_http_provider_http_error_retries(monkeypatch):
     session = FakeSession([FakeResponse(500, {}), _ok("later")])
     p = HttpProvider("https://api.test", "m", retries=1, session=session)
     assert p.complete("q") == "later"
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_http_provider_client_error_is_not_retried(monkeypatch, sleeps, status):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    session = FakeSession([FakeResponse(status, {}), _ok("never")])
+    p = HttpProvider("https://api.test", "m", retries=2, session=session)
+    with pytest.raises(ProviderError, match=str(status)):
+        p.complete("q")
+    assert len(session.requests) == 1
+    assert sleeps == []
+
+
+def test_http_provider_server_errors_retried_with_backoff(monkeypatch, sleeps):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    session = FakeSession([FakeResponse(503, {}), FakeResponse(503, {}), _ok("up")])
+    p = HttpProvider("https://api.test", "m", retries=2, session=session)
+    assert p.complete("q") == "up"
+    assert len(session.requests) == 3
+    assert len(sleeps) == 2 and 0 < sleeps[0] < sleeps[1]
+
+
+def test_http_provider_rate_limit_retried(monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    session = FakeSession([FakeResponse(429, {}), _ok("ok")])
+    p = HttpProvider("https://api.test", "m", retries=1, session=session)
+    assert p.complete("q") == "ok"
+
+
+def test_http_provider_backoff_grows_and_stays_bounded(monkeypatch, sleeps):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    retries = 9
+    session = FakeSession([requests.ConnectionError("down")] * (retries + 1))
+    p = HttpProvider("https://api.test", "m", retries=retries, session=session)
+    with pytest.raises(ProviderError, match="10 attempts"):
+        p.complete("q")
+    assert len(session.requests) == retries + 1
+    assert len(sleeps) == retries
+    assert sleeps == sorted(sleeps) and sleeps[0] < sleeps[-1]
+    assert max(sleeps) == BACKOFF_MAX_S
+
+
+def test_http_provider_other_request_errors_are_not_retried(monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    session = FakeSession([requests.exceptions.InvalidURL("bad url"), _ok("never")])
+    p = HttpProvider("https://api.test", "m", retries=2, session=session)
+    with pytest.raises(ProviderError):
+        p.complete("q")
+    assert len(session.requests) == 1
 
 
 def test_load_provider():

@@ -5,12 +5,17 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from policylens.automata import from_regex
+from policylens import parse_policy
+from policylens.automata import from_pattern, from_regex
 from policylens.errors import EmptyLanguage
 from policylens.regex import EMPTY, parse_regex, seq, star, literal
+from policylens.requestsets import compile_policy, is_empty_set, project
 from policylens.sampler import SamplerConfig, sample, sample_n
 
+from conftest import MUSIC_REGEX, corpus_paths
+from oracles import reference_sample
 from test_regex import ast_strategy
 
 CFG = SamplerConfig()
@@ -123,3 +128,49 @@ def test_wide_regex_membership():
         assert samples
         for s in samples:
             assert dfa.accepts(s), (text, s)
+
+
+# --- same draws as the reference walker ------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(ast_strategy(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 100]))
+def test_sample_draws_as_reference_walker(r, seed, max_length):
+    cfg = SamplerConfig(seed=seed, max_length=max_length)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    if r.lang_empty:
+        with pytest.raises(EmptyLanguage):
+            sample(r, cfg, rng)
+        with pytest.raises(EmptyLanguage):
+            reference_sample(r, cfg, ref_rng)
+        return
+    draws = [sample(r, cfg, rng) for _ in range(20)]
+    assert draws == [reference_sample(r, cfg, ref_rng) for _ in range(20)]
+    # the same random numbers were consumed, not just the same strings made
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def _resource_regexes():
+    out = []
+    for path in corpus_paths():
+        request_set = compile_policy(parse_policy(path.read_text()))
+        if not is_empty_set(request_set):
+            out.append(pytest.param(project(request_set, "resource").extract_regex(), id=path.name))
+    out.append(pytest.param(from_pattern("*a???").extract_regex(), id="*a???"))
+    return out
+
+
+@pytest.mark.parametrize("r", _resource_regexes())
+def test_sample_n_draws_as_reference_walker(r):
+    cfg = SamplerConfig()
+    rng = random.Random(cfg.seed)
+    assert sample_n(r, 1000, cfg) == {reference_sample(r, cfg, rng) for _ in range(1000)}
+
+
+@pytest.mark.parametrize("text", [MUSIC_REGEX, "(a|bc)*d", "[a-z]{10}", "x(y|z*)?"])
+@pytest.mark.parametrize("n", [1, 50])
+def test_sample_n_is_the_set_of_n_sample_draws(text, n):
+    r = parse_regex(text)
+    cfg = SamplerConfig(seed=9)
+    rng = random.Random(cfg.seed)
+    assert sample_n(r, n, cfg) == {sample(r, cfg, rng) for _ in range(n)}
