@@ -31,7 +31,7 @@ from .automata import (
 )
 from .errors import CubeBlowup, InsufficientLanguage, SchemaError
 from .policy import Effect, PatternClause, PolicyDocument
-from .sampler import SamplerConfig, sample
+from .sampler import SamplerConfig, _compile, _draw
 from .regex import RegexAst
 
 DEFAULT_CUBE_CAP = 10_000
@@ -298,11 +298,21 @@ def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]
         raise InsufficientLanguage("cannot sample requests from an empty set")
     cfg = SamplerConfig(seed=seed)
     rng = random.Random(seed)
+    # Draw programs of each cube reached so far, one per dimension regex.
+    programs: dict[int, tuple] = {}
+    compiled: dict[RegexAst, tuple] = {}
     out: list[dict[str, str]] = []
     seen: set[tuple[str, ...]] = set()
     for draw in range(5 * k + 10):
-        cube = x.cubes[draw % len(x.cubes)]
-        values = tuple(sample(_regex_of(d), cfg, rng) for d in cube.dfas)
+        i = draw % len(x.cubes)
+        cube_programs = programs.get(i)
+        if cube_programs is None:
+            regexes = [_regex_of(d) for d in x.cubes[i].dfas]
+            for r in regexes:
+                if r not in compiled:
+                    compiled[r] = _compile(r)
+            cube_programs = programs[i] = tuple(compiled[r] for r in regexes)
+        values = tuple(_draw(p, cfg, rng) for p in cube_programs)
         if values not in seen:
             seen.add(values)
             out.append(dict(zip(x.schema.dimensions, values)))

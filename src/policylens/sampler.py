@@ -11,13 +11,20 @@ A star also stops once the accumulated output reaches ``max_length``, which
 keeps samples inside the model-counting window; output is never truncated
 mid-expansion, so strings may exceed the limit by one body expansion.
 
-Each call works from its own instruction table: the first visit to a node
-stores what visiting it does (a class's member string, a union's flattened
-non-empty children), and later visits in the same call reuse it.
-:func:`sample_n` shares one table across its draws; nothing outlives the
-call.  Only ``rng.getrandbits`` and ``rng.random`` are consumed, in the
-order a direct walker calling ``rng.choice`` consumes them, so for a fixed
-seed the draws are identical to that walker's (kept as the test oracle
+Each call first compiles the regex into a draw program, then runs its draws
+over the program's instructions rather than over AST nodes.  Every
+concatenation chain becomes one flat sequence; a run of single-character
+classes becomes one literal; a star over a character class becomes one inner
+loop; a union keeps its flattened non-empty children, each a sequence.
+:func:`sample_n` shares one program across its draws, and
+``requestsets.sample_from_set`` compiles each dimension regex once per call;
+nothing outlives the call.  Compilation walks the hash-consed DAG with an
+explicit work stack, so the very deep trees that state elimination builds
+need no recursion.
+
+Only ``rng.getrandbits`` and ``rng.random`` are consumed, in the order a
+direct walker calling ``rng.choice`` consumes them, so for a fixed seed the
+draws are identical to that walker's (kept as the test oracle
 ``tests/oracles.reference_sample``).
 """
 
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 from .alphabet import chars_of
 from .errors import EmptyLanguage
-from .regex import CharClass, Concat, EPSILON, RegexAst, Star, Union, union_children
+from .regex import CharClass, Concat, RegexAst, Star, Union, union_children
 
 
 @dataclass(frozen=True)
@@ -49,90 +56,191 @@ class SamplerConfig:
 
 def sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str:
     """One accepted string of ``r``.  Raises EmptyLanguage if L(r) is empty."""
-    return _draw(r, {}, cfg, rng)
+    return _draw(_compile(r), cfg, rng)
 
 
 def sample_n(r: RegexAst, n: int, cfg: SamplerConfig) -> set[str]:
     """Distinct strings from ``n`` draws, deterministic for a given seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    program = _compile(r)
     rng = random.Random(cfg.seed)
-    table: dict[RegexAst, tuple] = {}
-    return {_draw(r, table, cfg, rng) for _ in range(n)}
+    return {_draw(program, cfg, rng) for _ in range(n)}
 
 
-# Instruction opcodes; see _instruction.
-_CHAR, _UNION, _CONCAT, _STAR, _EPSILON = range(5)
+# Instruction opcodes.  A sequence is a tuple of instructions stored in
+# reverse, so the draw loop pushes it onto its stack with one ``extend``.
+#   (_LITERAL, text)           emit ``text``, one single-member pick per char
+#   (_CLASS, chars, n, k)      emit one of the ``n`` members of ``chars``
+#   (_STAR_CLASS, chars, n, k) a star over that class, run as one loop
+#   (_UNION, seqs, n, k)       run one of the ``n`` sequences in ``seqs``
+#   (_STAR, body)              a star over the sequence ``body``
+#   (_LOOP, body, thresh)      a star's continuation, made while drawing
+# ``k`` is ``n.bit_length()``, the width of the index draw.
+_LITERAL, _CLASS, _STAR_CLASS, _UNION, _STAR, _LOOP = range(6)
 
 
-def _instruction(node: RegexAst) -> tuple:
-    """What a visit to ``node`` does, worked out once per call.
+def _compile(r: RegexAst) -> tuple:
+    """The draw program of ``r``: its instruction sequence.
 
-    ``(_CHAR, chars, n, k)`` and ``(_UNION, children, n, k)`` pick one of
-    ``n`` items with ``k = n.bit_length()``; ``(_CONCAT, (right, left))``
-    pushes both halves; ``(_STAR, inner)`` pushes a star continuation.
-    """
-    if isinstance(node, CharClass):
-        chars = chars_of(node.mask)
-        return (_CHAR, chars, len(chars), len(chars).bit_length())
-    if isinstance(node, Union):
-        children = [c for c in union_children(node) if not c.lang_empty]
-        return (_UNION, children, len(children), len(children).bit_length())
-    if isinstance(node, Concat):
-        return (_CONCAT, (node.right, node.left))
-    if isinstance(node, Star):
-        return (_STAR, node.inner)
-    if node is EPSILON:
-        return (_EPSILON,)
-    raise EmptyLanguage("cannot sample from the empty language")
-
-
-def _draw(r: RegexAst, table: dict[RegexAst, tuple], cfg: SamplerConfig, rng: random.Random) -> str:
-    """The one draw loop.  ``table`` maps each node visited so far to its
-    instruction; callers share it only between draws of the same call.
-
-    An index below ``n`` is drawn the way ``Random.choice`` draws it on
-    CPython: ``getrandbits(n.bit_length())``, again while the result is
-    ``>= n``.  So the random stream, and every sample, is the one a walker
-    calling ``rng.choice`` produces.
+    Nodes that start a sequence (the root, union children, star bodies) are
+    compiled after the sequences they contain, each once, from an explicit
+    work stack.  Raises EmptyLanguage if L(r) is empty.
     """
     if r.lang_empty:
         raise EmptyLanguage("cannot sample from the empty language")
+    seqs: dict[RegexAst, tuple] = {}
+    # Concatenation leaves of nodes whose inner sequences are still missing.
+    pending: dict[RegexAst, list[RegexAst]] = {}
+    # The nodes each union or star runs as sequences, and then its
+    # instruction, shared by every sequence holding the node.
+    inner: dict[RegexAst, list[RegexAst]] = {}
+    shared: dict[RegexAst, tuple] = {}
+    todo = [r]
+    while todo:
+        node = todo[-1]
+        if node in seqs:
+            todo.pop()
+            continue
+        leaves = pending.get(node)
+        if leaves is None:
+            leaves = pending[node] = _concat_leaves(node)
+            missing = []
+            for leaf in leaves:
+                if leaf.__class__ is Union or leaf.__class__ is Star:
+                    nodes = inner.get(leaf)
+                    if nodes is None:
+                        nodes = inner[leaf] = _inner_sequences(leaf)
+                    missing += [c for c in nodes if c not in seqs]
+            if missing:
+                todo.extend(missing)
+                continue
+        del pending[node]
+        todo.pop()
+        seqs[node] = _sequence(leaves, seqs, inner, shared)
+    return seqs[r]
+
+
+def _concat_leaves(node: RegexAst) -> list[RegexAst]:
+    """The non-concatenation nodes of ``node``'s concatenation chain, in order."""
+    out: list[RegexAst] = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is Concat:
+            stack.append(x.right)
+            stack.append(x.left)
+        else:
+            out.append(x)
+    return out
+
+
+def _inner_sequences(leaf: RegexAst) -> list[RegexAst]:
+    """The nodes that the instruction for a union or star runs as sequences."""
+    if leaf.__class__ is Union:
+        return [c for c in union_children(leaf) if not c.lang_empty]
+    if leaf.inner.__class__ is CharClass:
+        return []
+    return [leaf.inner]
+
+
+def _sequence(leaves: list[RegexAst], seqs: dict, inner: dict, shared: dict) -> tuple:
+    """Instructions for a chain of ``leaves``, reversed for the draw stack."""
+    out: list[tuple] = []
+    run: list[str] = []  # characters of the literal being built
+    for leaf in leaves:
+        cls = leaf.__class__
+        if cls is CharClass:
+            chars = chars_of(leaf.mask)
+            if len(chars) == 1:
+                run.append(chars)
+                continue
+            ins = (_CLASS, chars, len(chars), len(chars).bit_length())
+        elif cls is Union or cls is Star:
+            ins = shared.get(leaf)
+            if ins is None:
+                ins = shared[leaf] = _shared_instruction(leaf, [seqs[c] for c in inner[leaf]])
+        elif leaf.lang_empty:
+            raise EmptyLanguage("cannot sample from the empty language")
+        else:
+            continue  # epsilon emits nothing
+        if run:
+            out.append((_LITERAL, "".join(run)))
+            run = []
+        out.append(ins)
+    if run:
+        out.append((_LITERAL, "".join(run)))
+    out.reverse()
+    return tuple(out)
+
+
+def _shared_instruction(leaf: RegexAst, inner_seqs: list[tuple]) -> tuple:
+    if leaf.__class__ is Union:
+        return (_UNION, tuple(inner_seqs), len(inner_seqs), len(inner_seqs).bit_length())
+    if inner_seqs:
+        return (_STAR, inner_seqs[0])
+    chars = chars_of(leaf.inner.mask)
+    return (_STAR_CLASS, chars, len(chars), len(chars).bit_length())
+
+
+def _draw(program: tuple, cfg: SamplerConfig, rng: random.Random) -> str:
+    """The one draw loop: one string from a program made by :func:`_compile`.
+
+    An index below ``n`` is drawn the way ``Random.choice`` draws it on
+    CPython: ``getrandbits(n.bit_length())``, again while the result is
+    ``>= n``.  A literal character is a pick from one member, so it calls
+    ``getrandbits(1)`` until that returns 0.  A fused star checks the length
+    budget before each ``random()``, as the star continuation does.  So the
+    random stream, and every sample, is the one a walker calling
+    ``rng.choice`` produces.
+    """
     getrandbits = rng.getrandbits
     uniform = rng.random
     threshold, growth, max_length = cfg.threshold, cfg.growth, cfg.max_length
     out: list[str] = []
+    emit = out.append
     length = 0
-    # Work stack of nodes to expand and star continuations ``(body, thresh)``,
-    # which decide whether to run one more body expansion.
-    stack: list = [r]
+    stack = list(program)
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        item = stack.pop()
-        if item.__class__ is tuple:
-            body, thresh = item
-            if length < max_length and uniform() >= thresh:
-                stack.append((body, thresh * growth))
-                stack.append(body)
-            continue
-        ins = table.get(item)
-        if ins is None:
-            ins = table[item] = _instruction(item)
+        ins = pop()
         op = ins[0]
-        if op == _CHAR:
+        if op == _LITERAL:
+            text = ins[1]
+            for _ in text:
+                while getrandbits(1):
+                    pass
+            emit(text)
+            length += len(text)
+        elif op == _STAR_CLASS:
             _, chars, n, k = ins
-            i = getrandbits(k)
-            while i >= n:
+            thresh = threshold
+            while length < max_length and uniform() >= thresh:
                 i = getrandbits(k)
-            out.append(chars[i])
-            length += 1
-        elif op == _CONCAT:
-            stack.extend(ins[1])
+                while i >= n:
+                    i = getrandbits(k)
+                emit(chars[i])
+                length += 1
+                thresh *= growth
         elif op == _UNION:
             _, children, n, k = ins
             i = getrandbits(k)
             while i >= n:
                 i = getrandbits(k)
-            stack.append(children[i])
-        elif op == _STAR:
-            stack.append((ins[1], threshold))
+            extend(children[i])
+        elif op == _CLASS:
+            _, chars, n, k = ins
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            emit(chars[i])
+            length += 1
+        else:
+            if op == _STAR:
+                body, thresh = ins[1], threshold
+            else:
+                _, body, thresh = ins
+            if length < max_length and uniform() >= thresh:
+                push((_LOOP, body, thresh * growth))
+                extend(body)
     return "".join(out)

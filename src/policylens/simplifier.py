@@ -126,13 +126,18 @@ def fraction_str(j: Fraction) -> str:
 
 def quantify_similarity(r1: RegexAst, r2: RegexAst, bound: int) -> Fraction:
     """Jaccard similarity of the two languages restricted to length <= bound."""
-    j, _ = _similarity_counts(from_regex(r1), from_regex(r2), bound)
+    d1 = from_regex(r1)
+    j, _ = _similarity_counts(d1, d1.count_models(bound), from_regex(r2), bound)
     return j
 
 
-def _similarity_counts(d1: Dfa, d2: Dfa, bound: int) -> tuple[Fraction, tuple[int, int]]:
+def _similarity_counts(d1: Dfa, count1: int, d2: Dfa, bound: int) -> tuple[Fraction, tuple[int, int]]:
+    """Jaccard similarity of ``d1`` and ``d2`` within ``bound``, with the
+    (intersection, union) counts behind it.  ``count1`` is
+    ``d1.count_models(bound)``, which a caller scoring several candidates
+    against one language counts once."""
     inter = d1.intersect(d2).count_models(bound)
-    union = d1.count_models(bound) + d2.count_models(bound) - inter
+    union = count1 + d2.count_models(bound) - inter
     if union == 0:
         # Both languages empty within the bound: equal, so similarity 1.
         return Fraction(1), (0, 0)
@@ -188,19 +193,34 @@ def generate_regex_from_llm(
     provider: LlmProvider,
     include_extracted: bool = False,
     attempt: int = 1,
+    *,
+    prompt: str | None = None,
+    parsed: dict[str, RegexAst | str] | None = None,
 ) -> LlmCandidate:
     """One provider attempt.  Transport failures raise ProviderError; a
-    response that does not parse is recorded on the candidate, not raised."""
-    prompt = build_prompt(samples, print_regex(extracted) if include_extracted else None)
+    response that does not parse is recorded on the candidate, not raised.
+
+    A caller making several attempts may pass the ``prompt`` it built from
+    the same arguments, and a ``parsed`` dict shared by the attempts, which
+    maps each regex line to its AST or parse error so that a line is parsed
+    once."""
+    if prompt is None:
+        prompt = build_prompt(samples, print_regex(extracted) if include_extracted else None)
     response = provider.complete(prompt)
     line = _candidate_line(response)
     if line is None:
         return LlmCandidate(attempt, response, None, error="no regex line in response")
-    try:
-        ast = parse_regex(line)
-    except (RegexSyntaxError, PolicyLensError) as e:
-        return LlmCandidate(attempt, response, line, error=f"unparseable: {e}")
-    return LlmCandidate(attempt, response, line, ast=ast)
+    if parsed is None:
+        parsed = {}
+    if line not in parsed:
+        try:
+            parsed[line] = parse_regex(line)
+        except (RegexSyntaxError, PolicyLensError) as e:
+            parsed[line] = f"unparseable: {e}"
+    outcome = parsed[line]
+    if isinstance(outcome, str):
+        return LlmCandidate(attempt, response, line, error=outcome)
+    return LlmCandidate(attempt, response, line, ast=outcome)
 
 
 def _config_echo(cfg: SimplifierConfig, provider: LlmProvider) -> dict:
@@ -259,11 +279,19 @@ def summarize_set(
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    prompt = build_prompt(samples, extracted_text if cfg.include_extracted_in_prompt else None)
+    parsed: dict[str, RegexAst | str] = {}
     candidates: list[LlmCandidate] = []
     for attempt in range(1, cfg.attempts + 1):
         try:
             cand = generate_regex_from_llm(
-                extracted, samples, provider, cfg.include_extracted_in_prompt, attempt
+                extracted,
+                samples,
+                provider,
+                cfg.include_extracted_in_prompt,
+                attempt,
+                prompt=prompt,
+                parsed=parsed,
             )
         except ProviderError as e:
             cand = LlmCandidate(attempt, None, None, error=f"provider: {e}")
@@ -278,13 +306,17 @@ def summarize_set(
     t0 = time.perf_counter()
     counts_by_attempt: dict[int, tuple[int, int]] = {}
     # Attempts often return the same regex; ASTs are interned, so each
-    # distinct candidate is compiled and counted once.
+    # distinct candidate is compiled and counted once, and the projection
+    # once for all of them.
     scores: dict[RegexAst, tuple[Fraction, tuple[int, int]]] = {}
+    exact_count: int | None = None
     for cand in candidates:
         if cand.ast is not None:
             if cand.ast not in scores:
+                if exact_count is None:
+                    exact_count = dfa.count_models(cfg.bound)
                 cand_dfa = from_regex(cand.ast, cfg.state_cap)
-                scores[cand.ast] = _similarity_counts(dfa, cand_dfa, cfg.bound)
+                scores[cand.ast] = _similarity_counts(dfa, exact_count, cand_dfa, cfg.bound)
             cand.similarity, counts_by_attempt[cand.attempt] = scores[cand.ast]
     timings["similarity"] = time.perf_counter() - t0
 

@@ -179,3 +179,22 @@ def reference_sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str
                 stack.append(("s", body, thresh * cfg.growth))
                 stack.append(("v", body))
     return "".join(out)
+
+
+def reference_sample_from_set(x, k: int, seed: int) -> list[dict[str, str]]:
+    """``requestsets.sample_from_set`` with every dimension of every draw
+    taken by :func:`reference_sample` from one shared generator: the cubes
+    in turn, ``5k + 10`` draws at most, repeats dropped."""
+    cfg = SamplerConfig(seed=seed)
+    rng = random.Random(seed)
+    out: list[dict[str, str]] = []
+    seen: set[tuple[str, ...]] = set()
+    for draw in range(5 * k + 10):
+        cube = x.cubes[draw % len(x.cubes)]
+        values = tuple(reference_sample(d.extract_regex(), cfg, rng) for d in cube.dfas)
+        if values not in seen:
+            seen.add(values)
+            out.append(dict(zip(x.schema.dimensions, values)))
+            if len(out) == k:
+                break
+    return out

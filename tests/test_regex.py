@@ -208,8 +208,21 @@ SMALL = "abc"
 
 
 def ast_strategy() -> st.SearchStrategy:
+    # Literal runs and stars over one class are frequent leaves, since the
+    # sampler compiles each into one instruction.
     leaves = st.sampled_from(
-        [literal("a"), literal("b"), literal("c"), chars("ab"), chars(SMALL), EPSILON]
+        [
+            literal("a"),
+            literal("b"),
+            literal("c"),
+            literal("ab"),
+            literal("cab"),
+            chars("ab"),
+            chars(SMALL),
+            star(chars("a")),
+            star(chars(SMALL)),
+            EPSILON,
+        ]
     )
     return st.recursive(
         leaves,

@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policylens import parse_policy
+from policylens import parse_policy, requestsets
+from policylens.alphabet import mask_of
 from policylens.automata import from_pattern, from_regex
 from policylens.errors import EmptyLanguage
-from policylens.regex import EMPTY, parse_regex, seq, star, literal
-from policylens.requestsets import compile_policy, is_empty_set, project
+from policylens.regex import ANY_CHAR, EMPTY, EPSILON, alt, char_class, literal, parse_regex, seq, star
+from policylens.requestsets import (
+    compile_policy,
+    is_empty_set,
+    project,
+    sample_from_set,
+    set_difference,
+    universe_set,
+)
 from policylens.sampler import SamplerConfig, sample, sample_n
 
-from conftest import MUSIC_REGEX, corpus_paths
-from oracles import reference_sample
+from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
+from oracles import reference_sample, reference_sample_from_set
 from test_regex import ast_strategy
 
 CFG = SamplerConfig()
@@ -174,3 +182,110 @@ def test_sample_n_is_the_set_of_n_sample_draws(text, n):
     cfg = SamplerConfig(seed=9)
     rng = random.Random(cfg.seed)
     assert sample_n(r, n, cfg) == {sample(r, cfg, rng) for _ in range(n)}
+
+
+def _assert_draws_as_reference(r, cfg, draws=20):
+    rng, ref_rng = random.Random(cfg.seed), random.Random(cfg.seed)
+    assert [sample(r, cfg, rng) for _ in range(draws)] == [
+        reference_sample(r, cfg, ref_rng) for _ in range(draws)
+    ]
+    assert rng.getstate() == ref_rng.getstate()
+
+
+# --- fused instructions and deep trees ---------------------------------------
+
+
+def _nested_unions(depth: int):
+    r = literal("z")
+    for _ in range(depth):
+        r = alt(seq(literal("a"), r), literal("b"))
+    return r
+
+
+def _nested_stars(depth: int):
+    r = literal("z")
+    for _ in range(depth):
+        r = star(seq(literal("a"), r))
+    return r
+
+
+def _nested_star_unions(depth: int):
+    r = literal("z")
+    for _ in range(depth):
+        r = star(alt(r, literal("ya")))
+    return r
+
+
+@pytest.mark.parametrize(
+    "r",
+    [literal("a" * 5000), _nested_unions(2000), _nested_stars(2000), _nested_star_unions(2000)],
+    ids=["literal-5000", "unions-2000", "stars-2000", "star-unions-2000"],
+)
+@pytest.mark.parametrize("max_length", [3, 100])
+def test_deep_trees_draw_as_reference_walker(r, max_length):
+    # deeper than the default recursion limit: compiling needs no recursion
+    cfg = SamplerConfig(seed=4, max_length=max_length)
+    _assert_draws_as_reference(r, cfg)
+    rng = random.Random(cfg.seed)
+    assert sample_n(r, 50, cfg) == {reference_sample(r, cfg, rng) for _ in range(50)}
+
+
+def test_deep_literal_is_drawn_whole():
+    assert sample_n(literal("a" * 5000), 3, CFG) == {"a" * 5000}
+
+
+FUSED_SHAPES = {
+    "literal-run": literal("abcde"),
+    "a*": star(char_class(mask_of("a"))),
+    ".*": star(ANY_CHAR),
+    "literal-union-child": alt(literal("ab"), alt(literal("cde"), char_class(mask_of("xy")))),
+    "runs-around-star": seq(seq(literal("ab"), star(ANY_CHAR)), literal(".mp3")),
+    "star-of-literal": star(literal("ab")),
+    "class-run": seq(literal("q"), seq(char_class(mask_of("xyz")), literal("rs"))),
+    "optional-star": seq(literal("x"), alt(literal("y"), alt(star(char_class(mask_of("z"))), EPSILON))),
+    "star-of-union": star(alt(literal("ab"), star(ANY_CHAR))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FUSED_SHAPES))
+@pytest.mark.parametrize("max_length", [1, 3, 100])
+@pytest.mark.parametrize("threshold", [0.01, 0.1, 1.0])
+def test_fused_shapes_draw_as_reference_walker(shape, max_length, threshold):
+    cfg = SamplerConfig(seed=17, threshold=threshold, max_length=max_length)
+    _assert_draws_as_reference(FUSED_SHAPES[shape], cfg, draws=50)
+
+
+# --- request sets ---------------------------------------------------------------
+
+
+def _request_sets():
+    docs = [pytest.param(path.read_text(), id=path.name) for path in corpus_paths()]
+    docs += [pytest.param(random_policy_text(random.Random(seed)), id=f"random-{seed}") for seed in range(30)]
+    return docs
+
+
+@pytest.mark.parametrize("text", _request_sets())
+def test_sample_from_set_draws_as_reference(text):
+    allowed = compile_policy(parse_policy(text))
+    denied = set_difference(universe_set(allowed.schema), allowed)
+    for x in (allowed, denied):
+        if is_empty_set(x):
+            continue
+        for seed in (0, 5):
+            assert sample_from_set(x, 3, seed) == reference_sample_from_set(x, 3, seed)
+
+
+def test_sample_from_set_compiles_each_regex_once(music_doc, monkeypatch):
+    calls = []
+    real = requestsets._compile
+
+    def counting(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(requestsets, "_compile", counting)
+    denied = set_difference(universe_set(compile_policy(music_doc).schema), compile_policy(music_doc))
+    assert len(denied.cubes) > 1
+    assert len(sample_from_set(denied, 20, seed=3)) == 20
+    # 20 requests need at least 20 draws of each of the three dimensions
+    assert 0 < len(calls) == len(set(calls)) < 20

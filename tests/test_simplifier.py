@@ -161,6 +161,62 @@ def test_repeated_candidate_is_compiled_once(music_doc, monkeypatch):
     assert third.similarity == Fraction(1) and report.chosen == MUSIC_REGEX
 
 
+def _per_attempt_candidates(request_set, cfg, provider):
+    """Candidates as each attempt makes them on its own: its own prompt and
+    its own parse."""
+    report = summarize_set(request_set, cfg, MockProvider(script=[MOCK_TIMEOUT]))
+    extracted = parse_regex(report.extracted_regex)
+    out = []
+    for attempt in range(1, cfg.attempts + 1):
+        cand = generate_regex_from_llm(
+            extracted, report.samples, provider, cfg.include_extracted_in_prompt, attempt
+        )
+        out.append({k: v for k, v in cand.to_dict().items() if k != "similarity"})
+    return out
+
+
+@pytest.mark.parametrize(
+    "script",
+    [None, ["(?=x)"], ["zzzz", "(a", "zzzz", MUSIC_REGEX], ["", "x"]],
+    ids=["echo", "unparseable", "mixed", "blank"],
+)
+def test_summarize_parses_each_line_once_and_prompts_once(music_doc, monkeypatch, script):
+    from policylens import simplifier
+
+    cfg = SimplifierConfig(samples=50, bound=6, attempts=4, include_extracted_in_prompt=script is None)
+    request_set = compile_policy(music_doc)
+    expected = _per_attempt_candidates(request_set, cfg, MockProvider(script=script))
+
+    parsed, prompts = [], []
+    real_parse, real_prompt = simplifier.parse_regex, simplifier.build_prompt
+    monkeypatch.setattr(simplifier, "parse_regex", lambda t: parsed.append(t) or real_parse(t))
+    monkeypatch.setattr(simplifier, "build_prompt", lambda *a: prompts.append(a) or real_prompt(*a))
+    provider = MockProvider(script=script)
+    report = summarize_set(request_set, cfg, provider)
+
+    assert len(prompts) == 1 and len(set(provider.calls)) == 1
+    assert len(parsed) == len(set(parsed))
+    lines = {c.regex_text for c in report.candidates if c.regex_text is not None}
+    assert set(parsed) == lines
+    assert [{k: v for k, v in c.items() if k != "similarity"} for c in report.to_dict()["candidates"]] == expected
+
+
+def test_summarize_counts_the_projection_once(music_doc, monkeypatch):
+    from policylens.automata import Dfa
+
+    counted = []
+    real = Dfa.count_models
+    monkeypatch.setattr(Dfa, "count_models", lambda d, b: counted.append(d) or real(d, b))
+    cfg = SimplifierConfig(samples=50, bound=6, attempts=3)
+    report = generate_summarization(music_doc, cfg, MockProvider(script=["zzzz", "mp3s/.*", MUSIC_REGEX]))
+    # the projection once, then each of three candidates and its intersection
+    assert len(counted) == 1 + 3 * 2
+    exact = project(compile_policy(music_doc), "resource")
+    assert counted[0] == exact
+    for cand in report.candidates:
+        assert cand.similarity == quantify_similarity(exact.extract_regex(), cand.ast, cfg.bound)
+
+
 def test_summarize_unparseable_candidates_fall_back(music_doc):
     provider = MockProvider(script=["(?=x)"])
     report = generate_summarization(music_doc, SMALL, provider)
