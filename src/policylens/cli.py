@@ -27,24 +27,10 @@ import click
 
 from . import __version__
 from .automata import operation_cache
-from .errors import (
-    CubeBlowup,
-    InsufficientLanguage,
-    PolicyLensError,
-    ProviderError,
-    StateBlowup,
-)
+from .errors import CubeBlowup, PolicyLensError, ProviderError, StateBlowup
 from .policy import PolicyDocument, parse_policy
 from .providers import LlmProvider, load_provider
-from .requestsets import (
-    compare_policies,
-    compile_policy,
-    contains,
-    project,
-    sample_from_set,
-    set_difference,
-    universe_set,
-)
+from .requestsets import compare_policies, compile_policy, project, sample_requests
 from .simplifier import (
     SimplifierConfig,
     SummarizationReport,
@@ -132,7 +118,11 @@ def _scalar(v: object) -> str:
     return str(v)
 
 
-def _emit(report: dict, fmt: str, out: str | None, summary: str) -> None:
+def _emit(report: dict, summary: str, out: str | None, fmt: str, no_timestamp: bool) -> None:
+    """Print the summary line, then write the report (with a ``timestamp``
+    unless ``no_timestamp``) to ``out`` or standard output."""
+    if not no_timestamp:
+        report["timestamp"] = _timestamp()
     _echo(summary)
     if fmt == "json":
         body = json.dumps(report, indent=2, ensure_ascii=False)
@@ -154,8 +144,6 @@ def _run_guarded(fn, *args, **kwargs):
         _fail(str(e), EXIT_BLOWUP)
     except ProviderError as e:
         _fail(str(e), EXIT_PROVIDER)
-    except InsufficientLanguage as e:
-        _fail(str(e), EXIT_PARTIAL)
     except PolicyLensError as e:
         _fail(str(e), EXIT_INPUT)
 
@@ -168,20 +156,29 @@ def _summary_line(report: SummarizationReport) -> str:
     return f"summary (candidate, J={fraction_str(report.similarity)}): {report.chosen}"
 
 
-_common = [
-    click.option("--samples", "-n", default=1000, show_default=True, help="Sample draws per run."),
-    click.option("--bound", "-b", default=100, show_default=True, help="Model-counting length bound."),
-    click.option("--threshold", "-t", default=0.8, show_default=True, help="Similarity acceptance threshold."),
-    click.option("--attempts", default=3, show_default=True, help="Independent provider attempts."),
-    click.option("--seed", default=DEFAULT_SEED, show_default=True, help="Random seed."),
-    click.option("--dim", default="resource", show_default=True, help="Dimension to summarize."),
-    click.option("--provider", default="mock", show_default=True, type=click.Choice(["mock", "http"])),
-    click.option("--provider-config", default=None, help="JSON file with provider settings."),
+_seed = click.option("--seed", default=DEFAULT_SEED, show_default=True, help="Random seed.")
+_bound = click.option("--bound", "-b", default=100, show_default=True, help="Model-counting length bound.")
+_dim = click.option("--dim", default="resource", show_default=True, help="Policy dimension to project.")
+
+# Every command writes its report through these and ``_emit``.
+_output = [
     click.option("--out", default=None, help="Write the full report to this file."),
     click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "text"])),
+    click.option("--no-timestamp", is_flag=True, default=False, help="Omit volatile fields (timestamp, timings)."),
+]
+
+_summarizer = [
+    click.option("--samples", "-n", default=1000, show_default=True, help="Sample draws per run."),
+    _bound,
+    click.option("--threshold", "-t", default=0.8, show_default=True, help="Similarity acceptance threshold."),
+    click.option("--attempts", default=3, show_default=True, help="Independent provider attempts."),
+    _seed,
+    _dim,
+    click.option("--provider", default="mock", show_default=True, type=click.Choice(["mock", "http"])),
+    click.option("--provider-config", default=None, help="JSON file with provider settings."),
     click.option("--include-extracted-regex-in-prompt", is_flag=True, default=False),
     click.option("--no-fallback", is_flag=True, default=False, help="Fail instead of falling back when every provider attempt errors."),
-    click.option("--no-timestamp", is_flag=True, default=False, help="Omit volatile fields (timestamp, timings)."),
+    *_output,
 ]
 
 
@@ -226,7 +223,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("policy_path")
-@_with_options(_common)
+@_with_options(_summarizer)
 def summarize(policy_path, samples, bound, threshold, attempts, seed, dim, provider,
               provider_config, out, fmt, include_extracted_regex_in_prompt, no_fallback, no_timestamp):
     """Produce a verified regex summary of the requests POLICY_PATH allows."""
@@ -237,21 +234,18 @@ def summarize(policy_path, samples, bound, threshold, attempts, seed, dim, provi
     report = _run_guarded(generate_summarization, doc, cfg, prov)
     payload: dict = {"command": "summarize", "policy": policy_path}
     payload.update(report.to_dict(include_volatile=not no_timestamp))
-    if not no_timestamp:
-        payload["timestamp"] = _timestamp()
-    _emit(payload, fmt, out, _summary_line(report))
+    _emit(payload, _summary_line(report), out, fmt, no_timestamp)
 
 
 @main.command()
 @click.argument("policy1")
 @click.argument("policy2")
-@click.option("--witnesses", default=3, show_default=True, help="Witness requests per side.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "text"]))
-@click.option("--no-timestamp", is_flag=True, default=False)
+@click.option("--witnesses", default=3, show_default=True, help="Witness requests per side (>= 0).")
+@_with_options([_seed, *_output])
 def compare(policy1, policy2, witnesses, seed, out, fmt, no_timestamp):
     """Classify the permissiveness relation between two policies."""
+    if witnesses < 0:
+        _fail("--witnesses must be non-negative", EXIT_INPUT)
     d1 = _run_guarded(_load_policy, policy1)
     d2 = _run_guarded(_load_policy, policy2)
     verdict = _run_guarded(compare_policies, d1, d2, witnesses, seed)
@@ -263,15 +257,13 @@ def compare(policy1, policy2, witnesses, seed, out, fmt, no_timestamp):
         "witnesses_first_only": list(verdict.witnesses_first),
         "witnesses_second_only": list(verdict.witnesses_second),
     }
-    if not no_timestamp:
-        payload["timestamp"] = _timestamp()
-    _emit(payload, fmt, out, f"verdict: {verdict.kind.value}")
+    _emit(payload, f"verdict: {verdict.kind.value}", out, fmt, no_timestamp)
 
 
 @main.command()
 @click.argument("policy1")
 @click.argument("policy2")
-@_with_options(_common)
+@_with_options(_summarizer)
 def diff(policy1, policy2, samples, bound, threshold, attempts, seed, dim, provider,
          provider_config, out, fmt, include_extracted_regex_in_prompt, no_fallback, no_timestamp):
     """Summarize what each policy allows that the other does not."""
@@ -289,19 +281,13 @@ def diff(policy1, policy2, samples, bound, threshold, attempts, seed, dim, provi
         "first_only": first.to_dict(include_volatile=include_volatile),
         "second_only": second.to_dict(include_volatile=include_volatile),
     }
-    if not no_timestamp:
-        payload["timestamp"] = _timestamp()
     summary = f"first allows extra: {first.chosen} | second allows extra: {second.chosen}"
-    _emit(payload, fmt, out, summary)
+    _emit(payload, summary, out, fmt, no_timestamp)
 
 
 @main.command()
 @click.argument("policy_path")
-@click.option("--dim", default="resource", show_default=True)
-@click.option("--bound", "-b", default=100, show_default=True)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "text"]))
-@click.option("--no-timestamp", is_flag=True, default=False)
+@_with_options([_dim, _bound, *_output])
 @operation_cache()
 def count(policy_path, dim, bound, out, fmt, no_timestamp):
     """Count the strings (length <= bound) one dimension of the policy allows."""
@@ -320,57 +306,31 @@ def count(policy_path, dim, bound, out, fmt, no_timestamp):
         "bound": bound,
         "count": str(value),
     }
-    if not no_timestamp:
-        payload["timestamp"] = _timestamp()
-    _emit(payload, fmt, out, str(value))
+    _emit(payload, str(value), out, fmt, no_timestamp)
 
 
 @main.command()
 @click.argument("policy_path")
 @click.option("-k", "count_per_side", default=1, show_default=True, help="Requests per side.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "text"]))
-@click.option("--no-timestamp", is_flag=True, default=False)
-@operation_cache()
+@_with_options([_seed, *_output])
 def requests(policy_path, count_per_side, seed, out, fmt, no_timestamp):
     """Emit verified allowed and denied sample requests for a policy."""
     if count_per_side < 0:
         _fail("-k must be non-negative", EXIT_INPUT)
     doc = _run_guarded(_load_policy, policy_path)
-
-    def build_sides():
-        allowed_set = compile_policy(doc)
-        denied_set = set_difference(universe_set(allowed_set.schema), allowed_set)
-        return allowed_set, denied_set
-
-    allowed_set, denied_set = _run_guarded(build_sides)
+    allowed, denied = _run_guarded(sample_requests, doc, count_per_side, seed)
     partial = False
-    sides: dict[str, list] = {}
-    for label, side in (("allowed", allowed_set), ("denied", denied_set)):
-        if count_per_side == 0:
-            sides[label] = []
-            continue
-        try:
-            reqs = sample_from_set(side, count_per_side, seed)
-        except InsufficientLanguage:
+    for label, side in (("allowed", allowed), ("denied", denied)):
+        if count_per_side > 0 and not side:
             _echo(f"warning: no {label} requests exist; emitting partial output", err=True)
-            sides[label] = []
             partial = True
-            continue
-        for r in reqs:
-            if contains(allowed_set, r) != (label == "allowed"):
-                raise RuntimeError(f"sampled request {r!r} failed {label} verification")
-        sides[label] = reqs
     payload = {
         "command": "requests",
         "policy": policy_path,
         "k": count_per_side,
-        "allowed": sides["allowed"],
-        "denied": sides["denied"],
+        "allowed": allowed,
+        "denied": denied,
     }
-    if not no_timestamp:
-        payload["timestamp"] = _timestamp()
-    _emit(payload, fmt, out, f"allowed: {len(sides['allowed'])}, denied: {len(sides['denied'])}")
+    _emit(payload, f"allowed: {len(allowed)}, denied: {len(denied)}", out, fmt, no_timestamp)
     if partial:
         sys.exit(EXIT_PARTIAL)

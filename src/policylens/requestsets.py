@@ -290,8 +290,11 @@ def _regex_of(dfa: Dfa) -> RegexAst:
 def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]]:
     """Up to ``k`` distinct member requests, deterministic for a given seed.
 
-    Raises InsufficientLanguage when ``k > 0`` and the set is empty.  Small
-    languages may yield fewer than ``k`` distinct requests."""
+    Raises ValueError when ``k < 0`` and InsufficientLanguage when ``k > 0``
+    and the set is empty.  Small languages may yield fewer than ``k``
+    distinct requests."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if k == 0:
         return []
     if is_empty_set(x):
@@ -325,23 +328,23 @@ def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]
 def sample_requests(
     doc: PolicyDocument, k: int, seed: int = 0
 ) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
-    """k allowed and k denied requests, every one re-verified against the
-    compiled allowed set."""
+    """Up to k allowed and k denied requests, every one re-verified against
+    the compiled allowed set.  A side with no requests comes back as ``[]``.
+    Both sides are built even for ``k == 0``, so a blowup still raises."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return [], []
     allowed_set = compile_policy(doc)
     denied_set = set_difference(universe_set(allowed_set.schema), allowed_set)
-    allowed = sample_from_set(allowed_set, k, seed)
-    denied = sample_from_set(denied_set, k, seed)
-    for req in allowed:
-        if not contains(allowed_set, req):
-            raise RuntimeError(f"sampled request {req!r} failed allow verification")
-    for req in denied:
-        if contains(allowed_set, req):
-            raise RuntimeError(f"sampled request {req!r} failed deny verification")
-    return allowed, denied
+
+    def verified(side: RequestSet, allow: bool) -> list[dict[str, str]]:
+        reqs = [] if is_empty_set(side) else sample_from_set(side, k, seed)
+        for req in reqs:
+            if contains(allowed_set, req) != allow:
+                label = "allow" if allow else "deny"
+                raise RuntimeError(f"sampled request {req!r} failed {label} verification")
+        return reqs
+
+    return verified(allowed_set, True), verified(denied_set, False)
 
 
 class Permissiveness(enum.Enum):

@@ -17,16 +17,16 @@ does not.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .automata import DEFAULT_STATE_CAP, Dfa, from_regex, operation_cache
+from .automata import Dfa, from_regex, operation_cache
 from .errors import PolicyLensError, ProviderError, RegexSyntaxError
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
 from .regex import EMPTY_TOKEN, RegexAst, parse_regex, print_regex
 from .requestsets import (
-    DEFAULT_CUBE_CAP,
     RequestSet,
     compile_policy,
     is_empty_set,
@@ -46,9 +46,6 @@ class SimplifierConfig:
     seed: int = 0
     include_extracted_in_prompt: bool = False
     fallback: bool = True
-    max_sample_length: int = 100
-    state_cap: int = DEFAULT_STATE_CAP
-    cube_cap: int = DEFAULT_CUBE_CAP
 
     def __post_init__(self) -> None:
         if not 0 <= self.threshold <= 1:
@@ -253,72 +250,90 @@ def _empty_report(cfg: SimplifierConfig, provider: LlmProvider, timings: dict[st
     )
 
 
+class _StageTimer:
+    """Wall-clock seconds per pipeline stage, and ``total``: the time since
+    the timer started plus the ``earlier`` stages it was given."""
+
+    def __init__(self, earlier: dict[str, float] | None = None) -> None:
+        self.timings = dict(earlier or {})
+        self._start = time.perf_counter() - sum(self.timings.values())
+
+    @contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
+
+    def finish(self) -> dict[str, float]:
+        self.timings["total"] = time.perf_counter() - self._start
+        return self.timings
+
+
 def summarize_set(
-    request_set: RequestSet, cfg: SimplifierConfig, provider: LlmProvider
+    request_set: RequestSet,
+    cfg: SimplifierConfig,
+    provider: LlmProvider,
+    *,
+    earlier: dict[str, float] | None = None,
 ) -> SummarizationReport:
     """The pipeline tail: projection, extraction, sampling, provider attempts,
-    similarity scoring, and the threshold decision."""
-    timings: dict[str, float] = {}
-    t_start = time.perf_counter()
+    similarity scoring, and the threshold decision.
+
+    ``earlier`` holds the timings of stages a caller ran before this one
+    (``compile``); they are reported and counted into ``total``."""
+    timer = _StageTimer(earlier)
     if is_empty_set(request_set):
-        timings["total"] = time.perf_counter() - t_start
-        return _empty_report(cfg, provider, timings)
+        return _empty_report(cfg, provider, timer.finish())
 
-    t0 = time.perf_counter()
-    dfa = project(request_set, cfg.projection, cfg.state_cap)
-    timings["project"] = time.perf_counter() - t0
+    with timer.stage("project"):
+        dfa = project(request_set, cfg.projection)
 
-    t0 = time.perf_counter()
-    extracted = dfa.extract_regex()
-    extracted_text = print_regex(extracted)
-    timings["extract"] = time.perf_counter() - t0
+    with timer.stage("extract"):
+        extracted = dfa.extract_regex()
+        extracted_text = print_regex(extracted)
 
-    t0 = time.perf_counter()
-    sampler_cfg = SamplerConfig(seed=cfg.seed, max_length=cfg.max_sample_length)
-    samples = sorted(sample_n(extracted, cfg.samples, sampler_cfg))
-    timings["sample"] = time.perf_counter() - t0
+    with timer.stage("sample"):
+        samples = sorted(sample_n(extracted, cfg.samples, SamplerConfig(seed=cfg.seed)))
 
-    t0 = time.perf_counter()
-    prompt = build_prompt(samples, extracted_text if cfg.include_extracted_in_prompt else None)
-    parsed: dict[str, RegexAst | str] = {}
-    candidates: list[LlmCandidate] = []
-    for attempt in range(1, cfg.attempts + 1):
-        try:
-            cand = generate_regex_from_llm(
-                extracted,
-                samples,
-                provider,
-                cfg.include_extracted_in_prompt,
-                attempt,
-                prompt=prompt,
-                parsed=parsed,
-            )
-        except ProviderError as e:
-            cand = LlmCandidate(attempt, None, None, error=f"provider: {e}")
-        candidates.append(cand)
-    timings["llm"] = time.perf_counter() - t0
+    with timer.stage("llm"):
+        prompt = build_prompt(samples, extracted_text if cfg.include_extracted_in_prompt else None)
+        parsed: dict[str, RegexAst | str] = {}
+        candidates: list[LlmCandidate] = []
+        for attempt in range(1, cfg.attempts + 1):
+            try:
+                cand = generate_regex_from_llm(
+                    extracted,
+                    samples,
+                    provider,
+                    cfg.include_extracted_in_prompt,
+                    attempt,
+                    prompt=prompt,
+                    parsed=parsed,
+                )
+            except ProviderError as e:
+                cand = LlmCandidate(attempt, None, None, error=f"provider: {e}")
+            candidates.append(cand)
 
     if not cfg.fallback and all(
         c.response is None and c.error is not None for c in candidates
     ):
         raise ProviderError("all provider attempts failed and fallback is disabled")
 
-    t0 = time.perf_counter()
-    counts_by_attempt: dict[int, tuple[int, int]] = {}
-    # Attempts often return the same regex; ASTs are interned, so each
-    # distinct candidate is compiled and counted once, and the projection
-    # once for all of them.
-    scores: dict[RegexAst, tuple[Fraction, tuple[int, int]]] = {}
-    exact_count: int | None = None
-    for cand in candidates:
-        if cand.ast is not None:
-            if cand.ast not in scores:
-                if exact_count is None:
-                    exact_count = dfa.count_models(cfg.bound)
-                cand_dfa = from_regex(cand.ast, cfg.state_cap)
-                scores[cand.ast] = _similarity_counts(dfa, exact_count, cand_dfa, cfg.bound)
-            cand.similarity, counts_by_attempt[cand.attempt] = scores[cand.ast]
-    timings["similarity"] = time.perf_counter() - t0
+    with timer.stage("similarity"):
+        counts_by_attempt: dict[int, tuple[int, int]] = {}
+        # Attempts often return the same regex; ASTs are interned, so each
+        # distinct candidate is compiled and counted once, and the projection
+        # once for all of them.
+        scores: dict[RegexAst, tuple[Fraction, tuple[int, int]]] = {}
+        exact_count: int | None = None
+        for cand in candidates:
+            if cand.ast is not None:
+                if cand.ast not in scores:
+                    if exact_count is None:
+                        exact_count = dfa.count_models(cfg.bound)
+                    cand_dfa = from_regex(cand.ast)
+                    scores[cand.ast] = _similarity_counts(dfa, exact_count, cand_dfa, cfg.bound)
+                cand.similarity, counts_by_attempt[cand.attempt] = scores[cand.ast]
 
     scored = [c for c in candidates if c.similarity is not None]
     best = (
@@ -335,7 +350,6 @@ def summarize_set(
         chosen, source, fallback = extracted_text, "extracted", True
         similarity, counts = None, None
 
-    timings["total"] = time.perf_counter() - t_start
     return SummarizationReport(
         projection=cfg.projection,
         empty_language=False,
@@ -348,7 +362,7 @@ def summarize_set(
         similarity=similarity,
         model_counts=counts,
         config=_config_echo(cfg, provider),
-        timings=timings,
+        timings=timer.finish(),
     )
 
 
@@ -357,13 +371,10 @@ def generate_summarization(
     doc: PolicyDocument, cfg: SimplifierConfig, provider: LlmProvider
 ) -> SummarizationReport:
     """Summarize the requests a policy allows, projected to one dimension."""
-    t0 = time.perf_counter()
-    request_set = compile_policy(doc, cfg.cube_cap, cfg.state_cap)
-    compile_time = time.perf_counter() - t0
-    report = summarize_set(request_set, cfg, provider)
-    report.timings["compile"] = compile_time
-    report.timings["total"] += compile_time
-    return report
+    timer = _StageTimer()
+    with timer.stage("compile"):
+        request_set = compile_policy(doc)
+    return summarize_set(request_set, cfg, provider, earlier=timer.timings)
 
 
 @operation_cache()
@@ -371,15 +382,12 @@ def summarize_difference(
     p1: PolicyDocument, p2: PolicyDocument, cfg: SimplifierConfig, provider: LlmProvider
 ) -> tuple[SummarizationReport, SummarizationReport]:
     """Summaries of what p1 allows beyond p2 and what p2 allows beyond p1."""
-    t0 = time.perf_counter()
-    s1 = compile_policy(p1, cfg.cube_cap, cfg.state_cap)
-    s2 = compile_policy(p2, cfg.cube_cap, cfg.state_cap)
-    f1 = set_difference(s1, s2, cfg.cube_cap, cfg.state_cap)
-    f2 = set_difference(s2, s1, cfg.cube_cap, cfg.state_cap)
-    compile_time = time.perf_counter() - t0
-    first = summarize_set(f1, cfg, provider)
-    second = summarize_set(f2, cfg, provider)
-    for report in (first, second):
-        report.timings["compile"] = compile_time
-        report.timings["total"] += compile_time
+    timer = _StageTimer()
+    with timer.stage("compile"):
+        s1 = compile_policy(p1)
+        s2 = compile_policy(p2)
+        f1 = set_difference(s1, s2)
+        f2 = set_difference(s2, s1)
+    first = summarize_set(f1, cfg, provider, earlier=timer.timings)
+    second = summarize_set(f2, cfg, provider, earlier=timer.timings)
     return first, second

@@ -10,9 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 from policylens.cli import main
+from policylens.policy import parse_policy
 from policylens.providers import MOCK_TIMEOUT
+from policylens.requestsets import sample_requests
 
-from conftest import ALLOW_ALL_POLICY, DENY_ALL_POLICY, MUSIC_POLICY, MUSIC_REGEX
+from conftest import ALLOW_ALL_POLICY, DENY_ALL_POLICY, MUSIC_POLICY, MUSIC_REGEX, corpus_paths
 
 MUSIC = str(MUSIC_POLICY)
 DENY_ALL = str(DENY_ALL_POLICY)
@@ -140,6 +142,13 @@ def test_compare_command(runner):
         assert set(witness) == {"principal", "action", "resource"}
 
 
+@pytest.mark.parametrize("witnesses", ["-1", "-3"])
+def test_compare_rejects_negative_witnesses(runner, witnesses):
+    result = runner.invoke(main, ["compare", MUSIC, ALLOW_ALL, "--witnesses", witnesses])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: --witnesses must be non-negative")
+
+
 def test_compare_equivalent(runner):
     result = runner.invoke(main, ["compare", MUSIC, MUSIC, "--witnesses", "2"])
     assert result.exit_code == 0
@@ -211,6 +220,19 @@ def test_requests_partial_sides(runner):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
+def test_requests_report_is_sample_requests(runner, path):
+    allowed, denied = sample_requests(parse_policy(path.read_text()), 3, seed=5)
+    result = runner.invoke(main, ["requests", str(path), "-k", "3", "--seed", "5", "--no-timestamp"])
+    partial = not allowed or not denied
+    assert result.exit_code == (4 if partial else 0), result.output
+    warnings = [f"warning: no {label} requests exist; emitting partial output\n"
+                for label, side in (("allowed", allowed), ("denied", denied)) if not side]
+    assert result.output.startswith("".join(warnings) + f"allowed: {len(allowed)}, denied: {len(denied)}\n")
+    report = body_json(result.output[len("".join(warnings)):])
+    assert report == {"command": "requests", "policy": str(path), "k": 3, "allowed": allowed, "denied": denied}
+
+
 def test_requests_negative_k(runner):
     result = runner.invoke(main, ["requests", MUSIC, "-k", "-2"])
     assert result.exit_code == 1
@@ -246,3 +268,26 @@ def test_in_process_runs_release_redirected_streams():
         del out, err
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+COMMANDS = {
+    "summarize": ["summarize", MUSIC, "-n", "10", "-b", "6", "--attempts", "1"],
+    "compare": ["compare", MUSIC, ALLOW_ALL],
+    "diff": ["diff", MUSIC, DENY_ALL, "-n", "10", "-b", "6", "--attempts", "1"],
+    "count": ["count", MUSIC, "-b", "6"],
+    "requests": ["requests", MUSIC, "-k", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+@pytest.mark.parametrize("stamped", [True, False], ids=["timestamp", "no-timestamp"])
+def test_every_command_writes_out_in_text_format(runner, tmp_path, argv, stamped):
+    out = tmp_path / "report.txt"
+    extra = [] if stamped else ["--no-timestamp"]
+    result = runner.invoke(main, argv + ["--format", "text", "--out", str(out)] + extra)
+    assert result.exit_code == 0, result.output
+    assert len(result.output.splitlines()) == 1  # only the summary line
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"command: {argv[0]}"
+    assert any(line.startswith("timestamp: ") for line in lines) == stamped
+    assert any(line.strip() == "timings:" for line in lines) == (stamped and argv[0] in ("summarize", "diff"))

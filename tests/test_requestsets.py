@@ -267,13 +267,25 @@ def test_sample_requests_verified(music_doc):
 
 def test_sample_requests_edge_cases(music_doc, deny_all_doc):
     assert sample_requests(music_doc, 0) == ([], [])
-    with pytest.raises(InsufficientLanguage):
-        sample_requests(deny_all_doc, 1)
+    allowed, denied = sample_requests(deny_all_doc, 1)
+    assert allowed == [] and len(denied) == 1  # the allowed side is empty
     allow_all = parse_policy('{"Statement": [{"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "*"}]}')
-    with pytest.raises(InsufficientLanguage):
-        sample_requests(allow_all, 1)  # the denied side is empty
+    allowed, denied = sample_requests(allow_all, 1)
+    assert len(allowed) == 1 and denied == []  # the denied side is empty
     with pytest.raises(ValueError):
         sample_requests(music_doc, -1)
+
+
+def test_sample_requests_zero_still_compiles(monkeypatch):
+    # k == 0 samples nothing, but a policy that blows up still raises.
+    doc = parse_policy('{"Statement": [{"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "*"}]}')
+
+    def blowup(*args, **kwargs):
+        raise CubeBlowup("cap")
+
+    monkeypatch.setattr(requestsets, "set_difference", blowup)
+    with pytest.raises(CubeBlowup):
+        sample_requests(doc, 0)
 
 
 def test_sample_from_set_small_language():
@@ -283,6 +295,14 @@ def test_sample_from_set_small_language():
     assert sample_from_set(singles, 0) == []
     with pytest.raises(InsufficientLanguage):
         sample_from_set(empty_set(SCHEMA), 1)
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_sample_from_set_rejects_negative_k(k):
+    with pytest.raises(ValueError):
+        sample_from_set(rs((d("a"), d("b"), d("[cd]"))), k)
+    with pytest.raises(ValueError):
+        sample_from_set(empty_set(SCHEMA), k)
 
 
 def test_sample_from_set_deterministic(music_doc):

@@ -125,7 +125,9 @@ def test_summarize_music_accepts_exact_candidate(music_doc):
     inter, union = report.model_counts
     assert inter == union > 0
     assert report.samples and all(s for s in report.samples)
-    assert "compile" in report.timings and "total" in report.timings
+    stages = {"compile", "project", "extract", "sample", "llm", "similarity"}
+    assert set(report.timings) == stages | {"total"}
+    assert report.timings["total"] >= sum(report.timings[s] for s in stages)
 
 
 def test_summarize_empty_policy_short_circuits(deny_all_doc):
@@ -314,7 +316,11 @@ def test_summarize_difference_sides(music_doc, deny_all_doc):
     assert not first.empty_language
     assert first.extracted_regex != "∅"
     assert second.empty_language and second.chosen == "∅"
-    assert "compile" in first.timings and "compile" in second.timings
+    # Both sides report the shared compile stage, and each total counts it.
+    assert set(second.timings) == {"compile", "total"}
+    assert first.timings["compile"] == second.timings["compile"]
+    for report in (first, second):
+        assert report.timings["total"] >= sum(v for k, v in report.timings.items() if k != "total")
 
 
 def test_summarize_difference_equal_policies(music_doc):
