@@ -12,18 +12,31 @@ build followed by subset construction; the set operations run pairwise product
 constructions.  Both raise :class:`~policylens.errors.StateBlowup` past
 ``state_cap``.  Every result is minimized by Hopcroft partition refinement.
 
+Model counting: :func:`_count_common` counts the strings of length at most
+``bound`` that two deterministic tables both accept, by walking their
+product level by level without building or minimizing it.  It keeps only
+pairs from which both sides can still accept, steps along the nonzero
+intersections of the two rows' masks weighted by their sizes, and stops at
+the first empty level, so a finite language costs its longest string.  It
+too raises :class:`~policylens.errors.StateBlowup` past ``state_cap``
+distinct pairs.  :meth:`Dfa.count_models` is this walk against the universe,
+and summarization scores a candidate by walking its unminimized subset table
+(:func:`_subset_rows`) against the exact language and against the universe.
+The tests check the walk against the product-then-count path and against
+exhaustive enumeration.
+
 Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 :meth:`Dfa.intersect` and :meth:`Dfa.difference` are memoized on
-``(op, left, right, state_cap)`` and :func:`from_pattern` on
-``(pattern text, state_cap)``.  The policy-level entry points (compilation,
-comparison, sampling, summarization) and the ``count`` and ``requests``
-commands each enter a scope.  The scope is re-entrant: nested scopes share the
-outermost one's table, which is dropped when the outermost scope exits.  A
-scope spans one command, so memory is bounded by that command's work and
-there is no size setting; it is not meant to be held open across commands.
-Cached values are the same canonical DFAs a fresh build returns, and a build
-that raises :class:`~policylens.errors.StateBlowup` stores nothing.  Outside a
-scope every operation is computed afresh.
+``(op, left, right, state_cap)``, :func:`from_pattern` on
+``(pattern text, state_cap)``, and the sampler's draw programs on the regex.
+The policy-level entry points (compilation, comparison, sampling,
+summarization) and the ``count`` and ``requests`` commands each enter a
+scope.  The scope is re-entrant: nested scopes share the outermost one's
+table, which is dropped when the outermost scope exits.  A scope spans one
+command, so memory is bounded by that command's work and there is no size
+setting; it is not meant to be held open across commands.  Cached values are
+the ones a fresh build returns, and a build that raises stores nothing.
+Outside a scope every operation is computed afresh.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .alphabet import FULL_MASK, char_bit
 from .errors import StateBlowup
@@ -56,6 +69,8 @@ from .regex import (
 DEFAULT_STATE_CAP = 100_000
 
 _Row = tuple[tuple[int, int], ...]  # ((mask, target), ...) partitioning the alphabet
+# A deterministic table read from start state 0: its rows and accepting states.
+_Table = tuple[Sequence[Sequence[tuple[int, int]]], AbstractSet[int]]
 
 
 def _low_bit(mask: int) -> int:
@@ -210,22 +225,13 @@ class Dfa:
 
     def count_models(self, bound: int) -> int:
         """Exact number of accepted strings of length 0 through ``bound``."""
-        if bound < 0:
-            raise ValueError("bound must be non-negative")
-        n = len(self.transitions)
-        vec = [0] * n
-        vec[0] = 1
-        total = 1 if 0 in self.accepting else 0
-        for _ in range(bound):
-            nxt = [0] * n
-            for s, c in enumerate(vec):
-                if c:
-                    for mask, t in self.transitions[s]:
-                        nxt[t] += c * mask.bit_count()
-            vec = nxt
-            for s in self.accepting:
-                total += vec[s]
-        return total
+        # Against the universe the walk reaches one pair per state at most.
+        return _count_common(self.table, UNIVERSE_TABLE, bound, self.state_count)
+
+    @property
+    def table(self) -> _Table:
+        """The transitions and accepting states, as a table to count over."""
+        return self.transitions, self.accepting
 
     def extract_regex(self) -> RegexAst:
         """Equivalent regex by state elimination.
@@ -238,18 +244,7 @@ class Dfa:
         if not self.accepting:
             return EMPTY
         n = len(self.transitions)
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for s, row in enumerate(self.transitions):
-            for _, t in row:
-                rev[t].append(s)
-        live = set(self.accepting)
-        stack = list(self.accepting)
-        while stack:
-            s = stack.pop()
-            for p in rev[s]:
-                if p not in live:
-                    live.add(p)
-                    stack.append(p)
+        live = _live_states(self.transitions, self.accepting)
 
         init, final = n, n + 1
         out: dict[int, dict[int, RegexAst]] = defaultdict(dict)
@@ -263,13 +258,13 @@ class Dfa:
         for s in self.accepting:
             add(s, final, EPSILON)
         for s, row in enumerate(self.transitions):
-            if s not in live:
+            if not live[s]:
                 continue
             for mask, t in row:
-                if t in live:
+                if live[t]:
                     add(s, t, char_class(mask))
 
-        remaining = sorted(live)
+        remaining = [s for s in range(n) if live[s]]
         while remaining:
             q = min(
                 remaining,
@@ -332,6 +327,7 @@ def _refine(masks: Iterable[int]) -> list[int]:
 
 _EMPTY_DFA = Dfa((((FULL_MASK, 0),),), frozenset())
 _UNIVERSE_DFA = Dfa((((FULL_MASK, 0),),), frozenset({0}))
+UNIVERSE_TABLE: _Table = _UNIVERSE_DFA.table
 
 
 def empty_dfa() -> Dfa:
@@ -484,6 +480,87 @@ def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool], state_cap: int)
     return _canonicalize(rows, 0, accepting)
 
 
+# -- model counting ------------------------------------------------------------
+
+
+def _count_common(a: _Table, b: _Table, bound: int, state_cap: int = DEFAULT_STATE_CAP) -> int:
+    """Exact number of strings of length 0 through ``bound`` accepted by both
+    deterministic tables, by the counting walk the module docstring describes.
+
+    A level maps each reached pair of states to the number of strings of that
+    length leading to it; a pair's weighted successors are built once.
+    Raises StateBlowup once it reaches more than ``state_cap`` distinct
+    pairs."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    (a_rows, a_acc), (b_rows, b_acc) = a, b
+    a_live, b_live = _live_states(a_rows, a_acc), _live_states(b_rows, b_acc)
+    if not (a_live[0] and b_live[0]):
+        return 0
+    a_edges = [[(m, t) for m, t in row if a_live[t]] for row in a_rows]
+    b_edges = [[(m, t) for m, t in row if b_live[t]] for row in b_rows]
+    index: dict[tuple[int, int], int] = {(0, 0): 0}
+    pairs = [(0, 0)]
+    accepts = [0 in a_acc and 0 in b_acc]
+    steps: list[list[tuple[int, int]] | None] = [None]
+    level = {0: 1}
+    total = 0
+    for depth in range(bound + 1):
+        last = depth == bound
+        nxt: dict[int, int] = {}
+        for p, c in level.items():
+            if accepts[p]:
+                total += c
+            if last:
+                continue
+            out = steps[p]
+            if out is None:
+                pa, pb = pairs[p]
+                row_b = b_edges[pb]
+                weights: dict[int, int] = {}
+                for ma, ta in a_edges[pa]:
+                    for mb, tb in row_b:
+                        m = ma & mb
+                        if m:
+                            key = (ta, tb)
+                            q = index.get(key)
+                            if q is None:
+                                if len(pairs) >= state_cap:
+                                    raise StateBlowup(
+                                        f"counting walk exceeded the state cap of {state_cap}"
+                                    )
+                                q = index[key] = len(pairs)
+                                pairs.append(key)
+                                accepts.append(ta in a_acc and tb in b_acc)
+                                steps.append(None)
+                            weights[q] = weights.get(q, 0) + m.bit_count()
+                out = steps[p] = list(weights.items())
+            for q, w in out:
+                nxt[q] = nxt.get(q, 0) + c * w
+        if not nxt:
+            break
+        level = nxt
+    return total
+
+
+def _live_states(rows: Sequence[Sequence[tuple[int, int]]], accepting: AbstractSet[int]) -> list[bool]:
+    """Whether each state is live: an accepting state is reachable from it."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for s, row in enumerate(rows):
+        for _, t in row:
+            preds[t].append(s)
+    live = [False] * len(rows)
+    stack = list(accepting)
+    for s in stack:
+        live[s] = True
+    while stack:
+        for p in preds[stack.pop()]:
+            if not live[p]:
+                live[p] = True
+                stack.append(p)
+    return live
+
+
 # -- regex / pattern compilation ---------------------------------------------
 
 
@@ -545,6 +622,13 @@ def _thompson(r: RegexAst) -> tuple[list[list[int]], list[list[tuple[int, int]]]
 
 def from_regex(r: RegexAst, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Compile a regex AST to its canonical DFA."""
+    rows, accepting = _subset_rows(r, state_cap)
+    return _canonicalize(rows, 0, accepting)
+
+
+def _subset_rows(r: RegexAst, state_cap: int = DEFAULT_STATE_CAP) -> _Table:
+    """Subset construction over the Thompson NFA of ``r``: a total,
+    deterministic, unminimized table with start state 0."""
     eps, sym, start, accept = _thompson(r)
 
     def closure(states: Iterable[int]) -> frozenset[int]:
@@ -583,7 +667,7 @@ def from_regex(r: RegexAst, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
                 queue.append(targets)
             row.append((part, index[targets]))
         rows.append(row)
-    return _canonicalize(rows, 0, accepting)
+    return rows, accepting
 
 
 def from_pattern(pattern: object, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:

@@ -368,7 +368,11 @@ def compare_policies(
     witness_count: int = 3,
     seed: int = 0,
 ) -> PermissivenessVerdict:
-    """Four-way permissiveness classification with sampled witnesses."""
+    """Four-way permissiveness classification with sampled witnesses.
+
+    Raises ValueError when ``witness_count < 0``, whatever the verdict."""
+    if witness_count < 0:
+        raise ValueError("witness_count must be non-negative")
     s1 = compile_policy(p1)
     s2 = compile_policy(p2)
     f1 = set_difference(s1, s2)

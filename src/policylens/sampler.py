@@ -16,11 +16,12 @@ over the program's instructions rather than over AST nodes.  Every
 concatenation chain becomes one flat sequence; a run of single-character
 classes becomes one literal; a star over a character class becomes one inner
 loop; a union keeps its flattened non-empty children, each a sequence.
-:func:`sample_n` shares one program across its draws, and
-``requestsets.sample_from_set`` compiles each dimension regex once per call;
-nothing outlives the call.  Compilation walks the hash-consed DAG with an
-explicit work stack, so the very deep trees that state elimination builds
-need no recursion.
+:func:`sample_n` shares one program across its draws,
+``requestsets.sample_from_set`` compiles each dimension regex once per call,
+and :func:`sample` takes its program from the active operation cache, so
+calls in one scope compile a regex once; nothing outlives the call or the
+scope.  Compilation walks the hash-consed DAG with an explicit work stack, so
+the very deep trees that state elimination builds need no recursion.
 
 Only ``rng.getrandbits`` and ``rng.random`` are consumed, in the order a
 direct walker calling ``rng.choice`` consumes them, so for a fixed seed the
@@ -34,6 +35,7 @@ import random
 from dataclasses import dataclass
 
 from .alphabet import chars_of
+from .automata import _memoized
 from .errors import EmptyLanguage
 from .regex import CharClass, Concat, RegexAst, Star, Union, union_children
 
@@ -55,8 +57,11 @@ class SamplerConfig:
 
 
 def sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str:
-    """One accepted string of ``r``.  Raises EmptyLanguage if L(r) is empty."""
-    return _draw(_compile(r), cfg, rng)
+    """One accepted string of ``r``.  Raises EmptyLanguage if L(r) is empty.
+
+    Inside an operation cache scope the draw program is compiled once per
+    regex and shared by every call."""
+    return _draw(_memoized(("program", r), _compile, r), cfg, rng)
 
 
 def sample_n(r: RegexAst, n: int, cfg: SamplerConfig) -> set[str]:

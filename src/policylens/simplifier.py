@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .automata import Dfa, from_regex, operation_cache
+from .automata import UNIVERSE_TABLE, _count_common, _subset_rows, _Table, operation_cache
 from .errors import PolicyLensError, ProviderError, RegexSyntaxError
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
@@ -123,18 +123,19 @@ def fraction_str(j: Fraction) -> str:
 
 def quantify_similarity(r1: RegexAst, r2: RegexAst, bound: int) -> Fraction:
     """Jaccard similarity of the two languages restricted to length <= bound."""
-    d1 = from_regex(r1)
-    j, _ = _similarity_counts(d1, d1.count_models(bound), from_regex(r2), bound)
+    t1 = _subset_rows(r1)
+    j, _ = _similarity_counts(t1, _count_common(t1, UNIVERSE_TABLE, bound), _subset_rows(r2), bound)
     return j
 
 
-def _similarity_counts(d1: Dfa, count1: int, d2: Dfa, bound: int) -> tuple[Fraction, tuple[int, int]]:
-    """Jaccard similarity of ``d1`` and ``d2`` within ``bound``, with the
-    (intersection, union) counts behind it.  ``count1`` is
-    ``d1.count_models(bound)``, which a caller scoring several candidates
-    against one language counts once."""
-    inter = d1.intersect(d2).count_models(bound)
-    union = count1 + d2.count_models(bound) - inter
+def _similarity_counts(t1: _Table, count1: int, t2: _Table, bound: int) -> tuple[Fraction, tuple[int, int]]:
+    """Jaccard similarity of the languages of two deterministic tables within
+    ``bound``, with the (intersection, union) counts behind it.  ``count1``
+    is the first table's count, which a caller scoring several candidates
+    against one language counts once.  Both counts of the second table come
+    from counting walks; no product automaton is built or minimized."""
+    inter = _count_common(t1, t2, bound)
+    union = count1 + _count_common(t2, UNIVERSE_TABLE, bound) - inter
     if union == 0:
         # Both languages empty within the bound: equal, so similarity 1.
         return Fraction(1), (0, 0)
@@ -323,16 +324,18 @@ def summarize_set(
         counts_by_attempt: dict[int, tuple[int, int]] = {}
         # Attempts often return the same regex; ASTs are interned, so each
         # distinct candidate is compiled and counted once, and the projection
-        # once for all of them.
+        # once for all of them.  A candidate is counted from its unminimized
+        # subset table: the score needs two integers, not a canonical DFA.
         scores: dict[RegexAst, tuple[Fraction, tuple[int, int]]] = {}
         exact_count: int | None = None
         for cand in candidates:
             if cand.ast is not None:
                 if cand.ast not in scores:
                     if exact_count is None:
-                        exact_count = dfa.count_models(cfg.bound)
-                    cand_dfa = from_regex(cand.ast)
-                    scores[cand.ast] = _similarity_counts(dfa, exact_count, cand_dfa, cfg.bound)
+                        exact_count = _count_common(dfa.table, UNIVERSE_TABLE, cfg.bound)
+                    scores[cand.ast] = _similarity_counts(
+                        dfa.table, exact_count, _subset_rows(cand.ast), cfg.bound
+                    )
                 cand.similarity, counts_by_attempt[cand.attempt] = scores[cand.ast]
 
     scored = [c for c in candidates if c.similarity is not None]

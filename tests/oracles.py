@@ -4,8 +4,9 @@ Nothing here may call into the engine's matching/counting/evaluation logic:
 the wildcard matcher is a direct DP, regex membership goes through Python's
 ``re`` module, the policy evaluator applies the allow/deny rule
 statement by statement on concrete requests, the minimizer is Moore's
-round-by-round refinement, and the sampler walks the AST node by node,
-picking with ``rng.choice``.
+round-by-round refinement, the model counter steps one count vector over
+every state of a table, and the sampler walks the AST node by node, picking
+with ``rng.choice``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,25 @@ def strings_up_to(alphabet: str, max_len: int) -> list[str]:
     for n in range(max_len + 1):
         out.extend("".join(t) for t in product(alphabet, repeat=n))
     return out
+
+
+def reference_count_models(transitions, accepting, bound: int) -> int:
+    """Accepted strings of length 0 through ``bound`` of a total table read
+    from state 0: one count vector over all states, stepped ``bound`` times."""
+    n = len(transitions)
+    vec = [0] * n
+    vec[0] = 1
+    total = 1 if 0 in accepting else 0
+    for _ in range(bound):
+        nxt = [0] * n
+        for s, c in enumerate(vec):
+            if c:
+                for mask, t in transitions[s]:
+                    nxt[t] += c * mask.bit_count()
+        vec = nxt
+        for s in accepting:
+            total += vec[s]
+    return total
 
 
 def ref_decide(doc: PolicyDocument, request: dict[str, str]) -> bool:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from policylens.alphabet import FULL_MASK, mask_of
 from policylens.automata import (
+    UNIVERSE_TABLE,
     Dfa,
+    _count_common,
+    _subset_rows,
     empty_dfa,
     from_pattern,
     from_regex,
@@ -17,7 +21,8 @@ from policylens.automata import (
 from policylens.errors import AlphabetError, StateBlowup
 from policylens.regex import EMPTY, char_class, literal, parse_regex, print_regex, star
 
-from oracles import glob_match, moore_canonical, re_accepts, strings_up_to
+from oracles import glob_match, moore_canonical, re_accepts, reference_count_models, strings_up_to
+from test_regex import SMALL as ABC, ast_strategy
 
 
 def sub_star(alphabet: str) -> Dfa:
@@ -142,6 +147,75 @@ def test_extract_round_trip_on_mixed_cases():
 def test_state_cap_enforced():
     with pytest.raises(StateBlowup):
         from_regex(parse_regex("(a|b)*abb(a|b)*"), state_cap=2)
+
+
+# -- counting walk ---------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(ast_strategy(), ast_strategy(), st.integers(0, 6))
+def test_counting_walk_matches_product_count_and_enumeration(r1, r2, bound):
+    got = _count_common(_subset_rows(r1), _subset_rows(r2), bound)
+    inter = from_regex(r1).intersect(from_regex(r2))
+    assert got == reference_count_models(inter.transitions, inter.accepting, bound)
+    # ast_strategy draws over "abc" only, so enumerating it covers both languages
+    assert got == sum(1 for s in strings_up_to(ABC, bound) if re_accepts(r1, s) and re_accepts(r2, s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ast_strategy(), st.sampled_from([0, 1, 6, 100]))
+def test_count_models_is_the_walk_against_the_universe(r, bound):
+    d = from_regex(r)
+    expected = reference_count_models(d.transitions, d.accepting, bound)
+    assert d.count_models(bound) == expected
+    assert _count_common(_subset_rows(r), UNIVERSE_TABLE, bound) == expected
+    assert _count_common(UNIVERSE_TABLE, d.table, bound) == expected
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_counting_walk_stops_at_the_end_of_a_finite_language():
+    r = parse_regex("(ab|c){0,3}[xyz]?")  # longest string: 7 characters
+    table = _subset_rows(r)
+    assert reference_count_models(*from_regex(r).table, 7) == (1 + 2 + 4 + 8) * 4
+    with_c = from_pattern("*c*").intersect(from_regex(r))
+
+    def too_slow(*_):
+        raise AssertionError("the walk went on past the last non-empty level")
+
+    # Without the stop at the first empty level, this bound would take hours.
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    try:
+        assert _count_common(table, UNIVERSE_TABLE, 10**12) == 60
+        assert _count_common(table, from_pattern("*").table, 10**12) == 60
+        assert _count_common(from_pattern("*c*").table, table, 10**12) == reference_count_models(*with_c.table, 7)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_counting_walk_enforces_the_state_cap():
+    a = _subset_rows(parse_regex("(a|b)*abb(a|b)*"))
+    b = from_pattern("*a??").table
+    inter = from_regex(parse_regex("(a|b)*abb(a|b)*")).intersect(from_pattern("*a??"))
+    full = _count_common(a, b, 8)
+    assert full == reference_count_models(*inter.table, 8)
+    with pytest.raises(StateBlowup):
+        _count_common(a, b, 8, state_cap=3)
+    # the cap bounds distinct pairs, not levels: a walk inside it never raises
+    reached = next(cap for cap in range(1, 100) if _try_count(a, b, 20, cap))
+    assert reached > 3
+    assert _count_common(a, b, 10**4, state_cap=reached) > full
+    with pytest.raises(ValueError):
+        _count_common(a, b, -1)
+
+
+def _try_count(a, b, bound, cap) -> bool:
+    try:
+        _count_common(a, b, bound, state_cap=cap)
+    except StateBlowup:
+        return False
+    return True
 
 
 # -- operation cache -----------------------------------------------------------

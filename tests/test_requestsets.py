@@ -230,6 +230,23 @@ def test_compare_equivalent(music_doc):
     assert verdict.witnesses_first == () and verdict.witnesses_second == ()
 
 
+@pytest.mark.parametrize("count", [-1, -3])
+def test_compare_rejects_negative_witness_count_before_any_work(music_doc, deny_all_doc, monkeypatch, count):
+    # equivalent pair (no witnesses would be drawn) and non-equivalent pair
+    pairs = [(music_doc, music_doc), (deny_all_doc, music_doc)]
+    for p1, p2 in pairs:
+        with pytest.raises(ValueError, match="non-negative"):
+            compare_policies(p1, p2, count)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compiled a policy before checking witness_count")
+
+    monkeypatch.setattr(requestsets, "compile_policy", forbidden)
+    for p1, p2 in pairs:
+        with pytest.raises(ValueError, match="non-negative"):
+            compare_policies(p1, p2, count)
+
+
 def test_compare_one_sided(music_doc, deny_all_doc):
     verdict = compare_policies(deny_all_doc, music_doc)
     assert verdict.kind == Permissiveness.SECOND_MORE_PERMISSIVE

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from policylens import parse_policy, requestsets
 from policylens.alphabet import mask_of
-from policylens.automata import from_pattern, from_regex
+from policylens.automata import from_pattern, from_regex, operation_cache
 from policylens.errors import EmptyLanguage
 from policylens.regex import ANY_CHAR, EMPTY, EPSILON, alt, char_class, literal, parse_regex, seq, star
 from policylens.requestsets import (
@@ -273,6 +273,27 @@ def test_sample_from_set_draws_as_reference(text):
             continue
         for seed in (0, 5):
             assert sample_from_set(x, 3, seed) == reference_sample_from_set(x, 3, seed)
+
+
+def test_sample_in_one_scope_compiles_once(monkeypatch):
+    from policylens import sampler
+
+    calls = []
+    real = sampler._compile
+    monkeypatch.setattr(sampler, "_compile", lambda r: calls.append(r) or real(r))
+    r = from_pattern("*a?????").extract_regex()
+    cfg = SamplerConfig(seed=11)
+    rng, ref_rng = random.Random(11), random.Random(11)
+    with operation_cache():
+        draws = [sample(r, cfg, rng) for _ in range(100)]
+    # compared by identity: printing this regex for a failure report takes minutes
+    assert [c is r for c in calls] == [True]
+    assert draws == [reference_sample(r, cfg, ref_rng) for _ in range(100)]
+    assert rng.getstate() == ref_rng.getstate()
+    # outside a scope each call compiles afresh, with the same draws
+    rng = random.Random(11)
+    assert [sample(r, cfg, rng) for _ in range(3)] == draws[:3]
+    assert len(calls) == 4
 
 
 def test_sample_from_set_compiles_each_regex_once(music_doc, monkeypatch):

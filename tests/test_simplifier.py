@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from policylens.automata import from_regex
+from policylens.automata import _subset_rows, from_regex
 from policylens.errors import ProviderError
 from policylens.policy import parse_policy
 from policylens.providers import MOCK_TIMEOUT, MockProvider, prompt_samples
@@ -19,9 +19,11 @@ from policylens.simplifier import (
     quantify_similarity,
     summarize_difference,
     summarize_set,
+    _similarity_counts,
 )
 
 from conftest import MUSIC_REGEX, corpus_paths
+from oracles import reference_count_models
 
 
 def allow_resources(*patterns: str):
@@ -150,14 +152,23 @@ def test_summarize_low_similarity_falls_back(music_doc):
 
 
 def test_repeated_candidate_is_compiled_once(music_doc, monkeypatch):
-    from policylens import simplifier
+    from policylens import automata, simplifier
 
     compiled = []
-    real = simplifier.from_regex
-    monkeypatch.setattr(simplifier, "from_regex", lambda r, *a: compiled.append(r) or real(r, *a))
+    real = simplifier._subset_rows
+    monkeypatch.setattr(simplifier, "_subset_rows", lambda r, *a: compiled.append(r) or real(r, *a))
+    request_set = compile_policy(music_doc)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("candidate scoring built a canonical DFA or an intersection")
+
+    # Projection only unions; nothing in the pipeline tail compiles a regex
+    # to a canonical DFA or intersects two DFAs.
+    monkeypatch.setattr(automata, "from_regex", forbidden)
+    monkeypatch.setattr(automata.Dfa, "intersect", forbidden)
     cfg = SimplifierConfig(samples=50, bound=6, attempts=3)
-    report = generate_summarization(music_doc, cfg, MockProvider(script=["zzzz", "zzzz", MUSIC_REGEX]))
-    assert len(compiled) == 2
+    report = summarize_set(request_set, cfg, MockProvider(script=["zzzz", "zzzz", MUSIC_REGEX]))
+    assert compiled == [parse_regex("zzzz"), parse_regex(MUSIC_REGEX)]
     first, second, third = report.candidates
     assert first.similarity == second.similarity == Fraction(0)
     assert third.similarity == Fraction(1) and report.chosen == MUSIC_REGEX
@@ -204,19 +215,52 @@ def test_summarize_parses_each_line_once_and_prompts_once(music_doc, monkeypatch
 
 
 def test_summarize_counts_the_projection_once(music_doc, monkeypatch):
-    from policylens.automata import Dfa
+    from policylens import simplifier
+    from policylens.automata import UNIVERSE_TABLE
 
     counted = []
-    real = Dfa.count_models
-    monkeypatch.setattr(Dfa, "count_models", lambda d, b: counted.append(d) or real(d, b))
+    real = simplifier._count_common
+    monkeypatch.setattr(simplifier, "_count_common", lambda a, b, bound: counted.append((a, b)) or real(a, b, bound))
     cfg = SimplifierConfig(samples=50, bound=6, attempts=3)
     report = generate_summarization(music_doc, cfg, MockProvider(script=["zzzz", "mp3s/.*", MUSIC_REGEX]))
-    # the projection once, then each of three candidates and its intersection
+    # the projection once, then each of three candidates: its intersection
+    # with the projection and its own count
     assert len(counted) == 1 + 3 * 2
-    exact = project(compile_policy(music_doc), "resource")
-    assert counted[0] == exact
+    exact = project(compile_policy(music_doc), "resource").table
+    assert counted[0] == (exact, UNIVERSE_TABLE)
+    assert counted.count((exact, UNIVERSE_TABLE)) == 1
+    for (a1, b1), (a2, b2) in zip(counted[1::2], counted[2::2]):
+        assert a1 == exact and b1 is a2 and b2 == UNIVERSE_TABLE
     for cand in report.candidates:
-        assert cand.similarity == quantify_similarity(exact.extract_regex(), cand.ast, cfg.bound)
+        assert cand.similarity == quantify_similarity(parse_regex(report.extracted_regex), cand.ast, cfg.bound)
+
+
+SCRIPTED = (MUSIC_REGEX, ".*", "∅", "()", "mp3s/.*", "(a|b)*abb", "[a-z]+\\.(txt|log)", "logs/.{3}")
+
+
+def test_scores_equal_the_product_path_on_corpus_candidates():
+    """Every corpus projection against its echo-mock candidates, its exact
+    regex and a scripted set, scored by the counting walks and by counting
+    the canonical intersection and candidate DFAs."""
+    bound = SimplifierConfig().bound
+    scored = 0
+    for path in corpus_paths():
+        request_set = compile_policy(parse_policy(path.read_text()))
+        for dim in request_set.schema.dimensions:
+            cfg = SimplifierConfig(samples=50, attempts=1, projection=dim)
+            report = summarize_set(request_set, cfg, MockProvider())
+            exact = project(request_set, dim)
+            asts = [c.ast for c in report.candidates if c.ast is not None]
+            asts += [parse_regex(report.extracted_regex)] + [parse_regex(t) for t in SCRIPTED]
+            count = reference_count_models(*exact.table, bound)
+            for ast in asts:
+                cand = from_regex(ast)
+                inter = reference_count_models(*exact.intersect(cand).table, bound)
+                union = count + reference_count_models(*cand.table, bound) - inter
+                expected = (Fraction(inter, union), (inter, union)) if union else (Fraction(1), (0, 0))
+                assert _similarity_counts(exact.table, count, _subset_rows(ast), bound) == expected, (path.name, dim)
+                scored += 1
+    assert scored > 200
 
 
 def test_summarize_unparseable_candidates_fall_back(music_doc):
