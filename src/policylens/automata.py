@@ -12,6 +12,18 @@ build followed by subset construction; the set operations run pairwise product
 constructions.  Both raise :class:`~policylens.errors.StateBlowup` past
 ``state_cap``.  Every result is minimized by Hopcroft partition refinement.
 
+Identity laws: a product whose result an identity law fixes is not built.
+With equal operands ``a∩a = a∪a = a`` and ``a∖a = ∅``; a canonical one-state
+operand is ∅ or U, so ``x∩U = x∪∅ = x∖∅ = x``, ``x∩∅ = x∖U = ∅∖x = ∅`` and
+``x∪U = U``, in either operand order where the operation commutes.  ``U∖x``
+is a complement and still runs the product.  A law applies only when both
+operands have at most ``state_cap`` states; within the cap such a product
+cannot raise, and past it the product runs and raises
+:class:`~policylens.errors.StateBlowup` exactly as before.  The result is
+the canonical DFA the product returns (one operand, ∅ or U), and a law's
+case bypasses the operation cache below.  The tests check every law against
+the product itself.
+
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their
 product level by level without building or minimizing it.  It keeps only
@@ -145,6 +157,8 @@ class Dfa:
         self.accepting = accepting
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Dfa):
             return NotImplemented
         return self.transitions == other.transitions and self.accepting == other.accepting
@@ -447,7 +461,32 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {
 
 
 def _cached_product(op: str, a: Dfa, b: Dfa, state_cap: int) -> Dfa:
+    # Within the cap neither law case can raise: its product reaches at most
+    # max(|a|, |b|) pairs.  Past it, the product decides whether to raise.
+    if a.state_count <= state_cap and b.state_count <= state_cap:
+        fixed = _identity_law(op, a, b)
+        if fixed is not None:
+            return fixed
     return _memoized((op, a, b, state_cap), _product, a, b, _KEEP[op], state_cap)
+
+
+def _identity_law(op: str, a: Dfa, b: Dfa) -> Dfa | None:
+    """The product's result when an identity law (see the module docstring)
+    fixes it, else None."""
+    if a == b:
+        return _EMPTY_DFA if op == "difference" else a
+    if op != "difference" and a.state_count == 1:
+        a, b = b, a  # union and intersection commute: put the one-state side right
+    if b.state_count == 1:
+        universal = bool(b.accepting)
+        if op == "union":
+            return _UNIVERSE_DFA if universal else a
+        if op == "intersect":
+            return a if universal else _EMPTY_DFA
+        return _EMPTY_DFA if universal else a
+    if op == "difference" and a.state_count == 1 and not a.accepting:
+        return _EMPTY_DFA
+    return None
 
 
 def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool], state_cap: int) -> Dfa:

@@ -35,8 +35,12 @@ class RegexAst:
 
     lang_empty: bool  # True iff the node's language is the empty set
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<regex {print_regex(self)!r}>"
+    def __repr__(self) -> str:
+        dag_nodes, tree_nodes = _sizes(self)
+        if tree_nodes <= _REPR_TREE_NODES:
+            return f"<regex {print_regex(self)!r}>"
+        # Printing expands the DAG into its tree, which can be exponentially larger.
+        return f"<regex {type(self).__name__}: {dag_nodes} DAG nodes, {tree_nodes} tree nodes>"
 
 
 class Empty(RegexAst):
@@ -500,6 +504,36 @@ def _class_text(mask: int) -> str:
     positive = "[" + _class_body(mask) + "]"
     negative = "[^" + _class_body(FULL_MASK & ~mask) + "]"
     return negative if len(negative) < len(positive) else positive
+
+
+# A repr prints the regex only while the tree it expands to has at most this many nodes.
+_REPR_TREE_NODES = 10_000
+
+
+def _sizes(r: RegexAst) -> tuple[int, int]:
+    """Distinct nodes of ``r``'s DAG, and nodes of the tree it expands to.
+
+    Each node's tree size is memoized, so the walk is linear in the DAG."""
+    tree: dict[RegexAst, int] = {}
+    stack = [r]
+    while stack:
+        node = stack[-1]
+        if node in tree:
+            stack.pop()
+            continue
+        if isinstance(node, (Union, Concat)):
+            kids: tuple[RegexAst, ...] = (node.left, node.right)
+        elif isinstance(node, Star):
+            kids = (node.inner,)
+        else:
+            kids = ()
+        pending = [k for k in kids if k not in tree]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        tree[node] = 1 + sum(tree[k] for k in kids)
+    return len(tree), tree[r]
 
 
 def print_regex(r: RegexAst) -> str:

@@ -6,11 +6,14 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from policylens import automata, parse_policy
 from policylens.alphabet import FULL_MASK, mask_of
 from policylens.automata import (
+    _KEEP,
     UNIVERSE_TABLE,
     Dfa,
     _count_common,
+    _product,
     _subset_rows,
     empty_dfa,
     from_pattern,
@@ -20,7 +23,9 @@ from policylens.automata import (
 )
 from policylens.errors import AlphabetError, StateBlowup
 from policylens.regex import EMPTY, char_class, literal, parse_regex, print_regex, star
+from policylens.requestsets import compile_policy, project
 
+from conftest import corpus_paths
 from oracles import glob_match, moore_canonical, re_accepts, reference_count_models, strings_up_to
 from test_regex import SMALL as ABC, ast_strategy
 
@@ -395,3 +400,94 @@ def test_product_ops_match_set_semantics(r1, r2):
         assert union.accepts(s) == (a or b)
         assert inter.accepts(s) == (a and b)
         assert diff.accepts(s) == (a and not b)
+
+
+# -- identity laws ---------------------------------------------------------------
+
+_OPS = ("union", "intersect", "difference")
+
+
+def _law_cases(d: Dfa) -> list[tuple[str, Dfa, Dfa]]:
+    """Every product of ``d`` against U, ∅, itself and an equal but distinct
+    copy, except ``U∖d``: that one is the complement, which no law fixes."""
+    twin = Dfa(d.transitions, d.accepting)
+    u, e = universe_dfa(), empty_dfa()
+    pairs = [(d, u), (u, d), (d, e), (e, d), (d, d), (d, twin)]
+    return [
+        (op, a, b)
+        for a, b in pairs
+        for op in _OPS
+        if not (op == "difference" and a is u and b.state_count > 1)
+    ]
+
+
+def _no_product(*_):
+    raise AssertionError("a product was built for a case an identity law fixes")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except StateBlowup:
+        return StateBlowup
+
+
+def _check_laws_against_the_product(d: Dfa, cap: int = automata.DEFAULT_STATE_CAP) -> None:
+    """Each law case of ``d`` gives what ``_product`` gives, result or
+    StateBlowup, and calls no product when both operands fit in ``cap``."""
+    for op, a, b in _law_cases(d):
+        want = _outcome(lambda: _product(a, b, _KEEP[op], cap))
+        with pytest.MonkeyPatch.context() as mp:
+            if max(a.state_count, b.state_count) <= cap:
+                mp.setattr(automata, "_product", _no_product)
+            assert _outcome(lambda: getattr(a, op)(b, state_cap=cap)) == want, (op, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_regex(), small_regex())
+def test_identity_laws_match_the_product(r1, r2):
+    d1, d2 = from_regex(r1), from_regex(r2)
+    _check_laws_against_the_product(d1)
+    _check_laws_against_the_product(d2)
+    for op in _OPS:  # any other pair still gets the product itself
+        assert getattr(d1, op)(d2) == _product(d1, d2, _KEEP[op], automata.DEFAULT_STATE_CAP)
+    u = universe_dfa()
+    assert u.difference(d1) == _product(u, d1, _KEEP["difference"], automata.DEFAULT_STATE_CAP)
+
+
+def test_identity_laws_match_the_product_on_corpus_projections():
+    checked = 0
+    for path in corpus_paths():
+        request_set = compile_policy(parse_policy(path.read_text()))
+        for dim in request_set.schema.dimensions:
+            _check_laws_against_the_product(project(request_set, dim))
+            checked += 1
+    assert checked >= 30
+
+
+def test_equal_operands_built_apart_need_no_product(monkeypatch):
+    a, b = from_pattern("*a??"), from_pattern("*a??")  # outside a scope: two builds
+    assert a is not b and a == b
+    monkeypatch.setattr(automata, "_product", _no_product)
+    assert a.intersect(b) is a
+    assert a.union(b) is a
+    assert a.difference(b) is empty_dfa()
+
+
+def test_identity_laws_raise_where_the_product_raises():
+    d = from_pattern("*a??")
+    n = d.state_count
+    assert n > 2
+    for cap in range(n + 2):  # from cap n up, every law answers without a product
+        _check_laws_against_the_product(d, cap)
+    for op, a, b in _law_cases(d):  # one state short, the product runs and raises
+        with pytest.raises(StateBlowup):
+            getattr(a, op)(b, state_cap=n - 1)
+
+
+def test_identity_laws_bypass_the_operation_cache():
+    d = from_pattern("*a??")
+    with operation_cache() as cache:
+        for op, a, b in _law_cases(d):
+            getattr(a, op)(b)
+        assert (cache.hits, cache.misses, cache.table) == (0, 0, {})

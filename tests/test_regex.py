@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import re
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from policylens.alphabet import FULL_MASK, char_bit, mask_of
 from policylens.errors import AlphabetError, RegexSyntaxError, UnsupportedConstruct
 from policylens.regex import (
+    _REPR_TREE_NODES,
     EMPTY,
     EMPTY_TOKEN,
     EPSILON,
@@ -23,6 +27,7 @@ from policylens.regex import (
     repeat,
     seq,
     star,
+    _sizes,
     union_children,
     wildcard,
 )
@@ -184,6 +189,40 @@ def test_print_escapes_metacharacters():
     r = literal("a.b*c$")
     assert print_regex(r) == r"a\.b\*c\$"
     assert parse_regex(print_regex(r)) is r
+
+
+def test_repr_prints_a_small_regex():
+    assert repr(parse_regex("a(b|c)*d?")) == "<regex 'a[bc]*d?'>"
+    assert repr(EMPTY) == "<regex '\u2205'>"
+    x = star(literal("ab"))
+    assert _sizes(seq(x, x)) == (5, 9)  # the shared star is counted once in the DAG
+    limit = _REPR_TREE_NODES
+    at_limit = literal("a" * ((limit + 1) // 2))  # n characters: 2n - 1 tree nodes
+    assert _sizes(at_limit)[1] <= limit
+    assert repr(at_limit) == f"<regex {print_regex(at_limit)!r}>"
+    over = seq(at_limit, literal("bb"))
+    dag, tree = _sizes(over)
+    assert tree > limit
+    assert repr(over) == f"<regex Concat: {dag} DAG nodes, {tree} tree nodes>"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_repr_of_a_large_extracted_regex_returns_quickly():
+    from policylens.automata import from_pattern
+
+    r = from_pattern("*a?????").extract_regex()  # printing it does not finish
+
+    def too_slow(*_):
+        raise AssertionError("repr printed the expanded tree")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    try:
+        text = repr(r)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert re.fullmatch(r"<regex Union: \d+ DAG nodes, \d+ tree nodes>", text), text
 
 
 def test_escape_literal_round_trip():
