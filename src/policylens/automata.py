@@ -9,16 +9,18 @@ accepting set.  State 0 is always the start state.
 
 Construction paths: :func:`from_regex` and :func:`from_pattern` run a Thompson
 build followed by subset construction; the set operations run pairwise product
-constructions.  Both raise :class:`~policylens.errors.StateBlowup` past
-``state_cap``.  Every result is minimized by Hopcroft partition refinement.
+constructions.  Both raise :class:`~policylens.errors.StateBlowup` past the
+state cap, :data:`DEFAULT_STATE_CAP`, which each check reads when it runs (so
+a test can lower it).  Every result is minimized by Hopcroft partition
+refinement.
 
 Identity laws: a product whose result an identity law fixes is not built.
 With equal operands ``a∩a = a∪a = a`` and ``a∖a = ∅``; a canonical one-state
 operand is ∅ or U, so ``x∩U = x∪∅ = x∖∅ = x``, ``x∩∅ = x∖U = ∅∖x = ∅`` and
 ``x∪U = U``, in either operand order where the operation commutes.  ``U∖x``
-is a complement and still runs the product.  A law applies only when both
-operands have at most ``state_cap`` states; within the cap such a product
-cannot raise, and past it the product runs and raises
+is a complement and still runs the product.  A law applies only when
+neither operand has more states than the state cap; within the cap such a
+product cannot raise, and past it the product runs and raises
 :class:`~policylens.errors.StateBlowup` exactly as before.  The result is
 the canonical DFA the product returns (one operand, ∅ or U), and a law's
 case bypasses the operation cache below.  The tests check every law against
@@ -30,25 +32,27 @@ product level by level without building or minimizing it.  It keeps only
 pairs from which both sides can still accept, steps along the nonzero
 intersections of the two rows' masks weighted by their sizes, and stops at
 the first empty level, so a finite language costs its longest string.  It
-too raises :class:`~policylens.errors.StateBlowup` past ``state_cap``
-distinct pairs.  :meth:`Dfa.count_models` is this walk against the universe,
-and summarization scores a candidate by walking its unminimized subset table
-(:func:`_subset_rows`) against the exact language and against the universe.
+too raises :class:`~policylens.errors.StateBlowup` once its distinct pairs
+exceed the state cap.  :meth:`Dfa.count_models` is this walk against the
+universe, and summarization scores a candidate by walking its unminimized
+subset table (:func:`_subset_rows`) against the exact language and against
+the universe.
 The tests check the walk against the product-then-count path and against
 exhaustive enumeration.
 
 Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 :meth:`Dfa.intersect` and :meth:`Dfa.difference` are memoized on
-``(op, left, right, state_cap)``, :func:`from_pattern` on
-``(pattern text, state_cap)``, and the sampler's draw programs on the regex.
-The policy-level entry points (compilation, comparison, sampling,
+``(op, left, right)``, :func:`from_pattern` on ``("pattern", text)``, and
+the sampler's draw programs on ``("program", regex)``.  The policy-level
+entry points (compilation, comparison, sampling,
 summarization) and the ``count`` and ``requests`` commands each enter a
 scope.  The scope is re-entrant: nested scopes share the outermost one's
 table, which is dropped when the outermost scope exits.  A scope spans one
 command, so memory is bounded by that command's work and there is no size
 setting; it is not meant to be held open across commands.  Cached values are
-the ones a fresh build returns, and a build that raises stores nothing.
-Outside a scope every operation is computed afresh.
+the ones a fresh build returns, and a build that raises stores nothing.  No
+key holds the state cap: one command runs under one cap.  Outside a scope
+every operation is computed afresh.
 """
 
 from __future__ import annotations
@@ -226,14 +230,14 @@ class Dfa:
         accepting = set(range(len(rows))) - self.accepting
         return _canonicalize(rows, 0, accepting)
 
-    def union(self, other: "Dfa", state_cap: int = DEFAULT_STATE_CAP) -> "Dfa":
-        return _cached_product("union", self, other, state_cap)
+    def union(self, other: "Dfa") -> "Dfa":
+        return _cached_product("union", self, other)
 
-    def intersect(self, other: "Dfa", state_cap: int = DEFAULT_STATE_CAP) -> "Dfa":
-        return _cached_product("intersect", self, other, state_cap)
+    def intersect(self, other: "Dfa") -> "Dfa":
+        return _cached_product("intersect", self, other)
 
-    def difference(self, other: "Dfa", state_cap: int = DEFAULT_STATE_CAP) -> "Dfa":
-        return _cached_product("difference", self, other, state_cap)
+    def difference(self, other: "Dfa") -> "Dfa":
+        return _cached_product("difference", self, other)
 
     # -- analyses -------------------------------------------------------------
 
@@ -460,14 +464,14 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {
 }
 
 
-def _cached_product(op: str, a: Dfa, b: Dfa, state_cap: int) -> Dfa:
+def _cached_product(op: str, a: Dfa, b: Dfa) -> Dfa:
     # Within the cap neither law case can raise: its product reaches at most
     # max(|a|, |b|) pairs.  Past it, the product decides whether to raise.
-    if a.state_count <= state_cap and b.state_count <= state_cap:
+    if max(a.state_count, b.state_count) <= DEFAULT_STATE_CAP:
         fixed = _identity_law(op, a, b)
         if fixed is not None:
             return fixed
-    return _memoized((op, a, b, state_cap), _product, a, b, _KEEP[op], state_cap)
+    return _memoized((op, a, b), _product, a, b, _KEEP[op])
 
 
 def _identity_law(op: str, a: Dfa, b: Dfa) -> Dfa | None:
@@ -489,7 +493,7 @@ def _identity_law(op: str, a: Dfa, b: Dfa) -> Dfa | None:
     return None
 
 
-def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool], state_cap: int) -> Dfa:
+def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
     index: dict[tuple[int, int], int] = {(0, 0): 0}
     queue: list[tuple[int, int]] = [(0, 0)]
     rows: list[list[tuple[int, int]]] = []
@@ -508,9 +512,9 @@ def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool], state_cap: int)
             tb = next(t for mask, t in b.transitions[pb] if mask & part)
             key = (ta, tb)
             if key not in index:
-                if len(index) >= state_cap:
+                if len(index) >= DEFAULT_STATE_CAP:
                     raise StateBlowup(
-                        f"product construction exceeded the state cap of {state_cap}"
+                        f"product construction exceeded the state cap of {DEFAULT_STATE_CAP}"
                     )
                 index[key] = len(index)
                 queue.append(key)
@@ -522,16 +526,18 @@ def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool], state_cap: int)
 # -- model counting ------------------------------------------------------------
 
 
-def _count_common(a: _Table, b: _Table, bound: int, state_cap: int = DEFAULT_STATE_CAP) -> int:
+def _count_common(a: _Table, b: _Table, bound: int, state_cap: int | None = None) -> int:
     """Exact number of strings of length 0 through ``bound`` accepted by both
     deterministic tables, by the counting walk the module docstring describes.
 
     A level maps each reached pair of states to the number of strings of that
     length leading to it; a pair's weighted successors are built once.
     Raises StateBlowup once it reaches more than ``state_cap`` distinct
-    pairs."""
+    pairs, the module's state cap unless given."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    if state_cap is None:
+        state_cap = DEFAULT_STATE_CAP
     (a_rows, a_acc), (b_rows, b_acc) = a, b
     a_live, b_live = _live_states(a_rows, a_acc), _live_states(b_rows, b_acc)
     if not (a_live[0] and b_live[0]):
@@ -659,13 +665,13 @@ def _thompson(r: RegexAst) -> tuple[list[list[int]], list[list[tuple[int, int]]]
     return eps, sym, start, accept
 
 
-def from_regex(r: RegexAst, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def from_regex(r: RegexAst) -> Dfa:
     """Compile a regex AST to its canonical DFA."""
-    rows, accepting = _subset_rows(r, state_cap)
+    rows, accepting = _subset_rows(r)
     return _canonicalize(rows, 0, accepting)
 
 
-def _subset_rows(r: RegexAst, state_cap: int = DEFAULT_STATE_CAP) -> _Table:
+def _subset_rows(r: RegexAst) -> _Table:
     """Subset construction over the Thompson NFA of ``r``: a total,
     deterministic, unminimized table with start state 0."""
     eps, sym, start, accept = _thompson(r)
@@ -698,9 +704,9 @@ def _subset_rows(r: RegexAst, state_cap: int = DEFAULT_STATE_CAP) -> _Table:
             # refinement guarantees part is inside or outside each edge mask
             targets = closure([t for s in cur for mask, t in sym[s] if mask & part])
             if targets not in index:
-                if len(index) >= state_cap:
+                if len(index) >= DEFAULT_STATE_CAP:
                     raise StateBlowup(
-                        f"subset construction exceeded the state cap of {state_cap}"
+                        f"subset construction exceeded the state cap of {DEFAULT_STATE_CAP}"
                     )
                 index[targets] = len(index)
                 queue.append(targets)
@@ -709,13 +715,13 @@ def _subset_rows(r: RegexAst, state_cap: int = DEFAULT_STATE_CAP) -> _Table:
     return rows, accepting
 
 
-def from_pattern(pattern: object, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def from_pattern(pattern: object) -> Dfa:
     """Compile a wildcard pattern (``*`` any run, ``?`` any one symbol)."""
     text = getattr(pattern, "text", pattern)
     if not isinstance(text, str):
         raise TypeError(f"expected a pattern string, got {type(text).__name__}")
-    return _memoized(("pattern", text, state_cap), _compile_pattern, text, state_cap)
+    return _memoized(("pattern", text), _compile_pattern, text)
 
 
-def _compile_pattern(text: str, state_cap: int) -> Dfa:
-    return from_regex(wildcard(text), state_cap)
+def _compile_pattern(text: str) -> Dfa:
+    return from_regex(wildcard(text))

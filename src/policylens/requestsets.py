@@ -18,10 +18,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .automata import (
-    DEFAULT_STATE_CAP,
     Dfa,
     _memoized,
     empty_dfa,
@@ -30,8 +29,8 @@ from .automata import (
     universe_dfa,
 )
 from .errors import CubeBlowup, InsufficientLanguage, SchemaError
-from .policy import Effect, PatternClause, PolicyDocument
-from .sampler import SamplerConfig, _compile, _draw
+from .policy import Effect, PolicyDocument, WildcardPattern
+from .sampler import SamplerConfig, _draw, _program
 from .regex import RegexAst
 
 DEFAULT_CUBE_CAP = 10_000
@@ -126,33 +125,26 @@ def _aligned(x: RequestSet, y: RequestSet) -> tuple[RequestSet, RequestSet, Dime
     return _pad(x, schema), _pad(y, schema), schema
 
 
-def set_union(x: RequestSet, y: RequestSet, cube_cap: int = DEFAULT_CUBE_CAP) -> RequestSet:
+def set_union(x: RequestSet, y: RequestSet) -> RequestSet:
     x, y, schema = _aligned(x, y)
     out = RequestSet(schema, x.cubes + y.cubes)
-    _check_cubes(len(out.cubes), cube_cap)
+    _check_cubes(len(out.cubes))
     return out
 
 
-def set_intersect(
-    x: RequestSet,
-    y: RequestSet,
-    cube_cap: int = DEFAULT_CUBE_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> RequestSet:
+def set_intersect(x: RequestSet, y: RequestSet) -> RequestSet:
     x, y, schema = _aligned(x, y)
     cubes = []
     for a in x.cubes:
         for b in y.cubes:
-            cube = RequestCube(
-                tuple(da.intersect(db, state_cap) for da, db in zip(a.dfas, b.dfas))
-            )
+            cube = RequestCube(tuple(da.intersect(db) for da, db in zip(a.dfas, b.dfas)))
             if not cube.is_empty():
                 cubes.append(cube)
-                _check_cubes(len(cubes), cube_cap)
+                _check_cubes(len(cubes))
     return RequestSet(schema, tuple(cubes))
 
 
-def _cube_difference(a: RequestCube, b: RequestCube, state_cap: int) -> list[RequestCube]:
+def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
     """Distribute (A₁×…×A_k) \\ (B₁×…×B_k) into per-dimension cubes.
 
     Term i keeps intersections on dimensions before i, the difference on
@@ -162,51 +154,48 @@ def _cube_difference(a: RequestCube, b: RequestCube, state_cap: int) -> list[Req
     prefix: list[Dfa] = []
     k = len(a.dfas)
     for i in range(k):
-        diff = a.dfas[i].difference(b.dfas[i], state_cap)
+        diff = a.dfas[i].difference(b.dfas[i])
         if not diff.is_empty():
             cube = RequestCube(tuple(prefix) + (diff,) + a.dfas[i + 1 :])
             if not cube.is_empty():
                 out.append(cube)
         if i + 1 < k:
-            inter = a.dfas[i].intersect(b.dfas[i], state_cap)
+            inter = a.dfas[i].intersect(b.dfas[i])
             if inter.is_empty():
                 break
             prefix.append(inter)
     return out
 
 
-def set_difference(
-    x: RequestSet,
-    y: RequestSet,
-    cube_cap: int = DEFAULT_CUBE_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> RequestSet:
+def set_difference(x: RequestSet, y: RequestSet) -> RequestSet:
     x, y, schema = _aligned(x, y)
     cubes = list(x.cubes)
     for b in y.cubes:
         nxt: list[RequestCube] = []
         for a in cubes:
-            nxt.extend(_cube_difference(a, b, state_cap))
-            _check_cubes(len(nxt), cube_cap)
+            nxt.extend(_cube_difference(a, b))
+            _check_cubes(len(nxt))
         cubes = nxt
         if not cubes:
             break
     return RequestSet(schema, tuple(cubes))
 
 
-def _check_cubes(count: int, cube_cap: int) -> None:
-    if count > cube_cap:
-        raise CubeBlowup(f"request-set operation exceeded the cube cap of {cube_cap}")
+def _check_cubes(count: int) -> None:
+    """Raise CubeBlowup past the cube cap, read when the check runs."""
+    if count > DEFAULT_CUBE_CAP:
+        raise CubeBlowup(f"request-set operation exceeded the cube cap of {DEFAULT_CUBE_CAP}")
 
 
 # -- policy compilation -------------------------------------------------------
 
 
-def _clause_dfa(clause: PatternClause, state_cap: int) -> Dfa:
+def _disjunction(patterns: Iterable[WildcardPattern], negated: bool) -> Dfa:
+    """Union of the patterns' languages, complemented when ``negated``."""
     d = empty_dfa()
-    for p in clause.patterns:
-        d = d.union(from_pattern(p), state_cap)
-    return d.complement() if clause.negated else d
+    for p in patterns:
+        d = d.union(from_pattern(p))
+    return d.complement() if negated else d
 
 
 def policy_schema(doc: PolicyDocument) -> DimensionSchema:
@@ -215,11 +204,7 @@ def policy_schema(doc: PolicyDocument) -> DimensionSchema:
 
 
 @operation_cache()
-def compile_policy(
-    doc: PolicyDocument,
-    cube_cap: int = DEFAULT_CUBE_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> RequestSet:
+def compile_policy(doc: PolicyDocument) -> RequestSet:
     """Allowed-request set of a policy: union of allow cubes minus union of deny cubes.
 
     Each statement becomes one cube.  Patterns in a clause disjoin; a Not*
@@ -234,36 +219,29 @@ def compile_policy(
     for stmt in doc.statements:
         per_key: dict[str, Dfa] = {k: univ for k in schema.condition_keys}
         for cond in stmt.conditions:
-            values = empty_dfa()
-            for v in cond.values:
-                values = values.union(from_pattern(v), state_cap)
-            if cond.operator.negated:
-                values = values.complement()
-            per_key[cond.key] = per_key[cond.key].intersect(values, state_cap)
+            values = _disjunction(cond.values, cond.operator.negated)
+            per_key[cond.key] = per_key[cond.key].intersect(values)
+        clauses = (stmt.principal, stmt.action, stmt.resource)
         cube = RequestCube(
-            (
-                _clause_dfa(stmt.principal, state_cap),
-                _clause_dfa(stmt.action, state_cap),
-                _clause_dfa(stmt.resource, state_cap),
-            )
+            tuple(_disjunction(c.patterns, c.negated) for c in clauses)
             + tuple(per_key[k] for k in schema.condition_keys)
         )
         (allow if stmt.effect == Effect.ALLOW else deny).append(cube)
     allowed = RequestSet(schema, tuple(allow))
     if not deny:
         return allowed
-    return set_difference(allowed, RequestSet(schema, tuple(deny)), cube_cap, state_cap)
+    return set_difference(allowed, RequestSet(schema, tuple(deny)))
 
 
 # -- queries ------------------------------------------------------------------
 
 
-def project(x: RequestSet, dim: str, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def project(x: RequestSet, dim: str) -> Dfa:
     """Language of one dimension across all (non-empty) cubes."""
     i = x.schema.index(dim)
     d = empty_dfa()
     for cube in x.cubes:
-        d = d.union(cube.dfas[i], state_cap)
+        d = d.union(cube.dfas[i])
     return d
 
 
@@ -303,18 +281,13 @@ def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]
     rng = random.Random(seed)
     # Draw programs of each cube reached so far, one per dimension regex.
     programs: dict[int, tuple] = {}
-    compiled: dict[RegexAst, tuple] = {}
     out: list[dict[str, str]] = []
     seen: set[tuple[str, ...]] = set()
     for draw in range(5 * k + 10):
         i = draw % len(x.cubes)
         cube_programs = programs.get(i)
         if cube_programs is None:
-            regexes = [_regex_of(d) for d in x.cubes[i].dfas]
-            for r in regexes:
-                if r not in compiled:
-                    compiled[r] = _compile(r)
-            cube_programs = programs[i] = tuple(compiled[r] for r in regexes)
+            cube_programs = programs[i] = tuple(_program(_regex_of(d)) for d in x.cubes[i].dfas)
         values = tuple(_draw(p, cfg, rng) for p in cube_programs)
         if values not in seen:
             seen.add(values)

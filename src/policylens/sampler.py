@@ -16,12 +16,12 @@ over the program's instructions rather than over AST nodes.  Every
 concatenation chain becomes one flat sequence; a run of single-character
 classes becomes one literal; a star over a character class becomes one inner
 loop; a union keeps its flattened non-empty children, each a sequence.
-:func:`sample_n` shares one program across its draws,
-``requestsets.sample_from_set`` compiles each dimension regex once per call,
-and :func:`sample` takes its program from the active operation cache, so
-calls in one scope compile a regex once; nothing outlives the call or the
-scope.  Compilation walks the hash-consed DAG with an explicit work stack, so
-the very deep trees that state elimination builds need no recursion.
+:func:`sample`, :func:`sample_n` (one program for all its draws) and
+``requestsets.sample_from_set`` take their programs from :func:`_program`,
+which memoizes them in the active operation cache, so calls in one scope
+compile a regex once; nothing outlives the call or the scope.  Compilation
+walks the hash-consed DAG with an explicit work stack, so the very deep trees
+that state elimination builds need no recursion.
 
 Only ``rng.getrandbits`` and ``rng.random`` are consumed, in the order a
 direct walker calling ``rng.choice`` consumes them, so for a fixed seed the
@@ -61,14 +61,14 @@ def sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str:
 
     Inside an operation cache scope the draw program is compiled once per
     regex and shared by every call."""
-    return _draw(_memoized(("program", r), _compile, r), cfg, rng)
+    return _draw(_program(r), cfg, rng)
 
 
 def sample_n(r: RegexAst, n: int, cfg: SamplerConfig) -> set[str]:
     """Distinct strings from ``n`` draws, deterministic for a given seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    program = _compile(r)
+    program = _program(r)
     rng = random.Random(cfg.seed)
     return {_draw(program, cfg, rng) for _ in range(n)}
 
@@ -83,6 +83,11 @@ def sample_n(r: RegexAst, n: int, cfg: SamplerConfig) -> set[str]:
 #   (_LOOP, body, thresh)      a star's continuation, made while drawing
 # ``k`` is ``n.bit_length()``, the width of the index draw.
 _LITERAL, _CLASS, _STAR_CLASS, _UNION, _STAR, _LOOP = range(6)
+
+
+def _program(r: RegexAst) -> tuple:
+    """The draw program of ``r``, from the active operation cache if there is one."""
+    return _memoized(("program", r), _compile, r)
 
 
 def _compile(r: RegexAst) -> tuple:

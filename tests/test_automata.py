@@ -149,9 +149,10 @@ def test_extract_round_trip_on_mixed_cases():
         assert from_regex(d.extract_regex()) == d
 
 
-def test_state_cap_enforced():
-    with pytest.raises(StateBlowup):
-        from_regex(parse_regex("(a|b)*abb(a|b)*"), state_cap=2)
+def test_state_cap_enforced(monkeypatch):
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
+    with pytest.raises(StateBlowup, match="subset construction exceeded the state cap of 2"):
+        from_regex(parse_regex("(a|b)*abb(a|b)*"))
 
 
 # -- counting walk ---------------------------------------------------------------
@@ -199,7 +200,7 @@ def test_counting_walk_stops_at_the_end_of_a_finite_language():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_counting_walk_enforces_the_state_cap():
+def test_counting_walk_enforces_the_state_cap(monkeypatch):
     a = _subset_rows(parse_regex("(a|b)*abb(a|b)*"))
     b = from_pattern("*a??").table
     inter = from_regex(parse_regex("(a|b)*abb(a|b)*")).intersect(from_pattern("*a??"))
@@ -213,6 +214,10 @@ def test_counting_walk_enforces_the_state_cap():
     assert _count_common(a, b, 10**4, state_cap=reached) > full
     with pytest.raises(ValueError):
         _count_common(a, b, -1)
+    # without an explicit cap the walk reads the module's, when it runs
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 3)
+    with pytest.raises(StateBlowup, match="counting walk exceeded the state cap of 3"):
+        _count_common(a, b, 8)
 
 
 def _try_count(a, b, bound, cap) -> bool:
@@ -268,19 +273,22 @@ def test_no_cache_is_active_after_the_outermost_scope_exits():
         assert (fresh.hits, fresh.misses) == (0, 0)
 
 
-def test_operation_cache_keys_on_state_cap():
+def test_state_blowup_repeats_and_is_never_cached(monkeypatch):
     a, b = from_pattern("*a?"), from_pattern("*b?")
     expected = a.union(b)
-    with operation_cache():
-        wide = a.union(b, state_cap=1000)
-        assert wide == expected
+    assert min(a.state_count, b.state_count) > 2
+    with operation_cache() as cache:
+        monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
         for _ in range(2):  # a blowup is never stored, so it repeats
-            with pytest.raises(StateBlowup):
-                a.union(b, state_cap=2)
-        assert a.union(b, state_cap=1000) is wide
-        from_pattern("*a??", state_cap=1000)
-        with pytest.raises(StateBlowup):
-            from_pattern("*a??", state_cap=2)
+            with pytest.raises(StateBlowup, match="product construction exceeded"):
+                a.union(b)
+            with pytest.raises(StateBlowup, match="subset construction exceeded"):
+                from_pattern("*a??")
+        assert (cache.hits, cache.misses, cache.table) == (0, 4, {})
+        monkeypatch.undo()  # back to the default cap, in the same scope
+        assert a.union(b) == expected
+        from_pattern("*a??")
+        assert len(cache.table) == 2
 
 
 def test_from_parts_validation_and_canonicalization():
@@ -433,14 +441,16 @@ def _outcome(run):
 
 
 def _check_laws_against_the_product(d: Dfa, cap: int = automata.DEFAULT_STATE_CAP) -> None:
-    """Each law case of ``d`` gives what ``_product`` gives, result or
-    StateBlowup, and calls no product when both operands fit in ``cap``."""
+    """Under the state cap ``cap``, each law case of ``d`` gives what
+    ``_product`` gives, result or StateBlowup, and calls no product when both
+    operands fit in the cap."""
     for op, a, b in _law_cases(d):
-        want = _outcome(lambda: _product(a, b, _KEEP[op], cap))
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
+            want = _outcome(lambda: _product(a, b, _KEEP[op]))
             if max(a.state_count, b.state_count) <= cap:
                 mp.setattr(automata, "_product", _no_product)
-            assert _outcome(lambda: getattr(a, op)(b, state_cap=cap)) == want, (op, a, b)
+            assert _outcome(lambda: getattr(a, op)(b)) == want, (op, a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,9 +460,9 @@ def test_identity_laws_match_the_product(r1, r2):
     _check_laws_against_the_product(d1)
     _check_laws_against_the_product(d2)
     for op in _OPS:  # any other pair still gets the product itself
-        assert getattr(d1, op)(d2) == _product(d1, d2, _KEEP[op], automata.DEFAULT_STATE_CAP)
+        assert getattr(d1, op)(d2) == _product(d1, d2, _KEEP[op])
     u = universe_dfa()
-    assert u.difference(d1) == _product(u, d1, _KEEP["difference"], automata.DEFAULT_STATE_CAP)
+    assert u.difference(d1) == _product(u, d1, _KEEP["difference"])
 
 
 def test_identity_laws_match_the_product_on_corpus_projections():
@@ -474,15 +484,16 @@ def test_equal_operands_built_apart_need_no_product(monkeypatch):
     assert a.difference(b) is empty_dfa()
 
 
-def test_identity_laws_raise_where_the_product_raises():
+def test_identity_laws_raise_where_the_product_raises(monkeypatch):
     d = from_pattern("*a??")
     n = d.state_count
     assert n > 2
     for cap in range(n + 2):  # from cap n up, every law answers without a product
         _check_laws_against_the_product(d, cap)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", n - 1)
     for op, a, b in _law_cases(d):  # one state short, the product runs and raises
         with pytest.raises(StateBlowup):
-            getattr(a, op)(b, state_cap=n - 1)
+            getattr(a, op)(b)
 
 
 def test_identity_laws_bypass_the_operation_cache():

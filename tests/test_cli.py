@@ -9,10 +9,12 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from policylens import automata
 from policylens.cli import main
+from policylens.errors import StateBlowup
 from policylens.policy import parse_policy
 from policylens.providers import MOCK_TIMEOUT
-from policylens.requestsets import sample_requests
+from policylens.requestsets import compile_policy, sample_requests
 
 from conftest import ALLOW_ALL_POLICY, DENY_ALL_POLICY, MUSIC_POLICY, MUSIC_REGEX, corpus_paths
 
@@ -241,6 +243,19 @@ def test_requests_negative_k(runner):
 def test_unknown_dimension_is_input_error(runner):
     result = runner.invoke(main, ["count", MUSIC, "--dim", "galaxy"])
     assert result.exit_code == 1
+
+
+def test_lowered_state_cap_stops_policy_compilation(runner, monkeypatch):
+    # Each pattern's subset construction runs under the module's one state cap.
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 3)
+    message = "subset construction exceeded the state cap of 3"
+    with pytest.raises(StateBlowup, match=message):
+        compile_policy(parse_policy(MUSIC_POLICY.read_text()))
+    for command in ("count", "summarize"):
+        result = runner.invoke(main, [command, MUSIC, "--no-timestamp"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
 
 def test_http_provider_config_missing_keys(runner, tmp_path):

@@ -327,12 +327,13 @@ def test_sample_from_set_deterministic(music_doc):
     assert sample_from_set(x, 4, seed=9) == sample_from_set(x, 4, seed=9)
 
 
-def test_cube_cap_enforced():
+def test_cube_cap_enforced(monkeypatch):
     x = rs((d("a"), d("a"), d("a")))
+    monkeypatch.setattr(requestsets, "DEFAULT_CUBE_CAP", 1)
+    with pytest.raises(CubeBlowup, match="cube cap of 1"):
+        set_union(x, rs((d("b"), d("b"), d("b"))))
     with pytest.raises(CubeBlowup):
-        set_union(x, rs((d("b"), d("b"), d("b"))), cube_cap=1)
-    with pytest.raises(CubeBlowup):
-        set_difference(rs((d("[ab]"), d("[ab]"), d("[ab]"))), x, cube_cap=1)
+        set_difference(rs((d("[ab]"), d("[ab]"), d("[ab]"))), x)
 
 
 # -- operation cache -----------------------------------------------------------

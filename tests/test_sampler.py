@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policylens import parse_policy, requestsets
+from policylens import parse_policy, sampler
 from policylens.alphabet import mask_of
 from policylens.automata import from_pattern, from_regex, operation_cache
 from policylens.errors import EmptyLanguage
@@ -276,8 +276,6 @@ def test_sample_from_set_draws_as_reference(text):
 
 
 def test_sample_in_one_scope_compiles_once(monkeypatch):
-    from policylens import sampler
-
     calls = []
     real = sampler._compile
     monkeypatch.setattr(sampler, "_compile", lambda r: calls.append(r) or real(r))
@@ -298,13 +296,13 @@ def test_sample_in_one_scope_compiles_once(monkeypatch):
 
 def test_sample_from_set_compiles_each_regex_once(music_doc, monkeypatch):
     calls = []
-    real = requestsets._compile
+    real = sampler._compile
 
     def counting(r):
         calls.append(r)
         return real(r)
 
-    monkeypatch.setattr(requestsets, "_compile", counting)
+    monkeypatch.setattr(sampler, "_compile", counting)
     denied = set_difference(universe_set(compile_policy(music_doc).schema), compile_policy(music_doc))
     assert len(denied.cubes) > 1
     assert len(sample_from_set(denied, 20, seed=3)) == 20
