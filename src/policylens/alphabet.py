@@ -59,6 +59,3 @@ def chars_of(mask: int) -> str:
         i += 1
     return "".join(out)
 
-
-def mask_size(mask: int) -> int:
-    return mask.bit_count()

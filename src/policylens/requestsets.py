@@ -30,7 +30,7 @@ from .automata import (
 )
 from .errors import CubeBlowup, InsufficientLanguage, SchemaError
 from .policy import Effect, PolicyDocument, WildcardPattern
-from .sampler import SamplerConfig, _draw, _program
+from .sampler import sample
 from .regex import RegexAst
 
 DEFAULT_CUBE_CAP = 10_000
@@ -277,24 +277,31 @@ def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]
         return []
     if is_empty_set(x):
         raise InsufficientLanguage("cannot sample requests from an empty set")
-    cfg = SamplerConfig(seed=seed)
     rng = random.Random(seed)
-    # Draw programs of each cube reached so far, one per dimension regex.
-    programs: dict[int, tuple] = {}
     out: list[dict[str, str]] = []
     seen: set[tuple[str, ...]] = set()
     for draw in range(5 * k + 10):
-        i = draw % len(x.cubes)
-        cube_programs = programs.get(i)
-        if cube_programs is None:
-            cube_programs = programs[i] = tuple(_program(_regex_of(d)) for d in x.cubes[i].dfas)
-        values = tuple(_draw(p, cfg, rng) for p in cube_programs)
+        cube = x.cubes[draw % len(x.cubes)]
+        values = tuple(sample(_regex_of(d), rng) for d in cube.dfas)
         if values not in seen:
             seen.add(values)
             out.append(dict(zip(x.schema.dimensions, values)))
             if len(out) == k:
                 break
     return out
+
+
+def _verified(
+    side: RequestSet, k: int, seed: int, inside: RequestSet, outside: RequestSet
+) -> list[dict[str, str]]:
+    """Up to ``k`` requests sampled from ``side``, which is ``inside`` minus
+    ``outside``, each re-checked to be in ``inside`` and not in ``outside``.
+    An empty side gives ``[]``."""
+    reqs = [] if is_empty_set(side) else sample_from_set(side, k, seed)
+    for req in reqs:
+        if not contains(inside, req) or contains(outside, req):
+            raise RuntimeError(f"sampled request {req!r} failed verification")
+    return reqs
 
 
 @operation_cache()
@@ -307,17 +314,12 @@ def sample_requests(
     if k < 0:
         raise ValueError("k must be non-negative")
     allowed_set = compile_policy(doc)
-    denied_set = set_difference(universe_set(allowed_set.schema), allowed_set)
-
-    def verified(side: RequestSet, allow: bool) -> list[dict[str, str]]:
-        reqs = [] if is_empty_set(side) else sample_from_set(side, k, seed)
-        for req in reqs:
-            if contains(allowed_set, req) != allow:
-                label = "allow" if allow else "deny"
-                raise RuntimeError(f"sampled request {req!r} failed {label} verification")
-        return reqs
-
-    return verified(allowed_set, True), verified(denied_set, False)
+    universe = universe_set(allowed_set.schema)
+    denied_set = set_difference(universe, allowed_set)
+    return (
+        _verified(allowed_set, k, seed, allowed_set, empty_set(allowed_set.schema)),
+        _verified(denied_set, k, seed, universe, allowed_set),
+    )
 
 
 class Permissiveness(enum.Enum):
@@ -341,7 +343,8 @@ def compare_policies(
     witness_count: int = 3,
     seed: int = 0,
 ) -> PermissivenessVerdict:
-    """Four-way permissiveness classification with sampled witnesses.
+    """Four-way permissiveness classification with sampled witnesses, each
+    re-verified to be allowed by one policy and not by the other.
 
     Raises ValueError when ``witness_count < 0``, whatever the verdict."""
     if witness_count < 0:
@@ -358,6 +361,6 @@ def compare_policies(
         kind = Permissiveness.SECOND_MORE_PERMISSIVE
     else:
         kind = Permissiveness.INCOMPARABLE
-    w1 = () if is_empty_set(f1) else tuple(sample_from_set(f1, witness_count, seed))
-    w2 = () if is_empty_set(f2) else tuple(sample_from_set(f2, witness_count, seed))
+    w1 = tuple(_verified(f1, witness_count, seed, s1, s2))
+    w2 = tuple(_verified(f2, witness_count, seed, s2, s1))
     return PermissivenessVerdict(kind, w1, w2)

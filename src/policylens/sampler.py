@@ -3,25 +3,27 @@
 The draw is structure-biased, not uniform over the language: nested unions
 are collapsed into one child list and a child is picked uniformly; a star
 keeps looping while a uniform draw stays above a threshold that starts at
-``threshold`` and is multiplied by ``growth`` per iteration; a character
-class picks a member uniformly.  Union children with empty language are
-excluded before the pick, so every draw is a member of the language.
+``STAR_THRESHOLD`` and is multiplied by ``STAR_GROWTH`` per iteration; a
+character class picks a member uniformly.  Union children with empty
+language are excluded before the pick, so every draw is a member of the
+language.
 
-A star also stops once the accumulated output reaches ``max_length``, which
-keeps samples inside the model-counting window; output is never truncated
-mid-expansion, so strings may exceed the limit by one body expansion.
+A star also stops once the accumulated output reaches ``MAX_SAMPLE_LENGTH``;
+output is never truncated mid-expansion, so strings may exceed the limit by
+one body expansion.  At the default ``--bound`` of 100 this keeps samples
+inside the model-counting window; the constant does not follow ``--bound``.
 
 Each call first compiles the regex into a draw program, then runs its draws
 over the program's instructions rather than over AST nodes.  Every
 concatenation chain becomes one flat sequence; a run of single-character
 classes becomes one literal; a star over a character class becomes one inner
 loop; a union keeps its flattened non-empty children, each a sequence.
-:func:`sample`, :func:`sample_n` (one program for all its draws) and
-``requestsets.sample_from_set`` take their programs from :func:`_program`,
-which memoizes them in the active operation cache, so calls in one scope
-compile a regex once; nothing outlives the call or the scope.  Compilation
-walks the hash-consed DAG with an explicit work stack, so the very deep trees
-that state elimination builds need no recursion.
+:func:`sample` and :func:`sample_n` (one program for all its draws) take
+their programs from :func:`_program`, which memoizes them in the active
+operation cache, so calls in one scope compile a regex once; nothing
+outlives the call or the scope.  Compilation walks the hash-consed DAG with
+an explicit work stack, so the very deep trees that state elimination builds
+need no recursion.
 
 Only ``rng.getrandbits`` and ``rng.random`` are consumed, in the order a
 direct walker calling ``rng.choice`` consumes them, so for a fixed seed the
@@ -32,45 +34,34 @@ draws are identical to that walker's (kept as the test oracle
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .alphabet import chars_of
 from .automata import _memoized
 from .errors import EmptyLanguage
 from .regex import CharClass, Concat, RegexAst, Star, Union, union_children
 
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    threshold: float = 0.10
-    growth: float = 1.01
-    seed: int = 0
-    max_length: int = 100
-
-    def __post_init__(self) -> None:
-        if not 0 < self.threshold <= 1:
-            raise ValueError("threshold must be in (0, 1]")
-        if self.growth <= 1:
-            raise ValueError("growth must be greater than 1")
-        if self.max_length < 1:
-            raise ValueError("max_length must be at least 1")
+# Read by each draw when it runs, as the caps are; the seed is the only value
+# a caller passes.
+STAR_THRESHOLD = 0.10
+STAR_GROWTH = 1.01
+MAX_SAMPLE_LENGTH = 100
 
 
-def sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str:
+def sample(r: RegexAst, rng: random.Random) -> str:
     """One accepted string of ``r``.  Raises EmptyLanguage if L(r) is empty.
 
     Inside an operation cache scope the draw program is compiled once per
     regex and shared by every call."""
-    return _draw(_program(r), cfg, rng)
+    return _draw(_program(r), rng)
 
 
-def sample_n(r: RegexAst, n: int, cfg: SamplerConfig) -> set[str]:
+def sample_n(r: RegexAst, n: int, seed: int = 0) -> set[str]:
     """Distinct strings from ``n`` draws, deterministic for a given seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
     program = _program(r)
-    rng = random.Random(cfg.seed)
-    return {_draw(program, cfg, rng) for _ in range(n)}
+    rng = random.Random(seed)
+    return {_draw(program, rng) for _ in range(n)}
 
 
 # Instruction opcodes.  A sequence is a tuple of instructions stored in
@@ -193,7 +184,7 @@ def _shared_instruction(leaf: RegexAst, inner_seqs: list[tuple]) -> tuple:
     return (_STAR_CLASS, chars, len(chars), len(chars).bit_length())
 
 
-def _draw(program: tuple, cfg: SamplerConfig, rng: random.Random) -> str:
+def _draw(program: tuple, rng: random.Random) -> str:
     """The one draw loop: one string from a program made by :func:`_compile`.
 
     An index below ``n`` is drawn the way ``Random.choice`` draws it on
@@ -206,7 +197,7 @@ def _draw(program: tuple, cfg: SamplerConfig, rng: random.Random) -> str:
     """
     getrandbits = rng.getrandbits
     uniform = rng.random
-    threshold, growth, max_length = cfg.threshold, cfg.growth, cfg.max_length
+    threshold, growth, max_length = STAR_THRESHOLD, STAR_GROWTH, MAX_SAMPLE_LENGTH
     out: list[str] = []
     emit = out.append
     length = 0

@@ -33,7 +33,7 @@ from .requestsets import (
     project,
     set_difference,
 )
-from .sampler import SamplerConfig, sample_n
+from .sampler import sample_n
 
 
 @dataclass(frozen=True)
@@ -186,24 +186,18 @@ def _candidate_line(response: str) -> str | None:
 
 
 def generate_regex_from_llm(
-    extracted: RegexAst,
-    samples: list[str] | set[str],
+    prompt: str,
     provider: LlmProvider,
-    include_extracted: bool = False,
     attempt: int = 1,
-    *,
-    prompt: str | None = None,
     parsed: dict[str, RegexAst | str] | None = None,
 ) -> LlmCandidate:
-    """One provider attempt.  Transport failures raise ProviderError; a
-    response that does not parse is recorded on the candidate, not raised.
+    """One provider attempt on ``prompt`` (see :func:`build_prompt`).
+    Transport failures raise ProviderError; a response that does not parse
+    is recorded on the candidate, not raised.
 
-    A caller making several attempts may pass the ``prompt`` it built from
-    the same arguments, and a ``parsed`` dict shared by the attempts, which
-    maps each regex line to its AST or parse error so that a line is parsed
-    once."""
-    if prompt is None:
-        prompt = build_prompt(samples, print_regex(extracted) if include_extracted else None)
+    A caller making several attempts may pass a ``parsed`` dict shared by
+    the attempts, which maps each regex line to its AST or parse error so
+    that a line is parsed once."""
     response = provider.complete(prompt)
     line = _candidate_line(response)
     if line is None:
@@ -294,7 +288,7 @@ def summarize_set(
         extracted_text = print_regex(extracted)
 
     with timer.stage("sample"):
-        samples = sorted(sample_n(extracted, cfg.samples, SamplerConfig(seed=cfg.seed)))
+        samples = sorted(sample_n(extracted, cfg.samples, cfg.seed))
 
     with timer.stage("llm"):
         prompt = build_prompt(samples, extracted_text if cfg.include_extracted_in_prompt else None)
@@ -302,15 +296,7 @@ def summarize_set(
         candidates: list[LlmCandidate] = []
         for attempt in range(1, cfg.attempts + 1):
             try:
-                cand = generate_regex_from_llm(
-                    extracted,
-                    samples,
-                    provider,
-                    cfg.include_extracted_in_prompt,
-                    attempt,
-                    prompt=prompt,
-                    parsed=parsed,
-                )
+                cand = generate_regex_from_llm(prompt, provider, attempt, parsed)
             except ProviderError as e:
                 cand = LlmCandidate(attempt, None, None, error=f"provider: {e}")
             candidates.append(cand)

@@ -16,11 +16,11 @@ import re
 from functools import lru_cache
 from itertools import product
 
+from policylens import sampler
 from policylens.alphabet import FULL_MASK, chars_of
 from policylens.errors import EmptyLanguage
 from policylens.policy import Effect, PolicyDocument
 from policylens.regex import EPSILON, CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union, union_children
-from policylens.sampler import SamplerConfig
 
 
 @lru_cache(maxsize=100_000)
@@ -161,10 +161,14 @@ def moore_canonical(
     return rows, frozenset(order[block[s]] for s in reach if s in accepting)
 
 
-def reference_sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str:
+def reference_sample(r: RegexAst, rng: random.Random) -> str:
     """The sampler's draw as a direct walk of the AST, re-interpreting every
     node on every visit and picking with ``rng.choice``.  The engine's
-    sampler must make the same draws from the same random stream."""
+    sampler must make the same draws from the same random stream.  The star
+    threshold, its growth and the length budget are the sampler's module
+    constants, read when the walk runs."""
+    threshold, growth = sampler.STAR_THRESHOLD, sampler.STAR_GROWTH
+    max_length = sampler.MAX_SAMPLE_LENGTH
     if r.lang_empty:
         raise EmptyLanguage("cannot sample from the empty language")
     out: list[str] = []
@@ -188,15 +192,15 @@ def reference_sample(r: RegexAst, cfg: SamplerConfig, rng: random.Random) -> str
                 children = [c for c in union_children(node) if not c.lang_empty]
                 stack.append(("v", rng.choice(children)))
             elif isinstance(node, Star):
-                stack.append(("s", node.inner, cfg.threshold))
+                stack.append(("s", node.inner, threshold))
             else:
                 raise EmptyLanguage("cannot sample from the empty language")
         else:
             _, body, thresh = item
-            if length >= cfg.max_length:
+            if length >= max_length:
                 continue
             if rng.random() >= thresh:
-                stack.append(("s", body, thresh * cfg.growth))
+                stack.append(("s", body, thresh * growth))
                 stack.append(("v", body))
     return "".join(out)
 
@@ -205,13 +209,12 @@ def reference_sample_from_set(x, k: int, seed: int) -> list[dict[str, str]]:
     """``requestsets.sample_from_set`` with every dimension of every draw
     taken by :func:`reference_sample` from one shared generator: the cubes
     in turn, ``5k + 10`` draws at most, repeats dropped."""
-    cfg = SamplerConfig(seed=seed)
     rng = random.Random(seed)
     out: list[dict[str, str]] = []
     seen: set[tuple[str, ...]] = set()
     for draw in range(5 * k + 10):
         cube = x.cubes[draw % len(x.cubes)]
-        values = tuple(reference_sample(d.extract_regex(), cfg, rng) for d in cube.dfas)
+        values = tuple(reference_sample(d.extract_regex(), rng) for d in cube.dfas)
         if values not in seen:
             seen.add(values)
             out.append(dict(zip(x.schema.dimensions, values)))

@@ -34,7 +34,7 @@ from policylens.regex import (
     star,
 )
 from policylens.requestsets import compile_policy, contains, project
-from policylens.sampler import SamplerConfig, sample
+from policylens.sampler import sample
 from policylens.simplifier import SimplifierConfig, generate_summarization, quantify_similarity
 
 from conftest import (
@@ -242,14 +242,13 @@ UNION_CORPUS = ["ax|bx|cx|dx", "(foo)|(bar)", "aa|bb|cc", "(one)|(two)|(three)|(
 
 def test_criterion_06_sampler_soundness_and_uniformity():
     t0 = time.perf_counter()
-    cfg = SamplerConfig()
     total = 0
     for i, text in enumerate(SAMPLER_CORPUS):
         ast = parse_regex(text)
         dfa = from_regex(ast)
         rng = random.Random(600 + i)
         for _ in range(10_000):
-            assert dfa.accepts(sample(ast, cfg, rng)), text
+            assert dfa.accepts(sample(ast, rng)), text
             total += 1
     pvalues = []
     for i, text in enumerate(UNION_CORPUS):
@@ -257,7 +256,7 @@ def test_criterion_06_sampler_soundness_and_uniformity():
         rng = random.Random(660 + i)
         counts: dict[str, int] = {}
         for _ in range(5000):
-            s = sample(ast, cfg, rng)
+            s = sample(ast, rng)
             counts[s] = counts.get(s, 0) + 1
         assert len(counts) == len(text.split("|"))
         pvalues.append(chisquare(list(counts.values())).pvalue)

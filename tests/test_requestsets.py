@@ -282,6 +282,40 @@ def test_sample_requests_verified(music_doc):
         assert decide_request(music_doc, req) == Effect.DENY
 
 
+def _hand_over(monkeypatch, call, requests):
+    """Make the ``call``-th ``sample_from_set`` call (0-based) return
+    ``requests``; the other calls sample as usual."""
+    real = requestsets.sample_from_set
+    calls = []
+
+    def fake(x, k, seed=0):
+        calls.append(x)
+        return list(requests) if len(calls) == call + 1 else real(x, k, seed)
+
+    monkeypatch.setattr(requestsets, "sample_from_set", fake)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["allowed", "denied"])
+def test_sample_requests_rejects_a_request_outside_its_side(music_doc, monkeypatch, side):
+    drawn = sample_requests(music_doc, 2, seed=5)
+    # the side is handed the requests drawn for the other side
+    _hand_over(monkeypatch, side, drawn[1 - side])
+    with pytest.raises(RuntimeError, match="sampled request .* failed"):
+        sample_requests(music_doc, 2, seed=5)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+def test_compare_rejects_a_witness_outside_its_side(monkeypatch, side):
+    p1 = parse_policy('{"Statement": [{"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "a/*"}]}')
+    p2 = parse_policy('{"Statement": [{"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "b/*"}]}')
+    verdict = compare_policies(p1, p2, witness_count=2)
+    drawn = (verdict.witnesses_first, verdict.witnesses_second)
+    assert all(drawn)
+    _hand_over(monkeypatch, side, drawn[1 - side])
+    with pytest.raises(RuntimeError, match="sampled request .* failed"):
+        compare_policies(p1, p2, witness_count=2)
+
+
 def test_sample_requests_edge_cases(music_doc, deny_all_doc):
     assert sample_requests(music_doc, 0) == ([], [])
     allowed, denied = sample_requests(deny_all_doc, 1)

@@ -20,33 +20,31 @@ from policylens.requestsets import (
     set_difference,
     universe_set,
 )
-from policylens.sampler import SamplerConfig, sample, sample_n
+from policylens.sampler import sample, sample_n
 
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
 from oracles import reference_sample, reference_sample_from_set
 from test_regex import ast_strategy
 
-CFG = SamplerConfig()
-
 
 def test_constant_regex_samples_itself():
     rng = random.Random(0)
     r = parse_regex("hello, world")
-    assert all(sample(r, CFG, rng) == "hello, world" for _ in range(20))
+    assert all(sample(r, rng) == "hello, world" for _ in range(20))
 
 
 def test_empty_language_rejected():
     rng = random.Random(0)
     with pytest.raises(EmptyLanguage):
-        sample(EMPTY, CFG, rng)
+        sample(EMPTY, rng)
     with pytest.raises(EmptyLanguage):
-        sample(seq(literal("a"), EMPTY), CFG, rng)
+        sample(seq(literal("a"), EMPTY), rng)
     with pytest.raises(EmptyLanguage):
-        sample_n(EMPTY, 5, CFG)
+        sample_n(EMPTY, 5)
 
 
 def test_epsilon_samples_empty_string():
-    assert sample_n(parse_regex("a?"), 50, CFG) == {"", "a"}
+    assert sample_n(parse_regex("a?"), 50) == {"", "a"}
 
 
 def test_unbalanced_union_flattened_before_pick():
@@ -54,7 +52,7 @@ def test_unbalanced_union_flattened_before_pick():
     # the time rather than the 1/2 a recursive two-way pick would give
     r = parse_regex("ax|bx|cx|dx")
     rng = random.Random(5)
-    counts = Counter(sample(r, CFG, rng) for _ in range(4000))
+    counts = Counter(sample(r, rng) for _ in range(4000))
     assert set(counts) == {"ax", "bx", "cx", "dx"}
     for c in counts.values():
         assert 800 < c < 1200
@@ -62,55 +60,48 @@ def test_unbalanced_union_flattened_before_pick():
 
 def test_deterministic_for_seed():
     r = parse_regex("(a|bc)*d")
-    a = [sample(r, CFG, random.Random(42)) for _ in range(10)]
-    b = [sample(r, CFG, random.Random(42)) for _ in range(10)]
+    a = [sample(r, random.Random(42)) for _ in range(10)]
+    b = [sample(r, random.Random(42)) for _ in range(10)]
     assert a == b
-    assert sample_n(r, 200, SamplerConfig(seed=7)) == sample_n(r, 200, SamplerConfig(seed=7))
+    assert sample_n(r, 200, seed=7) == sample_n(r, 200, seed=7)
 
 
 def test_different_seeds_diverge():
     r = parse_regex("[a-z]{10}")
-    assert sample_n(r, 5, SamplerConfig(seed=1)) != sample_n(r, 5, SamplerConfig(seed=2))
+    assert sample_n(r, 5, seed=1) != sample_n(r, 5, seed=2)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(threshold=0.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(threshold=1.5)
-    with pytest.raises(ValueError):
-        SamplerConfig(growth=1.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(max_length=0)
-    with pytest.raises(ValueError):
-        sample_n(parse_regex("a"), 0, CFG)
+        sample_n(parse_regex("a"), 0)
 
 
 def test_char_class_pick_roughly_uniform():
     # "a|b|c|d" folds into one character class; the member pick is uniform
     r = parse_regex("a|b|c|d")
     rng = random.Random(3)
-    counts = Counter(sample(r, CFG, rng) for _ in range(4000))
+    counts = Counter(sample(r, rng) for _ in range(4000))
     assert set(counts) == {"a", "b", "c", "d"}
     for c in counts.values():
         assert 800 < c < 1200
 
 
-def test_star_respects_length_budget():
-    cfg = SamplerConfig(threshold=0.9, max_length=20)
+def test_star_respects_length_budget(monkeypatch):
+    monkeypatch.setattr(sampler, "STAR_THRESHOLD", 0.9)
+    monkeypatch.setattr(sampler, "MAX_SAMPLE_LENGTH", 20)
     body = "abcde"
     r = star(literal(body))
     rng = random.Random(11)
     for _ in range(200):
-        s = sample(r, cfg, rng)
+        s = sample(r, rng)
         # once the budget is reached no further expansion starts, so the
         # overshoot is bounded by one body length
-        assert len(s) < cfg.max_length + len(body)
+        assert len(s) < 20 + len(body)
 
 
 def test_star_lengths_vary():
     r = parse_regex("a*")
-    lengths = {len(s) for s in sample_n(r, 500, SamplerConfig(seed=0, threshold=0.1))}
+    lengths = {len(s) for s in sample_n(r, 500)}
     assert 0 in lengths and len(lengths) > 3
 
 
@@ -119,12 +110,12 @@ def test_star_lengths_vary():
 def test_samples_are_members(r):
     if r.lang_empty:
         with pytest.raises(EmptyLanguage):
-            sample(r, CFG, random.Random(0))
+            sample(r, random.Random(0))
         return
     dfa = from_regex(r)
     rng = random.Random(0)
     for _ in range(5):
-        assert dfa.accepts(sample(r, CFG, rng))
+        assert dfa.accepts(sample(r, rng))
 
 
 def test_wide_regex_membership():
@@ -132,7 +123,7 @@ def test_wide_regex_membership():
     for text in pats:
         r = parse_regex(text)
         dfa = from_regex(r)
-        samples = sample_n(r, 300, SamplerConfig(seed=13))
+        samples = sample_n(r, 300, seed=13)
         assert samples
         for s in samples:
             assert dfa.accepts(s), (text, s)
@@ -144,16 +135,18 @@ def test_wide_regex_membership():
 @settings(max_examples=150, deadline=None)
 @given(ast_strategy(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 100]))
 def test_sample_draws_as_reference_walker(r, seed, max_length):
-    cfg = SamplerConfig(seed=seed, max_length=max_length)
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    if r.lang_empty:
-        with pytest.raises(EmptyLanguage):
-            sample(r, cfg, rng)
-        with pytest.raises(EmptyLanguage):
-            reference_sample(r, cfg, ref_rng)
-        return
-    draws = [sample(r, cfg, rng) for _ in range(20)]
-    assert draws == [reference_sample(r, cfg, ref_rng) for _ in range(20)]
+    # the monkeypatch fixture would span every example hypothesis runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "MAX_SAMPLE_LENGTH", max_length)
+        if r.lang_empty:
+            with pytest.raises(EmptyLanguage):
+                sample(r, rng)
+            with pytest.raises(EmptyLanguage):
+                reference_sample(r, ref_rng)
+            return
+        draws = [sample(r, rng) for _ in range(20)]
+        assert draws == [reference_sample(r, ref_rng) for _ in range(20)]
     # the same random numbers were consumed, not just the same strings made
     assert rng.getstate() == ref_rng.getstate()
 
@@ -170,24 +163,22 @@ def _resource_regexes():
 
 @pytest.mark.parametrize("r", _resource_regexes())
 def test_sample_n_draws_as_reference_walker(r):
-    cfg = SamplerConfig()
-    rng = random.Random(cfg.seed)
-    assert sample_n(r, 1000, cfg) == {reference_sample(r, cfg, rng) for _ in range(1000)}
+    rng = random.Random(0)
+    assert sample_n(r, 1000) == {reference_sample(r, rng) for _ in range(1000)}
 
 
 @pytest.mark.parametrize("text", [MUSIC_REGEX, "(a|bc)*d", "[a-z]{10}", "x(y|z*)?"])
 @pytest.mark.parametrize("n", [1, 50])
 def test_sample_n_is_the_set_of_n_sample_draws(text, n):
     r = parse_regex(text)
-    cfg = SamplerConfig(seed=9)
-    rng = random.Random(cfg.seed)
-    assert sample_n(r, n, cfg) == {sample(r, cfg, rng) for _ in range(n)}
+    rng = random.Random(9)
+    assert sample_n(r, n, seed=9) == {sample(r, rng) for _ in range(n)}
 
 
-def _assert_draws_as_reference(r, cfg, draws=20):
-    rng, ref_rng = random.Random(cfg.seed), random.Random(cfg.seed)
-    assert [sample(r, cfg, rng) for _ in range(draws)] == [
-        reference_sample(r, cfg, ref_rng) for _ in range(draws)
+def _assert_draws_as_reference(r, seed, draws=20):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert [sample(r, rng) for _ in range(draws)] == [
+        reference_sample(r, ref_rng) for _ in range(draws)
     ]
     assert rng.getstate() == ref_rng.getstate()
 
@@ -222,16 +213,16 @@ def _nested_star_unions(depth: int):
     ids=["literal-5000", "unions-2000", "stars-2000", "star-unions-2000"],
 )
 @pytest.mark.parametrize("max_length", [3, 100])
-def test_deep_trees_draw_as_reference_walker(r, max_length):
+def test_deep_trees_draw_as_reference_walker(r, max_length, monkeypatch):
     # deeper than the default recursion limit: compiling needs no recursion
-    cfg = SamplerConfig(seed=4, max_length=max_length)
-    _assert_draws_as_reference(r, cfg)
-    rng = random.Random(cfg.seed)
-    assert sample_n(r, 50, cfg) == {reference_sample(r, cfg, rng) for _ in range(50)}
+    monkeypatch.setattr(sampler, "MAX_SAMPLE_LENGTH", max_length)
+    _assert_draws_as_reference(r, seed=4)
+    rng = random.Random(4)
+    assert sample_n(r, 50, seed=4) == {reference_sample(r, rng) for _ in range(50)}
 
 
 def test_deep_literal_is_drawn_whole():
-    assert sample_n(literal("a" * 5000), 3, CFG) == {"a" * 5000}
+    assert sample_n(literal("a" * 5000), 3) == {"a" * 5000}
 
 
 FUSED_SHAPES = {
@@ -250,9 +241,10 @@ FUSED_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(FUSED_SHAPES))
 @pytest.mark.parametrize("max_length", [1, 3, 100])
 @pytest.mark.parametrize("threshold", [0.01, 0.1, 1.0])
-def test_fused_shapes_draw_as_reference_walker(shape, max_length, threshold):
-    cfg = SamplerConfig(seed=17, threshold=threshold, max_length=max_length)
-    _assert_draws_as_reference(FUSED_SHAPES[shape], cfg, draws=50)
+def test_fused_shapes_draw_as_reference_walker(shape, max_length, threshold, monkeypatch):
+    monkeypatch.setattr(sampler, "STAR_THRESHOLD", threshold)
+    monkeypatch.setattr(sampler, "MAX_SAMPLE_LENGTH", max_length)
+    _assert_draws_as_reference(FUSED_SHAPES[shape], seed=17, draws=50)
 
 
 # --- request sets ---------------------------------------------------------------
@@ -280,17 +272,16 @@ def test_sample_in_one_scope_compiles_once(monkeypatch):
     real = sampler._compile
     monkeypatch.setattr(sampler, "_compile", lambda r: calls.append(r) or real(r))
     r = from_pattern("*a?????").extract_regex()
-    cfg = SamplerConfig(seed=11)
     rng, ref_rng = random.Random(11), random.Random(11)
     with operation_cache():
-        draws = [sample(r, cfg, rng) for _ in range(100)]
+        draws = [sample(r, rng) for _ in range(100)]
     # compared by identity: printing this regex for a failure report takes minutes
     assert [c is r for c in calls] == [True]
-    assert draws == [reference_sample(r, cfg, ref_rng) for _ in range(100)]
+    assert draws == [reference_sample(r, ref_rng) for _ in range(100)]
     assert rng.getstate() == ref_rng.getstate()
     # outside a scope each call compiles afresh, with the same draws
     rng = random.Random(11)
-    assert [sample(r, cfg, rng) for _ in range(3)] == draws[:3]
+    assert [sample(r, rng) for _ in range(3)] == draws[:3]
     assert len(calls) == 4
 
 

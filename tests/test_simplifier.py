@@ -88,30 +88,30 @@ def test_build_prompt_shape():
 
 
 def test_generate_candidate_parses_response():
-    cand = generate_regex_from_llm(parse_regex("a*"), ["a"], MockProvider(script=["a*b?"]))
+    cand = generate_regex_from_llm(build_prompt(["a"]), MockProvider(script=["a*b?"]))
     assert cand.regex_text == "a*b?" and cand.error is None and cand.ast is not None
 
 
 def test_generate_candidate_strips_fences_and_prose():
     provider = MockProvider(script=["Here is the regex:\n```\nab*c\n```"])
-    cand = generate_regex_from_llm(parse_regex("a"), ["a"], provider)
+    cand = generate_regex_from_llm(build_prompt(["a"]), provider)
     assert cand.regex_text == "ab*c"
 
 
 def test_generate_candidate_unparseable_recorded():
-    cand = generate_regex_from_llm(parse_regex("a"), ["a"], MockProvider(script=["a(?=b)"]))
+    cand = generate_regex_from_llm(build_prompt(["a"]), MockProvider(script=["a(?=b)"]))
     assert cand.ast is None and cand.regex_text == "a(?=b)"
     assert cand.error and "unparseable" in cand.error
 
 
 def test_generate_candidate_blank_response():
-    cand = generate_regex_from_llm(parse_regex("a"), ["a"], MockProvider(script=["\n\n"]))
+    cand = generate_regex_from_llm(build_prompt(["a"]), MockProvider(script=["\n\n"]))
     assert cand.ast is None and cand.regex_text is None and cand.error
 
 
 def test_generate_candidate_transport_failure_raises():
     with pytest.raises(ProviderError):
-        generate_regex_from_llm(parse_regex("a"), ["a"], MockProvider(script=[MOCK_TIMEOUT]))
+        generate_regex_from_llm(build_prompt(["a"]), MockProvider(script=[MOCK_TIMEOUT]))
 
 
 def test_summarize_music_accepts_exact_candidate(music_doc):
@@ -178,12 +178,10 @@ def _per_attempt_candidates(request_set, cfg, provider):
     """Candidates as each attempt makes them on its own: its own prompt and
     its own parse."""
     report = summarize_set(request_set, cfg, MockProvider(script=[MOCK_TIMEOUT]))
-    extracted = parse_regex(report.extracted_regex)
+    hint = report.extracted_regex if cfg.include_extracted_in_prompt else None
     out = []
     for attempt in range(1, cfg.attempts + 1):
-        cand = generate_regex_from_llm(
-            extracted, report.samples, provider, cfg.include_extracted_in_prompt, attempt
-        )
+        cand = generate_regex_from_llm(build_prompt(report.samples, hint), provider, attempt)
         out.append({k: v for k, v in cand.to_dict().items() if k != "similarity"})
     return out
 
