@@ -34,25 +34,29 @@ intersections of the two rows' masks weighted by their sizes, and stops at
 the first empty level, so a finite language costs its longest string.  It
 too raises :class:`~policylens.errors.StateBlowup` once its distinct pairs
 exceed the state cap.  :meth:`Dfa.count_models` is this walk against the
-universe, and summarization scores a candidate by walking its unminimized
-subset table (:func:`_subset_rows`) against the exact language and against
-the universe.
+universe.  :func:`similarity_counts` is the one scoring function: it walks a
+candidate regex's unminimized subset table (:func:`_subset_rows`) against
+the exact language and against the universe, for the (intersection, union)
+counts behind a Jaccard similarity.
 The tests check the walk against the product-then-count path and against
 exhaustive enumeration.
 
 Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 :meth:`Dfa.intersect` and :meth:`Dfa.difference` are memoized on
-``(op, left, right)``, :func:`from_pattern` on ``("pattern", text)``, and
-the sampler's draw programs on ``("program", regex)``.  The policy-level
-entry points (compilation, comparison, sampling,
-summarization) and the ``count`` and ``requests`` commands each enter a
-scope.  The scope is re-entrant: nested scopes share the outermost one's
-table, which is dropped when the outermost scope exits.  A scope spans one
-command, so memory is bounded by that command's work and there is no size
-setting; it is not meant to be held open across commands.  Cached values are
-the ones a fresh build returns, and a build that raises stores nothing.  No
-key holds the state cap: one command runs under one cap.  Outside a scope
-every operation is computed afresh.
+``(op, left, right)``, :func:`from_pattern` on ``("pattern", text)``,
+:meth:`Dfa.count_models` on ``("count", dfa, bound)``,
+:func:`similarity_counts` on ``("similarity", exact, candidate, bound)``,
+draw programs on ``("program", regex)``, extracted regexes on
+``("extract", dfa)`` and candidate parses on ``("parse", line)``.  The
+policy-level entry points (compilation, comparison, sampling, summarization)
+and the ``count`` and ``requests`` commands each enter a scope.  The scope
+is re-entrant: nested scopes share the outermost one's table, which is
+dropped when the outermost scope exits.  A scope spans one command, so
+memory is bounded by that command's work and there is no size setting; it is
+not meant to be held open across commands.  Cached values are the ones a
+fresh build returns, and a build that raises stores nothing.  No key holds
+the state cap: one command runs under one cap.  Outside a scope every
+operation is computed afresh.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ _ACTIVE: ContextVar[OperationCache | None] = ContextVar("policylens_operation_ca
 
 @contextmanager
 def operation_cache() -> Iterator[OperationCache]:
-    """Scope in which DFA products and pattern compiles are memoized.
+    """Scope in which the operations the module docstring lists are memoized.
 
     Re-entrant: an inner scope yields the enclosing scope's cache.  The cache
     is dropped when the outermost scope exits, by return or by exception.
@@ -226,9 +230,8 @@ class Dfa:
     # -- boolean algebra ------------------------------------------------------
 
     def complement(self) -> "Dfa":
-        rows = [list(row) for row in self.transitions]
-        accepting = set(range(len(rows))) - self.accepting
-        return _canonicalize(rows, 0, accepting)
+        # A minimal, total, BFS-numbered DFA stays canonical when flipped.
+        return Dfa(self.transitions, frozenset(range(self.state_count)) - self.accepting)
 
     def union(self, other: "Dfa") -> "Dfa":
         return _cached_product("union", self, other)
@@ -243,8 +246,7 @@ class Dfa:
 
     def count_models(self, bound: int) -> int:
         """Exact number of accepted strings of length 0 through ``bound``."""
-        # Against the universe the walk reaches one pair per state at most.
-        return _count_common(self.table, UNIVERSE_TABLE, bound, self.state_count)
+        return _memoized(("count", self, bound), _count_common, self.table, UNIVERSE_TABLE, bound)
 
     @property
     def table(self) -> _Table:
@@ -526,18 +528,15 @@ def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
 # -- model counting ------------------------------------------------------------
 
 
-def _count_common(a: _Table, b: _Table, bound: int, state_cap: int | None = None) -> int:
+def _count_common(a: _Table, b: _Table, bound: int) -> int:
     """Exact number of strings of length 0 through ``bound`` accepted by both
     deterministic tables, by the counting walk the module docstring describes.
 
     A level maps each reached pair of states to the number of strings of that
     length leading to it; a pair's weighted successors are built once.
-    Raises StateBlowup once it reaches more than ``state_cap`` distinct
-    pairs, the module's state cap unless given."""
+    Raises StateBlowup once its distinct pairs exceed the state cap."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if state_cap is None:
-        state_cap = DEFAULT_STATE_CAP
     (a_rows, a_acc), (b_rows, b_acc) = a, b
     a_live, b_live = _live_states(a_rows, a_acc), _live_states(b_rows, b_acc)
     if not (a_live[0] and b_live[0]):
@@ -570,9 +569,9 @@ def _count_common(a: _Table, b: _Table, bound: int, state_cap: int | None = None
                             key = (ta, tb)
                             q = index.get(key)
                             if q is None:
-                                if len(pairs) >= state_cap:
+                                if len(pairs) >= DEFAULT_STATE_CAP:
                                     raise StateBlowup(
-                                        f"counting walk exceeded the state cap of {state_cap}"
+                                        f"counting walk exceeded the state cap of {DEFAULT_STATE_CAP}"
                                     )
                                 q = index[key] = len(pairs)
                                 pairs.append(key)
@@ -586,6 +585,18 @@ def _count_common(a: _Table, b: _Table, bound: int, state_cap: int | None = None
             break
         level = nxt
     return total
+
+
+def similarity_counts(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int, int]:
+    """The (intersection, union) counts, within ``bound``, of the languages
+    of ``exact`` and ``candidate``, by the walks described above."""
+    return _memoized(("similarity", exact, candidate, bound), _similarity, exact, candidate, bound)
+
+
+def _similarity(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int, int]:
+    table = _subset_rows(candidate)
+    inter = _count_common(exact.table, table, bound)
+    return inter, exact.count_models(bound) + _count_common(table, UNIVERSE_TABLE, bound) - inter
 
 
 def _live_states(rows: Sequence[Sequence[tuple[int, int]]], accepting: AbstractSet[int]) -> list[bool]:

@@ -7,7 +7,7 @@ differences), ``count`` (bounded model count of one dimension), ``requests``
 
 Exit codes: 0 success; 1 input/syntax/schema problems; 2 automaton or cube
 blowup; 3 provider failure with fallback disabled; 4 partial output because
-a requested sample side is empty.
+a requested sample side is empty; 5 a sampled request failed verification.
 
 The full report goes to ``--out`` (or standard output) as json or text; a
 one-line human summary always goes to standard output.  ``--no-timestamp``
@@ -27,7 +27,7 @@ import click
 
 from . import __version__
 from .automata import operation_cache
-from .errors import CubeBlowup, PolicyLensError, ProviderError, StateBlowup
+from .errors import CubeBlowup, PolicyLensError, ProviderError, StateBlowup, VerificationError
 from .policy import PolicyDocument, parse_policy
 from .providers import LlmProvider, load_provider
 from .requestsets import compare_policies, compile_policy, project, sample_requests
@@ -43,6 +43,7 @@ EXIT_INPUT = 1
 EXIT_BLOWUP = 2
 EXIT_PROVIDER = 3
 EXIT_PARTIAL = 4
+EXIT_VERIFICATION = 5
 
 DEFAULT_SEED = 0
 
@@ -144,6 +145,8 @@ def _run_guarded(fn, *args, **kwargs):
         _fail(str(e), EXIT_BLOWUP)
     except ProviderError as e:
         _fail(str(e), EXIT_PROVIDER)
+    except VerificationError as e:
+        _fail(str(e), EXIT_VERIFICATION)
     except PolicyLensError as e:
         _fail(str(e), EXIT_INPUT)
 

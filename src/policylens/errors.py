@@ -43,3 +43,7 @@ class InsufficientLanguage(PolicyLensError):
 
 class ProviderError(PolicyLensError):
     """An LLM provider failed (transport error or timeout) after its retry budget."""
+
+
+class VerificationError(PolicyLensError, RuntimeError):
+    """A sampled request failed its re-check against the exact request sets."""

@@ -322,7 +322,7 @@ class _Parser:
             return ANY_CHAR
         if ch == "\\":
             self.pos += 1
-            return char_class(self.parse_escape(in_class=False))
+            return char_class(self.parse_escape())
         if ch in _QUANT_START:
             raise self.error(f"quantifier {ch!r} has nothing to repeat")
         if ch == "}" or ch == "]":
@@ -352,7 +352,7 @@ class _Parser:
         self.expect(")")
         return node
 
-    def parse_escape(self, in_class: bool) -> int:
+    def parse_escape(self) -> int:
         """Mask denoted by the escape following a consumed backslash."""
         ch = self.peek()
         if ch is None:
@@ -414,7 +414,7 @@ class _Parser:
         """One class member: (mask, single-char-or-None for range endpoints)."""
         ch = self.take()
         if ch == "\\":
-            mask = self.parse_escape(in_class=True)
+            mask = self.parse_escape()
             if mask.bit_count() == 1:
                 return mask, chars_of(mask)
             return mask, None

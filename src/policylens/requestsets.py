@@ -28,7 +28,7 @@ from .automata import (
     operation_cache,
     universe_dfa,
 )
-from .errors import CubeBlowup, InsufficientLanguage, SchemaError
+from .errors import CubeBlowup, InsufficientLanguage, SchemaError, VerificationError
 from .policy import Effect, PolicyDocument, WildcardPattern
 from .sampler import sample
 from .regex import RegexAst
@@ -149,16 +149,15 @@ def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
 
     Term i keeps intersections on dimensions before i, the difference on
     dimension i, and a's own components after i.  Once a prefix intersection
-    is empty every later term is empty too."""
+    is empty every later term is empty too.  No term is empty: a request set
+    drops empty cubes, so a's components are not."""
     out: list[RequestCube] = []
     prefix: list[Dfa] = []
     k = len(a.dfas)
     for i in range(k):
         diff = a.dfas[i].difference(b.dfas[i])
         if not diff.is_empty():
-            cube = RequestCube(tuple(prefix) + (diff,) + a.dfas[i + 1 :])
-            if not cube.is_empty():
-                out.append(cube)
+            out.append(RequestCube(tuple(prefix) + (diff,) + a.dfas[i + 1 :]))
         if i + 1 < k:
             inter = a.dfas[i].intersect(b.dfas[i])
             if inter.is_empty():
@@ -300,7 +299,7 @@ def _verified(
     reqs = [] if is_empty_set(side) else sample_from_set(side, k, seed)
     for req in reqs:
         if not contains(inside, req) or contains(outside, req):
-            raise RuntimeError(f"sampled request {req!r} failed verification")
+            raise VerificationError(f"sampled request {req!r} failed verification")
     return reqs
 
 

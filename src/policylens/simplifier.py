@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .automata import UNIVERSE_TABLE, _count_common, _subset_rows, _Table, operation_cache
+from .automata import Dfa, _memoized, from_regex, operation_cache, similarity_counts
 from .errors import PolicyLensError, ProviderError, RegexSyntaxError
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
@@ -123,23 +123,13 @@ def fraction_str(j: Fraction) -> str:
 
 def quantify_similarity(r1: RegexAst, r2: RegexAst, bound: int) -> Fraction:
     """Jaccard similarity of the two languages restricted to length <= bound."""
-    t1 = _subset_rows(r1)
-    j, _ = _similarity_counts(t1, _count_common(t1, UNIVERSE_TABLE, bound), _subset_rows(r2), bound)
-    return j
+    return _jaccard(from_regex(r1), r2, bound)
 
 
-def _similarity_counts(t1: _Table, count1: int, t2: _Table, bound: int) -> tuple[Fraction, tuple[int, int]]:
-    """Jaccard similarity of the languages of two deterministic tables within
-    ``bound``, with the (intersection, union) counts behind it.  ``count1``
-    is the first table's count, which a caller scoring several candidates
-    against one language counts once.  Both counts of the second table come
-    from counting walks; no product automaton is built or minimized."""
-    inter = _count_common(t1, t2, bound)
-    union = count1 + _count_common(t2, UNIVERSE_TABLE, bound) - inter
-    if union == 0:
-        # Both languages empty within the bound: equal, so similarity 1.
-        return Fraction(1), (0, 0)
-    return Fraction(inter, union), (inter, union)
+def _jaccard(exact: Dfa, candidate: RegexAst, bound: int) -> Fraction:
+    inter, union = similarity_counts(exact, candidate, bound)
+    # Both languages empty within the bound: equal, so similarity 1.
+    return Fraction(inter, union) if union else Fraction(1)
 
 
 PROMPT_DIALECT = (
@@ -185,34 +175,27 @@ def _candidate_line(response: str) -> str | None:
     return None
 
 
-def generate_regex_from_llm(
-    prompt: str,
-    provider: LlmProvider,
-    attempt: int = 1,
-    parsed: dict[str, RegexAst | str] | None = None,
-) -> LlmCandidate:
+def generate_regex_from_llm(prompt: str, provider: LlmProvider, attempt: int = 1) -> LlmCandidate:
     """One provider attempt on ``prompt`` (see :func:`build_prompt`).
     Transport failures raise ProviderError; a response that does not parse
-    is recorded on the candidate, not raised.
-
-    A caller making several attempts may pass a ``parsed`` dict shared by
-    the attempts, which maps each regex line to its AST or parse error so
-    that a line is parsed once."""
+    is recorded on the candidate, not raised.  Inside an operation cache
+    scope each regex line is parsed once, however many attempts return it."""
     response = provider.complete(prompt)
     line = _candidate_line(response)
     if line is None:
         return LlmCandidate(attempt, response, None, error="no regex line in response")
-    if parsed is None:
-        parsed = {}
-    if line not in parsed:
-        try:
-            parsed[line] = parse_regex(line)
-        except (RegexSyntaxError, PolicyLensError) as e:
-            parsed[line] = f"unparseable: {e}"
-    outcome = parsed[line]
+    outcome = _memoized(("parse", line), _parse_candidate, line)
     if isinstance(outcome, str):
         return LlmCandidate(attempt, response, line, error=outcome)
     return LlmCandidate(attempt, response, line, ast=outcome)
+
+
+def _parse_candidate(line: str) -> RegexAst | str:
+    """The line's AST, or its parse error as text."""
+    try:
+        return parse_regex(line)
+    except (RegexSyntaxError, PolicyLensError) as e:
+        return f"unparseable: {e}"
 
 
 def _config_echo(cfg: SimplifierConfig, provider: LlmProvider) -> dict:
@@ -264,6 +247,7 @@ class _StageTimer:
         return self.timings
 
 
+@operation_cache()
 def summarize_set(
     request_set: RequestSet,
     cfg: SimplifierConfig,
@@ -292,48 +276,31 @@ def summarize_set(
 
     with timer.stage("llm"):
         prompt = build_prompt(samples, extracted_text if cfg.include_extracted_in_prompt else None)
-        parsed: dict[str, RegexAst | str] = {}
         candidates: list[LlmCandidate] = []
         for attempt in range(1, cfg.attempts + 1):
             try:
-                cand = generate_regex_from_llm(prompt, provider, attempt, parsed)
+                cand = generate_regex_from_llm(prompt, provider, attempt)
             except ProviderError as e:
                 cand = LlmCandidate(attempt, None, None, error=f"provider: {e}")
             candidates.append(cand)
 
-    if not cfg.fallback and all(
-        c.response is None and c.error is not None for c in candidates
-    ):
+    if not cfg.fallback and all(c.response is None for c in candidates):
         raise ProviderError("all provider attempts failed and fallback is disabled")
 
     with timer.stage("similarity"):
-        counts_by_attempt: dict[int, tuple[int, int]] = {}
-        # Attempts often return the same regex; ASTs are interned, so each
-        # distinct candidate is compiled and counted once, and the projection
-        # once for all of them.  A candidate is counted from its unminimized
-        # subset table: the score needs two integers, not a canonical DFA.
-        scores: dict[RegexAst, tuple[Fraction, tuple[int, int]]] = {}
-        exact_count: int | None = None
+        # Attempts often return the same regex; ASTs are interned, so the
+        # operation cache scores each distinct candidate once, and counts
+        # the projection once for all of them.
         for cand in candidates:
             if cand.ast is not None:
-                if cand.ast not in scores:
-                    if exact_count is None:
-                        exact_count = _count_common(dfa.table, UNIVERSE_TABLE, cfg.bound)
-                    scores[cand.ast] = _similarity_counts(
-                        dfa.table, exact_count, _subset_rows(cand.ast), cfg.bound
-                    )
-                cand.similarity, counts_by_attempt[cand.attempt] = scores[cand.ast]
+                cand.similarity = _jaccard(dfa, cand.ast, cfg.bound)
 
     scored = [c for c in candidates if c.similarity is not None]
-    best = (
-        max(scored, key=lambda c: (c.similarity, -len(c.regex_text), -c.attempt))
-        if scored
-        else None
-    )
+    best = max(scored, key=lambda c: (c.similarity, -len(c.regex_text), -c.attempt), default=None)
     # Exact-decimal threshold: Fraction("0.8") is 4/5, unlike the float 0.8.
     if best is not None and best.similarity >= Fraction(str(cfg.threshold)):
         chosen, source, fallback = best.regex_text, "candidate", False
-        similarity, counts = best.similarity, counts_by_attempt[best.attempt]
+        similarity, counts = best.similarity, similarity_counts(dfa, best.ast, cfg.bound)
     else:
         # Chosen output is the exact extracted regex; scores stay per-candidate.
         chosen, source, fallback = extracted_text, "extracted", True

@@ -12,6 +12,7 @@ from policylens.automata import (
     _KEEP,
     UNIVERSE_TABLE,
     Dfa,
+    _canonicalize,
     _count_common,
     _product,
     _subset_rows,
@@ -63,6 +64,24 @@ def test_boolean_algebra_examples():
     assert a_star.union(empty_dfa()) == a_star
     assert a_star.difference(a_star).is_empty()
     assert a_star.difference(universe_dfa()).is_empty()
+
+
+def _complement_oracle(d: Dfa) -> Dfa:
+    """The complement by flipping acceptance and re-canonicalizing."""
+    rows = [list(row) for row in d.transitions]
+    return _canonicalize(rows, 0, set(range(d.state_count)) - d.accepting)
+
+
+def test_complement_is_canonical_on_corpus_components():
+    checked = 0
+    for path in corpus_paths():
+        for cube in compile_policy(parse_policy(path.read_text())).cubes:
+            for d in cube.dfas:
+                assert d.complement() == _complement_oracle(d), path.name
+                checked += 1
+    assert checked >= 40
+    assert universe_dfa().complement() == empty_dfa() == _complement_oracle(universe_dfa())
+    assert empty_dfa().complement() == universe_dfa()
 
 
 def test_complement_involution_and_partition():
@@ -206,26 +225,40 @@ def test_counting_walk_enforces_the_state_cap(monkeypatch):
     inter = from_regex(parse_regex("(a|b)*abb(a|b)*")).intersect(from_pattern("*a??"))
     full = _count_common(a, b, 8)
     assert full == reference_count_models(*inter.table, 8)
-    with pytest.raises(StateBlowup):
-        _count_common(a, b, 8, state_cap=3)
-    # the cap bounds distinct pairs, not levels: a walk inside it never raises
-    reached = next(cap for cap in range(1, 100) if _try_count(a, b, 20, cap))
-    assert reached > 3
-    assert _count_common(a, b, 10**4, state_cap=reached) > full
     with pytest.raises(ValueError):
         _count_common(a, b, -1)
-    # without an explicit cap the walk reads the module's, when it runs
+    # the walk reads the module's cap when it runs
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 3)
     with pytest.raises(StateBlowup, match="counting walk exceeded the state cap of 3"):
         _count_common(a, b, 8)
+    # the cap bounds distinct pairs, not levels: a walk inside it never raises
+    reached = next(cap for cap in range(1, 100) if _try_count(monkeypatch, a, b, 20, cap))
+    assert reached > 3
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", reached)
+    assert _count_common(a, b, 10**4) > full
 
 
-def _try_count(a, b, bound, cap) -> bool:
+def _try_count(monkeypatch, a, b, bound, cap) -> bool:
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
     try:
-        _count_common(a, b, bound, state_cap=cap)
+        _count_common(a, b, bound)
     except StateBlowup:
         return False
     return True
+
+
+def test_count_models_is_memoized_per_scope(monkeypatch):
+    d = from_pattern("*a?")
+    walks = []
+    real = automata._count_common
+    monkeypatch.setattr(automata, "_count_common", lambda *args: walks.append(args) or real(*args))
+    with operation_cache() as cache:
+        assert d.count_models(5) == d.count_models(5) == reference_count_models(*d.table, 5)
+        assert d.count_models(4) == reference_count_models(*d.table, 4)
+        assert cache.hits == 1
+    assert walks == [(d.table, UNIVERSE_TABLE, 5), (d.table, UNIVERSE_TABLE, 4)]
+    d.count_models(5)  # outside a scope every count is computed afresh
+    assert len(walks) == 3
 
 
 # -- operation cache -----------------------------------------------------------
@@ -389,6 +422,13 @@ def test_from_regex_membership_matches_oracle(r):
     d = from_regex(r)
     for s in strings_up_to(SMALL, 3):
         assert d.accepts(s) == re_accepts(r, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_regex())
+def test_complement_matches_the_canonicalizing_oracle(r):
+    d = from_regex(r)
+    assert d.complement() == _complement_oracle(d)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,9 +14,10 @@ from policylens.cli import main
 from policylens.errors import StateBlowup
 from policylens.policy import parse_policy
 from policylens.providers import MOCK_TIMEOUT
-from policylens.requestsets import compile_policy, sample_requests
+from policylens.requestsets import compare_policies, compile_policy, sample_requests
 
 from conftest import ALLOW_ALL_POLICY, DENY_ALL_POLICY, MUSIC_POLICY, MUSIC_REGEX, corpus_paths
+from test_requestsets import _hand_over
 
 MUSIC = str(MUSIC_POLICY)
 DENY_ALL = str(DENY_ALL_POLICY)
@@ -256,6 +257,27 @@ def test_lowered_state_cap_stops_policy_compilation(runner, monkeypatch):
         assert result.exit_code == 2, result.output
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
+
+
+def test_failed_verification_exits_5(runner, monkeypatch, tmp_path):
+    # Each command's first sampled side is handed the other side's requests.
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for path, resource in ((first, "a/*"), (second, "b/*")):
+        path.write_text(json.dumps({"Statement": [
+            {"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": resource}]}))
+    doc1, doc2 = (parse_policy(p.read_text()) for p in (first, second))
+    cases = [
+        (["requests", MUSIC, "-k", "2"], sample_requests(parse_policy(MUSIC_POLICY.read_text()), 2)[1]),
+        (["compare", str(first), str(second)], compare_policies(doc1, doc2).witnesses_second),
+    ]
+    for argv, other_side in cases:
+        with monkeypatch.context() as m:
+            _hand_over(m, 0, other_side)
+            result = runner.invoke(main, argv + ["--no-timestamp"])
+        assert result.exit_code == 5, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: sampled request ")
+        assert result.stderr.count("\n") == 1 and "failed verification" in result.stderr
 
 
 def test_http_provider_config_missing_keys(runner, tmp_path):

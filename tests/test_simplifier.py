@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from policylens.automata import _subset_rows, from_regex
+from policylens.automata import from_regex, similarity_counts
 from policylens.errors import ProviderError
 from policylens.policy import parse_policy
 from policylens.providers import MOCK_TIMEOUT, MockProvider, prompt_samples
@@ -19,7 +19,6 @@ from policylens.simplifier import (
     quantify_similarity,
     summarize_difference,
     summarize_set,
-    _similarity_counts,
 )
 
 from conftest import MUSIC_REGEX, corpus_paths
@@ -152,12 +151,13 @@ def test_summarize_low_similarity_falls_back(music_doc):
 
 
 def test_repeated_candidate_is_compiled_once(music_doc, monkeypatch):
-    from policylens import automata, simplifier
+    from policylens import automata
 
-    compiled = []
-    real = simplifier._subset_rows
-    monkeypatch.setattr(simplifier, "_subset_rows", lambda r, *a: compiled.append(r) or real(r, *a))
+    # Pattern compiles reach the subset construction too: compile first.
     request_set = compile_policy(music_doc)
+    compiled = []
+    real = automata._subset_rows
+    monkeypatch.setattr(automata, "_subset_rows", lambda r: compiled.append(r) or real(r))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("candidate scoring built a canonical DFA or an intersection")
@@ -213,22 +213,25 @@ def test_summarize_parses_each_line_once_and_prompts_once(music_doc, monkeypatch
 
 
 def test_summarize_counts_the_projection_once(music_doc, monkeypatch):
-    from policylens import simplifier
+    from policylens import automata
     from policylens.automata import UNIVERSE_TABLE
 
+    request_set = compile_policy(music_doc)
     counted = []
-    real = simplifier._count_common
-    monkeypatch.setattr(simplifier, "_count_common", lambda a, b, bound: counted.append((a, b)) or real(a, b, bound))
+    real = automata._count_common
+    monkeypatch.setattr(automata, "_count_common", lambda a, b, bound: counted.append((a, b)) or real(a, b, bound))
     cfg = SimplifierConfig(samples=50, bound=6, attempts=3)
-    report = generate_summarization(music_doc, cfg, MockProvider(script=["zzzz", "mp3s/.*", MUSIC_REGEX]))
-    # the projection once, then each of three candidates: its intersection
-    # with the projection and its own count
+    report = summarize_set(request_set, cfg, MockProvider(script=["zzzz", "mp3s/.*", MUSIC_REGEX]))
+    # the projection once, and each of three candidates' tables twice: its
+    # intersection with the projection and its own count
     assert len(counted) == 1 + 3 * 2
     exact = project(compile_policy(music_doc), "resource").table
-    assert counted[0] == (exact, UNIVERSE_TABLE)
     assert counted.count((exact, UNIVERSE_TABLE)) == 1
-    for (a1, b1), (a2, b2) in zip(counted[1::2], counted[2::2]):
-        assert a1 == exact and b1 is a2 and b2 == UNIVERSE_TABLE
+    walks = [w for w in counted if w != (exact, UNIVERSE_TABLE)]
+    against_exact = [b for a, b in walks if a == exact]
+    against_universe = [a for a, b in walks if b == UNIVERSE_TABLE]
+    assert len(against_exact) == len(against_universe) == 3
+    assert all(any(t is u for u in against_universe) for t in against_exact)
     for cand in report.candidates:
         assert cand.similarity == quantify_similarity(parse_regex(report.extracted_regex), cand.ast, cfg.bound)
 
@@ -255,9 +258,12 @@ def test_scores_equal_the_product_path_on_corpus_candidates():
                 cand = from_regex(ast)
                 inter = reference_count_models(*exact.intersect(cand).table, bound)
                 union = count + reference_count_models(*cand.table, bound) - inter
-                expected = (Fraction(inter, union), (inter, union)) if union else (Fraction(1), (0, 0))
-                assert _similarity_counts(exact.table, count, _subset_rows(ast), bound) == expected, (path.name, dim)
+                assert similarity_counts(exact, ast, bound) == (inter, union), (path.name, dim)
                 scored += 1
+            for c in report.candidates:
+                if c.ast is not None:
+                    inter, union = similarity_counts(exact, c.ast, bound)
+                    assert c.similarity == (Fraction(inter, union) if union else Fraction(1))
     assert scored > 200
 
 
