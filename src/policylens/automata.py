@@ -7,12 +7,15 @@ edges ordered by lowest class member).  Canonical form makes structural
 equality coincide with language equality and makes emptiness a check of the
 accepting set.  State 0 is always the start state.
 
-Construction paths: :func:`from_regex` and :func:`from_pattern` run a Thompson
-build followed by subset construction; the set operations run pairwise product
-constructions.  Both raise :class:`~policylens.errors.StateBlowup` past the
-state cap, :data:`DEFAULT_STATE_CAP`, which each check reads when it runs (so
-a test can lower it).  Every result is minimized by Hopcroft partition
-refinement.
+Construction paths: one worklist kernel, :func:`_explore`, numbers the
+states of every automaton the module builds, in the order it discovers them
+from state 0.  Subset construction (:func:`from_regex`, :func:`from_pattern`)
+explores sets of Thompson NFA states, the set operations explore pairs of
+states, :meth:`Dfa.from_parts` keeps the states reachable from its start, and
+canonicalization renumbers the blocks of the minimized table.  The kernel
+raises :class:`~policylens.errors.StateBlowup` when a new state would pass the
+state cap, :data:`DEFAULT_STATE_CAP`, which it reads when it runs (so a test
+can lower it).  Every result is minimized by Hopcroft partition refinement.
 
 Identity laws: a product whose result an identity law fixes is not built.
 With equal operands ``a∩a = a∪a = a`` and ``a∖a = ∅``; a canonical one-state
@@ -80,7 +83,6 @@ from .regex import (
     Union,
     alt,
     char_class,
-    print_regex,
     seq,
     star,
     wildcard,
@@ -100,6 +102,7 @@ def _low_bit(mask: int) -> int:
 # -- operation cache -----------------------------------------------------------
 
 _T = TypeVar("_T")
+_K = TypeVar("_K", bound=Hashable)
 _MISSING = object()
 
 
@@ -189,7 +192,8 @@ class Dfa:
         accepting: Iterable[int],
     ) -> "Dfa":
         """Canonicalize a raw transition table.  Each row's masks must be
-        disjoint and cover the whole alphabet."""
+        disjoint and cover the whole alphabet.  Raises StateBlowup when more
+        states than the state cap are reachable from ``start``."""
         rows = [list(row) for row in transitions]
         n = len(rows)
         if not 0 <= start < n:
@@ -206,7 +210,9 @@ class Dfa:
                 seen |= mask
             if seen != FULL_MASK:
                 raise ValueError(f"state {s}: transitions do not cover the alphabet")
-        return _canonicalize(rows, start, set(accepting))
+        accepting = set(accepting)
+        states, reached = _explore(start, rows.__getitem__, "canonicalization")
+        return _canonicalize(reached, {i for i, s in enumerate(states) if s in accepting})
 
     # -- language predicates ------------------------------------------------
 
@@ -223,9 +229,6 @@ class Dfa:
                     state = target
                     break
         return state in self.accepting
-
-    def equivalent(self, other: "Dfa") -> bool:
-        return self.difference(other).is_empty() and other.difference(self).is_empty()
 
     # -- boolean algebra ------------------------------------------------------
 
@@ -308,24 +311,6 @@ class Dfa:
             del inc[q]
         return out[init].get(final, EMPTY)
 
-    def to_dot(self, name: str = "dfa") -> str:
-        """GraphViz rendering with character-class edge labels."""
-        lines = [
-            f"digraph {name} {{",
-            "  rankdir=LR;",
-            "  __start [shape=point];",
-            "  __start -> s0;",
-        ]
-        for s in range(len(self.transitions)):
-            shape = "doublecircle" if s in self.accepting else "circle"
-            lines.append(f"  s{s} [shape={shape}];")
-        for s, row in enumerate(self.transitions):
-            for mask, t in row:
-                label = print_regex(char_class(mask)).replace("\\", "\\\\").replace('"', '\\"')
-                lines.append(f'  s{s} -> s{t} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def _refine(masks: Iterable[int]) -> list[int]:
     """Coarsest partition of the alphabet splitting every given mask."""
@@ -358,58 +343,60 @@ def universe_dfa() -> Dfa:
     return _UNIVERSE_DFA
 
 
-def _canonicalize(trans: list[list[tuple[int, int]]], start: int, accepting: set[int]) -> Dfa:
-    n = len(trans)
-    reach = [False] * n
-    reach[start] = True
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for _, t in trans[s]:
-            if not reach[t]:
-                reach[t] = True
-                stack.append(t)
-    states = [s for s in range(n) if reach[s]]
-    if not any(s in accepting for s in states):
+def _explore(
+    start: _K, moves: Callable[[_K], Iterable[tuple[int, _K]]], what: str
+) -> tuple[list[_K], list[list[tuple[int, int]]]]:
+    """The keys reachable from ``start``, numbered in the order they are
+    discovered (``start`` is 0), and each key's row: the ``(mask, target)``
+    pairs in the order ``moves(key)`` yields its ``(mask, key)`` edges.
+
+    The one worklist behind every automaton built here.  Raises StateBlowup,
+    naming ``what``, when a new key would pass the state cap."""
+    index = {start: 0}
+    keys = [start]
+    rows: list[list[tuple[int, int]]] = []
+    for key in keys:  # grows as new keys are found
+        row = []
+        for mask, target in moves(key):
+            i = index.get(target)
+            if i is None:
+                if len(keys) >= DEFAULT_STATE_CAP:
+                    raise StateBlowup(f"{what} exceeded the state cap of {DEFAULT_STATE_CAP}")
+                i = index[target] = len(keys)
+                keys.append(target)
+            row.append((mask, i))
+        rows.append(row)
+    return keys, rows
+
+
+def _canonicalize(trans: Sequence[Sequence[tuple[int, int]]], accepting: AbstractSet[int]) -> Dfa:
+    """Minimize a total table whose states are all reachable from state 0,
+    and number its blocks breadth-first with edges ordered by lowest class
+    member."""
+    if not accepting:
         return _EMPTY_DFA
-
-    idx = {s: i for i, s in enumerate(states)}
-    m = len(states)
-    rtrans = [[(mask, idx[t]) for mask, t in trans[s]] for s in states]
-    racc = {idx[s] for s in states if s in accepting}
-
-    block = _coarsest_partition(rtrans, racc)
+    block = _coarsest_partition(trans, accepting)
 
     qtrans: dict[int, dict[int, int]] = {}
-    for i in range(m):
+    for i, row in enumerate(trans):
         b = block[i]
         if b in qtrans:
             continue
         merged = {}
-        for mask, t in rtrans[i]:
+        for mask, t in row:
             tb = block[t]
             merged[tb] = merged.get(tb, 0) | mask
         qtrans[b] = merged
 
-    order = {block[idx[start]]: 0}
-    bfs = [block[idx[start]]]
-    qi = 0
-    while qi < len(bfs):
-        b = bfs[qi]
-        qi += 1
-        for tb, _ in sorted(qtrans[b].items(), key=lambda kv: _low_bit(kv[1])):
-            if tb not in order:
-                order[tb] = len(order)
-                bfs.append(tb)
-    rows = tuple(
-        tuple(sorted(((mask, order[tb]) for tb, mask in qtrans[b].items()), key=lambda e: _low_bit(e[0])))
-        for b in bfs
-    )
-    final_acc = frozenset(order[block[i]] for i in racc)
-    return Dfa(rows, final_acc)
+    def edges(b: int) -> list[tuple[int, int]]:
+        return sorted(((mask, tb) for tb, mask in qtrans[b].items()), key=lambda e: _low_bit(e[0]))
+
+    blocks, rows = _explore(block[0], edges, "canonicalization")
+    order = {b: i for i, b in enumerate(blocks)}
+    return Dfa(tuple(map(tuple, rows)), frozenset(order[block[s]] for s in accepting))
 
 
-def _coarsest_partition(trans: list[list[tuple[int, int]]], accepting: set[int]) -> list[int]:
+def _coarsest_partition(trans: Sequence[Sequence[tuple[int, int]]], accepting: AbstractSet[int]) -> list[int]:
     """Block id of every state in the coarsest partition that separates
     accepting from rejecting states and that every transition respects.
 
@@ -496,33 +483,16 @@ def _identity_law(op: str, a: Dfa, b: Dfa) -> Dfa | None:
 
 
 def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
-    index: dict[tuple[int, int], int] = {(0, 0): 0}
-    queue: list[tuple[int, int]] = [(0, 0)]
-    rows: list[list[tuple[int, int]]] = []
-    accepting: set[int] = set()
-    qi = 0
-    while qi < len(queue):
-        pa, pb = queue[qi]
-        if keep(pa in a.accepting, pb in b.accepting):
-            accepting.add(qi)
-        qi += 1
-        masks = [mask for mask, _ in a.transitions[pa]]
-        masks += [mask for mask, _ in b.transitions[pb]]
-        row = []
-        for part in _refine(masks):
-            ta = next(t for mask, t in a.transitions[pa] if mask & part)
-            tb = next(t for mask, t in b.transitions[pb] if mask & part)
-            key = (ta, tb)
-            if key not in index:
-                if len(index) >= DEFAULT_STATE_CAP:
-                    raise StateBlowup(
-                        f"product construction exceeded the state cap of {DEFAULT_STATE_CAP}"
-                    )
-                index[key] = len(index)
-                queue.append(key)
-            row.append((part, index[key]))
-        rows.append(row)
-    return _canonicalize(rows, 0, accepting)
+    def moves(pair: tuple[int, int]) -> Iterator[tuple[int, tuple[int, int]]]:
+        row_a, row_b = a.transitions[pair[0]], b.transitions[pair[1]]
+        for part in _refine([mask for mask, _ in row_a] + [mask for mask, _ in row_b]):
+            ta = next(t for mask, t in row_a if mask & part)
+            tb = next(t for mask, t in row_b if mask & part)
+            yield part, (ta, tb)
+
+    pairs, rows = _explore((0, 0), moves, "product construction")
+    accepting = {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
+    return _canonicalize(rows, accepting)
 
 
 # -- model counting ------------------------------------------------------------
@@ -534,7 +504,10 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
 
     A level maps each reached pair of states to the number of strings of that
     length leading to it; a pair's weighted successors are built once.
-    Raises StateBlowup once its distinct pairs exceed the state cap."""
+    Raises StateBlowup once its distinct pairs exceed the state cap.  It finds
+    pairs level by level and only up to ``bound``, not through
+    :func:`_explore`: a full product build would also explore pairs that a
+    bounded count never reaches, and could raise where this walk does not."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     (a_rows, a_acc), (b_rows, b_acc) = a, b
@@ -678,8 +651,7 @@ def _thompson(r: RegexAst) -> tuple[list[list[int]], list[list[tuple[int, int]]]
 
 def from_regex(r: RegexAst) -> Dfa:
     """Compile a regex AST to its canonical DFA."""
-    rows, accepting = _subset_rows(r)
-    return _canonicalize(rows, 0, accepting)
+    return _canonicalize(*_subset_rows(r))
 
 
 def _subset_rows(r: RegexAst) -> _Table:
@@ -698,32 +670,13 @@ def _subset_rows(r: RegexAst) -> _Table:
                     stack.append(t)
         return frozenset(seen)
 
-    start_set = closure([start])
-    index: dict[frozenset[int], int] = {start_set: 0}
-    queue = [start_set]
-    rows: list[list[tuple[int, int]]] = []
-    accepting: set[int] = set()
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        if accept in cur:
-            accepting.add(qi)
-        qi += 1
-        masks = [mask for s in cur for mask, _ in sym[s]]
-        row = []
-        for part in _refine(masks):
+    def moves(cur: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
+        for part in _refine([mask for s in cur for mask, _ in sym[s]]):
             # refinement guarantees part is inside or outside each edge mask
-            targets = closure([t for s in cur for mask, t in sym[s] if mask & part])
-            if targets not in index:
-                if len(index) >= DEFAULT_STATE_CAP:
-                    raise StateBlowup(
-                        f"subset construction exceeded the state cap of {DEFAULT_STATE_CAP}"
-                    )
-                index[targets] = len(index)
-                queue.append(targets)
-            row.append((part, index[targets]))
-        rows.append(row)
-    return rows, accepting
+            yield part, closure([t for s in cur for mask, t in sym[s] if mask & part])
+
+    sets, rows = _explore(closure([start]), moves, "subset construction")
+    return rows, {i for i, cur in enumerate(sets) if accept in cur}
 
 
 def from_pattern(pattern: object) -> Dfa:

@@ -125,25 +125,6 @@ def _aligned(x: RequestSet, y: RequestSet) -> tuple[RequestSet, RequestSet, Dime
     return _pad(x, schema), _pad(y, schema), schema
 
 
-def set_union(x: RequestSet, y: RequestSet) -> RequestSet:
-    x, y, schema = _aligned(x, y)
-    out = RequestSet(schema, x.cubes + y.cubes)
-    _check_cubes(len(out.cubes))
-    return out
-
-
-def set_intersect(x: RequestSet, y: RequestSet) -> RequestSet:
-    x, y, schema = _aligned(x, y)
-    cubes = []
-    for a in x.cubes:
-        for b in y.cubes:
-            cube = RequestCube(tuple(da.intersect(db) for da, db in zip(a.dfas, b.dfas)))
-            if not cube.is_empty():
-                cubes.append(cube)
-                _check_cubes(len(cubes))
-    return RequestSet(schema, tuple(cubes))
-
-
 def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
     """Distribute (A₁×…×A_k) \\ (B₁×…×B_k) into per-dimension cubes.
 

@@ -261,6 +261,7 @@ def summarize_set(
     ``earlier`` holds the timings of stages a caller ran before this one
     (``compile``); they are reported and counted into ``total``."""
     timer = _StageTimer(earlier)
+    request_set.schema.index(cfg.projection)  # SchemaError on an unknown dimension, even if empty
     if is_empty_set(request_set):
         return _empty_report(cfg, provider, timer.finish())
 

@@ -190,13 +190,13 @@ def test_criterion_04_extraction_round_trip():
     sizes = [d.state_count for d in corpus]
     assert max(sizes) <= 30 and max(sizes) >= 15  # the corpus spans real sizes
     for dfa in corpus:
-        assert dfa.equivalent(from_regex(dfa.extract_regex()))
+        assert dfa == from_regex(dfa.extract_regex())
     policy_dims = 0
     for path in corpus_paths():
         allowed = compile_policy(parse_policy(path.read_text()))
         for dim in allowed.schema.dimensions:
             dfa = project(allowed, dim)
-            assert dfa.equivalent(from_regex(dfa.extract_regex())), (path.name, dim)
+            assert dfa == from_regex(dfa.extract_regex()), (path.name, dim)
             policy_dims += 1
     elapsed = time.perf_counter() - t0
     ok = elapsed < 120.0

@@ -12,7 +12,6 @@ from policylens.automata import (
     _KEEP,
     UNIVERSE_TABLE,
     Dfa,
-    _canonicalize,
     _count_common,
     _product,
     _subset_rows,
@@ -68,8 +67,7 @@ def test_boolean_algebra_examples():
 
 def _complement_oracle(d: Dfa) -> Dfa:
     """The complement by flipping acceptance and re-canonicalizing."""
-    rows = [list(row) for row in d.transitions]
-    return _canonicalize(rows, 0, set(range(d.state_count)) - d.accepting)
+    return Dfa.from_parts(d.transitions, 0, set(range(d.state_count)) - d.accepting)
 
 
 def test_complement_is_canonical_on_corpus_components():
@@ -98,10 +96,10 @@ def test_is_empty_and_equivalence():
     assert not from_pattern("abc").is_empty()
     assert from_regex(EMPTY).is_empty()
 
-    assert from_regex(parse_regex("a*a*")).equivalent(from_regex(parse_regex("a*")))
+    assert from_regex(parse_regex("a*a*")) == from_regex(parse_regex("a*"))
     for s in strings_up_to("a", 4):
         assert from_regex(parse_regex("a*a*")).accepts(s) == from_regex(parse_regex("a*")).accepts(s)
-    assert not from_pattern("a").equivalent(from_pattern("b"))
+    assert from_pattern("a") != from_pattern("b")
 
 
 def test_canonical_equality_is_language_equality():
@@ -341,12 +339,16 @@ def test_from_parts_validation_and_canonicalization():
         Dfa.from_parts([[(full, 0), (a_mask, 0)]], start=0, accepting=[0])  # overlap
 
 
-def test_to_dot_output_shape():
-    dot = from_pattern("a?").to_dot()
-    assert dot.startswith("digraph")
-    assert "__start -> s0" in dot
-    assert "doublecircle" in dot
-    assert dot.strip().endswith("}")
+def test_from_parts_caps_reachable_states_only(monkeypatch):
+    # a chain 0 -a-> 1 -a-> 2 -a-> 3 -a-> 4, every other edge into sink 4
+    a_mask = mask_of("a")
+    rest = FULL_MASK & ~a_mask
+    rows = [[(a_mask, min(s + 1, 4)), (rest, 4)] for s in range(5)]
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 3)
+    with pytest.raises(StateBlowup, match="canonicalization exceeded the state cap of 3"):
+        Dfa.from_parts(rows, start=0, accepting=[3])
+    # from state 3 only states 3 and 4 are reachable: within the cap
+    assert Dfa.from_parts(rows, start=3, accepting=[3]) == from_regex(parse_regex("()"))
 
 
 def test_minimization_canonicity_random_tables():
@@ -362,7 +364,6 @@ def test_minimization_canonicity_random_tables():
         d1 = Dfa.from_parts(rows, 0, accepting)
         d2 = Dfa.from_parts(rows, 0, accepting)
         assert d1 == d2
-        assert d1.equivalent(d2)
         # complement twice is identity in canonical form
         assert d1.complement().complement() == d1
 

@@ -246,6 +246,14 @@ def test_unknown_dimension_is_input_error(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("argv", [["summarize", DENY_ALL], ["diff", DENY_ALL, DENY_ALL]])
+def test_unknown_dimension_fails_on_an_empty_set(runner, argv):
+    result = runner.invoke(main, [*argv, "--dim", "bogus", "--no-timestamp"])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: unknown dimension 'bogus'\n"
+
+
 def test_lowered_state_cap_stops_policy_compilation(runner, monkeypatch):
     # Each pattern's subset construction runs under the module's one state cap.
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 3)

@@ -25,8 +25,6 @@ from policylens.requestsets import (
     sample_from_set,
     sample_requests,
     set_difference,
-    set_intersect,
-    set_union,
     universe_set,
 )
 
@@ -55,7 +53,7 @@ def test_compile_music_resource_projection(music_doc):
 
 def test_compile_music_other_projections(music_doc):
     allowed = compile_policy(music_doc)
-    assert project(allowed, "principal").equivalent(d(".*"))
+    assert project(allowed, "principal") == d(".*")
     assert project(allowed, "action") == d("s3:GetObject")
 
 
@@ -82,11 +80,7 @@ def test_set_operation_laws(music_doc):
     none = empty_set(SCHEMA)
     assert is_empty_set(set_difference(x, x))
     assert set_difference(x, none).cubes == x.cubes
-    assert set_union(x, none).cubes == x.cubes
-    assert is_empty_set(set_intersect(x, none))
-    # intersecting with the universe changes nothing observable
-    both = set_intersect(x, universe_set(SCHEMA))
-    assert is_empty_set(set_difference(both, x)) and is_empty_set(set_difference(x, both))
+    assert is_empty_set(set_difference(x, universe_set(SCHEMA)))
 
 
 def test_cube_difference_distribution_shape():
@@ -112,21 +106,7 @@ def test_cube_operations_match_brute_force():
 
     for tup in itertools.product(universe, repeat=3):
         in_x, in_y = member(x, tup), member(y, tup)
-        assert member(set_union(x, y), tup) == (in_x or in_y)
-        assert member(set_intersect(x, y), tup) == (in_x and in_y)
         assert member(set_difference(x, y), tup) == (in_x and not in_y)
-
-
-def test_union_equality_laws():
-    x = rs((d("a*"), d(".*"), d(".*")))
-    y = rs((d(".*"), d("b*"), d(".*")))
-    z = rs((d("c"), d("c"), d("c")))
-
-    def same(p: RequestSet, q: RequestSet) -> bool:
-        return is_empty_set(set_difference(p, q)) and is_empty_set(set_difference(q, p))
-
-    assert same(set_union(x, y), set_union(y, x))
-    assert same(set_union(set_union(x, y), z), set_union(x, set_union(y, z)))
 
 
 def test_empty_and_universe():
@@ -365,8 +345,6 @@ def test_cube_cap_enforced(monkeypatch):
     x = rs((d("a"), d("a"), d("a")))
     monkeypatch.setattr(requestsets, "DEFAULT_CUBE_CAP", 1)
     with pytest.raises(CubeBlowup, match="cube cap of 1"):
-        set_union(x, rs((d("b"), d("b"), d("b"))))
-    with pytest.raises(CubeBlowup):
         set_difference(rs((d("[ab]"), d("[ab]"), d("[ab]"))), x)
 
 
