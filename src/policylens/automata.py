@@ -18,16 +18,17 @@ state cap, :data:`DEFAULT_STATE_CAP`, which it reads when it runs (so a test
 can lower it).  Every result is minimized by Hopcroft partition refinement.
 
 Identity laws: a product whose result an identity law fixes is not built.
-With equal operands ``a∩a = a∪a = a`` and ``a∖a = ∅``; a canonical one-state
-operand is ∅ or U, so ``x∩U = x∪∅ = x∖∅ = x``, ``x∩∅ = x∖U = ∅∖x = ∅`` and
-``x∪U = U``, in either operand order where the operation commutes.  ``U∖x``
-is a complement and still runs the product.  A law applies only when
-neither operand has more states than the state cap; within the cap such a
-product cannot raise, and past it the product runs and raises
+When the operands are equal or one has a single state (a canonical one-state
+DFA is ∅ or U), the operation's truth table makes membership in the result
+follow one operand, so the result is that operand, ∅, U or its complement:
+``a∩a = a∪a = a``, ``a∖a = ∅``, ``x∩U = x∪∅ = x∖∅ = x``, ``x∩∅ = x∖U = ∅∖x
+= ∅``, ``x∪U = U`` and ``U∖x`` is the complement of ``x``.  A law applies
+only when neither operand has more states than the state cap; within the
+cap such a product cannot raise, and past it the product runs and raises
 :class:`~policylens.errors.StateBlowup` exactly as before.  The result is
-the canonical DFA the product returns (one operand, ∅ or U), and a law's
-case bypasses the operation cache below.  The tests check every law against
-the product itself.
+the canonical DFA the product returns, and a law's case bypasses the
+operation cache below.  The tests check every law against the product
+itself.
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their
@@ -52,7 +53,7 @@ Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 draw programs on ``("program", regex)``, extracted regexes on
 ``("extract", dfa)`` and candidate parses on ``("parse", line)``.  The
 policy-level entry points (compilation, comparison, sampling, summarization)
-and the ``count`` and ``requests`` commands each enter a scope.  The scope
+each enter a scope, and the CLI runs every command in one.  The scope
 is re-entrant: nested scopes share the outermost one's table, which is
 dropped when the outermost scope exits.  A scope spans one command, so
 memory is bounded by that command's work and there is no size setting; it is
@@ -466,20 +467,20 @@ def _cached_product(op: str, a: Dfa, b: Dfa) -> Dfa:
 def _identity_law(op: str, a: Dfa, b: Dfa) -> Dfa | None:
     """The product's result when an identity law (see the module docstring)
     fixes it, else None."""
+    keep = _KEEP[op]
+    # ``x`` is the operand that membership in the result follows, through ``member``.
     if a == b:
-        return _EMPTY_DFA if op == "difference" else a
-    if op != "difference" and a.state_count == 1:
-        a, b = b, a  # union and intersection commute: put the one-state side right
-    if b.state_count == 1:
-        universal = bool(b.accepting)
-        if op == "union":
-            return _UNIVERSE_DFA if universal else a
-        if op == "intersect":
-            return a if universal else _EMPTY_DFA
-        return _EMPTY_DFA if universal else a
-    if op == "difference" and a.state_count == 1 and not a.accepting:
-        return _EMPTY_DFA
-    return None
+        x, member = a, lambda m: keep(m, m)
+    elif b.state_count == 1:
+        x, member = a, lambda m: keep(m, bool(b.accepting))
+    elif a.state_count == 1:
+        x, member = b, lambda m: keep(bool(a.accepting), m)
+    else:
+        return None
+    inside, outside = member(True), member(False)
+    if inside == outside:
+        return _UNIVERSE_DFA if inside else _EMPTY_DFA
+    return x if inside else x.complement()
 
 
 def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:

@@ -5,9 +5,11 @@ Commands: ``summarize`` (regex summary of one policy), ``compare``
 differences), ``count`` (bounded model count of one dimension), ``requests``
 (sample allowed/denied requests).
 
-Exit codes: 0 success; 1 input/syntax/schema problems; 2 automaton or cube
-blowup; 3 provider failure with fallback disabled; 4 partial output because
-a requested sample side is empty; 5 a sampled request failed verification.
+Exit codes: 0 success; 1 input/syntax/schema/file problems and bad option
+values; 2 automaton or cube blowup; 3 provider failure with fallback
+disabled; 4 partial output because a requested sample side is empty; 5 a
+sampled request failed verification.  Every command runs through one
+runner, :func:`_command`, which reads the codes of typed errors from one table.
 
 The full report goes to ``--out`` (or standard output) as json or text; a
 one-line human summary always goes to standard output.  ``--no-timestamp``
@@ -17,6 +19,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -40,10 +43,7 @@ from .simplifier import (
 )
 
 EXIT_INPUT = 1
-EXIT_BLOWUP = 2
-EXIT_PROVIDER = 3
 EXIT_PARTIAL = 4
-EXIT_VERIFICATION = 5
 
 DEFAULT_SEED = 0
 
@@ -61,26 +61,37 @@ def _fail(message: str, code: int) -> NoReturn:
     sys.exit(code)
 
 
+# Read by the runner: the first row that the error is an instance of wins.
+EXIT_CODES: dict[type[Exception], int] = {
+    StateBlowup: 2,
+    CubeBlowup: 2,
+    ProviderError: 3,
+    VerificationError: 5,
+    PolicyLensError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+}
+
+
+def _command(body):
+    """The runner every command body goes through: one operation cache scope
+    around the whole command, and each typed error as one ``error:`` line and
+    its exit code from :data:`EXIT_CODES`."""
+
+    @functools.wraps(body)
+    def run(*args, **kwargs):
+        with operation_cache():
+            try:
+                return body(*args, **kwargs)
+            except tuple(EXIT_CODES) as e:
+                if isinstance(e, BrokenPipeError):
+                    raise  # a closed standard output: click exits 1 without a message
+                _fail(str(e), next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind)))
+
+    return run
+
+
 def _load_policy(path: str) -> PolicyDocument:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        _fail(str(e), EXIT_INPUT)
-    return parse_policy(text)
-
-
-def _load_provider_config(path: str | None) -> dict | None:
-    if path is None:
-        return None
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        _fail(str(e), EXIT_INPUT)
-    except json.JSONDecodeError as e:
-        _fail(f"invalid provider config: {e}", EXIT_INPUT)
-    if not isinstance(data, dict):
-        _fail("provider config must be a JSON object", EXIT_INPUT)
-    return data
+    return parse_policy(Path(path).read_text(encoding="utf-8"))
 
 
 def _timestamp() -> str:
@@ -130,25 +141,9 @@ def _emit(report: dict, summary: str, out: str | None, fmt: str, no_timestamp: b
     else:
         body = "\n".join(_text_render(report))
     if out:
-        try:
-            Path(out).write_text(body + "\n", encoding="utf-8")
-        except OSError as e:
-            _fail(str(e), EXIT_INPUT)
+        Path(out).write_text(body + "\n", encoding="utf-8")
     else:
         _echo(body)
-
-
-def _run_guarded(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (StateBlowup, CubeBlowup) as e:
-        _fail(str(e), EXIT_BLOWUP)
-    except ProviderError as e:
-        _fail(str(e), EXIT_PROVIDER)
-    except VerificationError as e:
-        _fail(str(e), EXIT_VERIFICATION)
-    except PolicyLensError as e:
-        _fail(str(e), EXIT_INPUT)
 
 
 def _summary_line(report: SummarizationReport) -> str:
@@ -161,7 +156,7 @@ def _summary_line(report: SummarizationReport) -> str:
 
 _seed = click.option("--seed", default=DEFAULT_SEED, show_default=True, help="Random seed.")
 _bound = click.option("--bound", "-b", default=100, show_default=True, help="Model-counting length bound.")
-_dim = click.option("--dim", default="resource", show_default=True, help="Policy dimension to project.")
+_dim = click.option("--dim", "projection", default="resource", show_default=True, help="Policy dimension to project.")
 
 # Every command writes its report through these and ``_emit``.
 _output = [
@@ -179,8 +174,8 @@ _summarizer = [
     _dim,
     click.option("--provider", default="mock", show_default=True, type=click.Choice(["mock", "http"])),
     click.option("--provider-config", default=None, help="JSON file with provider settings."),
-    click.option("--include-extracted-regex-in-prompt", is_flag=True, default=False),
-    click.option("--no-fallback", is_flag=True, default=False, help="Fail instead of falling back when every provider attempt errors."),
+    click.option("--include-extracted-regex-in-prompt", "include_extracted_in_prompt", is_flag=True, default=False),
+    click.option("--no-fallback", "fallback", flag_value=False, default=True, help="Fail instead of falling back when every provider attempt errors."),
     *_output,
 ]
 
@@ -194,26 +189,21 @@ def _with_options(options):
     return wrap
 
 
-def _make_config(samples, bound, threshold, attempts, seed, dim, include_extracted, no_fallback) -> SimplifierConfig:
+def _settings(provider, provider_config, **fields) -> tuple[SimplifierConfig, LlmProvider]:
+    """The summarizer's configuration, from the options named after its
+    fields, then its provider.  A bad value, a malformed provider config and
+    a provider-config error exit 1."""
     try:
-        return SimplifierConfig(
-            samples=samples,
-            bound=bound,
-            threshold=threshold,
-            attempts=attempts,
-            projection=dim,
-            seed=seed,
-            include_extracted_in_prompt=include_extracted,
-            fallback=not no_fallback,
-        )
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
-
-
-def _make_provider(kind: str, config_path: str | None) -> LlmProvider:
-    try:
-        return load_provider(kind, _load_provider_config(config_path))
-    except ProviderError as e:
+        cfg = SimplifierConfig(**fields)
+        config = None
+        if provider_config is not None:
+            config = json.loads(Path(provider_config).read_text(encoding="utf-8"))
+            if not isinstance(config, dict):
+                raise ProviderError("provider config must be a JSON object")
+        return cfg, load_provider(provider, config)
+    except json.JSONDecodeError as e:
+        _fail(f"invalid provider config: {e}", EXIT_INPUT)
+    except (ValueError, ProviderError) as e:
         _fail(str(e), EXIT_INPUT)
 
 
@@ -227,14 +217,11 @@ def main() -> None:
 @main.command()
 @click.argument("policy_path")
 @_with_options(_summarizer)
-def summarize(policy_path, samples, bound, threshold, attempts, seed, dim, provider,
-              provider_config, out, fmt, include_extracted_regex_in_prompt, no_fallback, no_timestamp):
+@_command
+def summarize(policy_path, out, fmt, no_timestamp, **settings):
     """Produce a verified regex summary of the requests POLICY_PATH allows."""
-    doc = _run_guarded(_load_policy, policy_path)
-    cfg = _make_config(samples, bound, threshold, attempts, seed, dim,
-                       include_extracted_regex_in_prompt, no_fallback)
-    prov = _make_provider(provider, provider_config)
-    report = _run_guarded(generate_summarization, doc, cfg, prov)
+    doc = _load_policy(policy_path)
+    report = generate_summarization(doc, *_settings(**settings))
     payload: dict = {"command": "summarize", "policy": policy_path}
     payload.update(report.to_dict(include_volatile=not no_timestamp))
     _emit(payload, _summary_line(report), out, fmt, no_timestamp)
@@ -245,13 +232,12 @@ def summarize(policy_path, samples, bound, threshold, attempts, seed, dim, provi
 @click.argument("policy2")
 @click.option("--witnesses", default=3, show_default=True, help="Witness requests per side (>= 0).")
 @_with_options([_seed, *_output])
+@_command
 def compare(policy1, policy2, witnesses, seed, out, fmt, no_timestamp):
     """Classify the permissiveness relation between two policies."""
     if witnesses < 0:
         _fail("--witnesses must be non-negative", EXIT_INPUT)
-    d1 = _run_guarded(_load_policy, policy1)
-    d2 = _run_guarded(_load_policy, policy2)
-    verdict = _run_guarded(compare_policies, d1, d2, witnesses, seed)
+    verdict = compare_policies(_load_policy(policy1), _load_policy(policy2), witnesses, seed)
     payload = {
         "command": "compare",
         "policy1": policy1,
@@ -267,15 +253,10 @@ def compare(policy1, policy2, witnesses, seed, out, fmt, no_timestamp):
 @click.argument("policy1")
 @click.argument("policy2")
 @_with_options(_summarizer)
-def diff(policy1, policy2, samples, bound, threshold, attempts, seed, dim, provider,
-         provider_config, out, fmt, include_extracted_regex_in_prompt, no_fallback, no_timestamp):
+@_command
+def diff(policy1, policy2, out, fmt, no_timestamp, **settings):
     """Summarize what each policy allows that the other does not."""
-    d1 = _run_guarded(_load_policy, policy1)
-    d2 = _run_guarded(_load_policy, policy2)
-    cfg = _make_config(samples, bound, threshold, attempts, seed, dim,
-                       include_extracted_regex_in_prompt, no_fallback)
-    prov = _make_provider(provider, provider_config)
-    first, second = _run_guarded(summarize_difference, d1, d2, cfg, prov)
+    first, second = summarize_difference(_load_policy(policy1), _load_policy(policy2), *_settings(**settings))
     include_volatile = not no_timestamp
     payload = {
         "command": "diff",
@@ -291,21 +272,17 @@ def diff(policy1, policy2, samples, bound, threshold, attempts, seed, dim, provi
 @main.command()
 @click.argument("policy_path")
 @_with_options([_dim, _bound, *_output])
-@operation_cache()
-def count(policy_path, dim, bound, out, fmt, no_timestamp):
+@_command
+def count(policy_path, projection, bound, out, fmt, no_timestamp):
     """Count the strings (length <= bound) one dimension of the policy allows."""
-    doc = _run_guarded(_load_policy, policy_path)
-
-    def run() -> int:
-        if bound < 0:
-            raise PolicyLensError("bound must be non-negative")
-        return project(compile_policy(doc), dim).count_models(bound)
-
-    value = _run_guarded(run)
+    doc = _load_policy(policy_path)
+    if bound < 0:
+        raise PolicyLensError("bound must be non-negative")
+    value = project(compile_policy(doc), projection).count_models(bound)
     payload = {
         "command": "count",
         "policy": policy_path,
-        "dimension": dim,
+        "dimension": projection,
         "bound": bound,
         "count": str(value),
     }
@@ -316,17 +293,16 @@ def count(policy_path, dim, bound, out, fmt, no_timestamp):
 @click.argument("policy_path")
 @click.option("-k", "count_per_side", default=1, show_default=True, help="Requests per side.")
 @_with_options([_seed, *_output])
+@_command
 def requests(policy_path, count_per_side, seed, out, fmt, no_timestamp):
     """Emit verified allowed and denied sample requests for a policy."""
     if count_per_side < 0:
         _fail("-k must be non-negative", EXIT_INPUT)
-    doc = _run_guarded(_load_policy, policy_path)
-    allowed, denied = _run_guarded(sample_requests, doc, count_per_side, seed)
-    partial = False
-    for label, side in (("allowed", allowed), ("denied", denied)):
-        if count_per_side > 0 and not side:
-            _echo(f"warning: no {label} requests exist; emitting partial output", err=True)
-            partial = True
+    doc = _load_policy(policy_path)
+    allowed, denied = sample_requests(doc, count_per_side, seed)
+    empty = [label for label, side in (("allowed", allowed), ("denied", denied)) if count_per_side > 0 and not side]
+    for label in empty:
+        _echo(f"warning: no {label} requests exist; emitting partial output", err=True)
     payload = {
         "command": "requests",
         "policy": policy_path,
@@ -335,5 +311,5 @@ def requests(policy_path, count_per_side, seed, out, fmt, no_timestamp):
         "denied": denied,
     }
     _emit(payload, f"allowed: {len(allowed)}, denied: {len(denied)}", out, fmt, no_timestamp)
-    if partial:
+    if empty:
         sys.exit(EXIT_PARTIAL)

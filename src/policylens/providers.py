@@ -184,12 +184,17 @@ def load_provider(kind: str, config: Mapping[str, object] | None = None) -> LlmP
             model = str(config["model"])
         except KeyError as e:
             raise ProviderError(f"http provider config is missing {e.args[0]!r}") from None
+        numbers: dict = {}
+        for key, kind in (("temperature", float), ("timeout", float), ("retries", int)):
+            if key in config:
+                try:
+                    numbers[key] = kind(config[key])  # type: ignore[arg-type]
+                except (TypeError, ValueError):
+                    raise ProviderError(f"http provider config {key!r} is not a number: {config[key]!r}") from None
         return HttpProvider(
             endpoint=endpoint,
             model=model,
             api_key=str(config["api_key"]) if "api_key" in config else None,
-            temperature=float(config.get("temperature", 0.2)),  # type: ignore[arg-type]
-            timeout=float(config.get("timeout", 60.0)),  # type: ignore[arg-type]
-            retries=int(config.get("retries", 2)),  # type: ignore[arg-type]
+            **numbers,
         )
     raise ProviderError(f"unknown provider kind {kind!r}")

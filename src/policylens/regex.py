@@ -11,7 +11,9 @@ identity, which keeps comparisons O(1) even on the very deep trees produced
 by state elimination.  The constructors also apply the language-preserving
 simplifications ``R·ε=R``, ``ε·R=R``, ``R∪∅=R``, ``∅·R=∅``, ``R·∅=∅``,
 ``∅*=ε``, ``ε*=ε`` and ``R∪R=R``, plus merging of adjacent character classes
-and ``(R*)* = R*``.
+and ``(R*)* = R*``.  Since they absorb ∅ (and the empty mask is ∅),
+:data:`EMPTY` is the only node whose language is empty: a regex built through
+them denotes ∅ exactly when it is ``EMPTY``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ MAX_REPEAT = 64
 class RegexAst:
     """Base class for regex nodes.  Instances are immutable and interned."""
 
-    __slots__ = ("__weakref__", "lang_empty")
-
-    lang_empty: bool  # True iff the node's language is the empty set
+    __slots__ = ("__weakref__",)
 
     def __repr__(self) -> str:
         dag_nodes, tree_nodes = _sizes(self)
@@ -46,15 +46,9 @@ class RegexAst:
 class Empty(RegexAst):
     __slots__ = ()
 
-    def __init__(self) -> None:
-        self.lang_empty = True
-
 
 class Epsilon(RegexAst):
     __slots__ = ()
-
-    def __init__(self) -> None:
-        self.lang_empty = False
 
 
 class CharClass(RegexAst):
@@ -62,7 +56,6 @@ class CharClass(RegexAst):
 
     def __init__(self, mask: int) -> None:
         self.mask = mask
-        self.lang_empty = False
 
 
 class Union(RegexAst):
@@ -71,7 +64,6 @@ class Union(RegexAst):
     def __init__(self, left: RegexAst, right: RegexAst) -> None:
         self.left = left
         self.right = right
-        self.lang_empty = left.lang_empty and right.lang_empty
 
 
 class Concat(RegexAst):
@@ -80,7 +72,6 @@ class Concat(RegexAst):
     def __init__(self, left: RegexAst, right: RegexAst) -> None:
         self.left = left
         self.right = right
-        self.lang_empty = left.lang_empty or right.lang_empty
 
 
 class Star(RegexAst):
@@ -88,7 +79,6 @@ class Star(RegexAst):
 
     def __init__(self, inner: RegexAst) -> None:
         self.inner = inner
-        self.lang_empty = False
 
 
 EMPTY = Empty()

@@ -4,9 +4,10 @@ The draw is structure-biased, not uniform over the language: nested unions
 are collapsed into one child list and a child is picked uniformly; a star
 keeps looping while a uniform draw stays above a threshold that starts at
 ``STAR_THRESHOLD`` and is multiplied by ``STAR_GROWTH`` per iteration; a
-character class picks a member uniformly.  Union children with empty
-language are excluded before the pick, so every draw is a member of the
-language.
+character class picks a member uniformly.  ``EMPTY`` is the only regex
+with an empty language (see :mod:`policylens.regex`), so it never appears
+inside another node, every draw is a member of the language, and only
+``EMPTY`` itself raises EmptyLanguage.
 
 A star also stops once the accumulated output reaches ``MAX_SAMPLE_LENGTH``;
 output is never truncated mid-expansion, so strings may exceed the limit by
@@ -38,7 +39,7 @@ import random
 from .alphabet import chars_of
 from .automata import _memoized
 from .errors import EmptyLanguage
-from .regex import CharClass, Concat, RegexAst, Star, Union, union_children
+from .regex import EMPTY, CharClass, Concat, RegexAst, Star, Union, union_children
 
 # Read by each draw when it runs, as the caps are; the seed is the only value
 # a caller passes.
@@ -88,7 +89,7 @@ def _compile(r: RegexAst) -> tuple:
     compiled after the sequences they contain, each once, from an explicit
     work stack.  Raises EmptyLanguage if L(r) is empty.
     """
-    if r.lang_empty:
+    if r is EMPTY:
         raise EmptyLanguage("cannot sample from the empty language")
     seqs: dict[RegexAst, tuple] = {}
     # Concatenation leaves of nodes whose inner sequences are still missing.
@@ -139,7 +140,7 @@ def _concat_leaves(node: RegexAst) -> list[RegexAst]:
 def _inner_sequences(leaf: RegexAst) -> list[RegexAst]:
     """The nodes that the instruction for a union or star runs as sequences."""
     if leaf.__class__ is Union:
-        return [c for c in union_children(leaf) if not c.lang_empty]
+        return union_children(leaf)
     if leaf.inner.__class__ is CharClass:
         return []
     return [leaf.inner]
@@ -161,8 +162,6 @@ def _sequence(leaves: list[RegexAst], seqs: dict, inner: dict, shared: dict) -> 
             ins = shared.get(leaf)
             if ins is None:
                 ins = shared[leaf] = _shared_instruction(leaf, [seqs[c] for c in inner[leaf]])
-        elif leaf.lang_empty:
-            raise EmptyLanguage("cannot sample from the empty language")
         else:
             continue  # epsilon emits nothing
         if run:

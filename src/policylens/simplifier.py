@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .automata import Dfa, _memoized, from_regex, operation_cache, similarity_counts
@@ -199,16 +199,8 @@ def _parse_candidate(line: str) -> RegexAst | str:
 
 
 def _config_echo(cfg: SimplifierConfig, provider: LlmProvider) -> dict:
-    return {
-        "samples": cfg.samples,
-        "bound": cfg.bound,
-        "threshold": cfg.threshold,
-        "attempts": cfg.attempts,
-        "projection": cfg.projection,
-        "seed": cfg.seed,
-        "include_extracted_in_prompt": cfg.include_extracted_in_prompt,
-        "provider": provider.name,
-    }
+    echo = {k: v for k, v in asdict(cfg).items() if k != "fallback"}
+    return {**echo, "provider": provider.name}
 
 
 def _empty_report(cfg: SimplifierConfig, provider: LlmProvider, timings: dict[str, float]) -> SummarizationReport:

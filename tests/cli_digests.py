@@ -13,9 +13,19 @@ whose listings are equal produce byte-identical CLI output on every case:
 - at seed 0 under each lowered state cap in ``CAPS``, where commands run into
   the cap: ``count`` (unseeded), ``requests -k 3`` and ``summarize -n 200``
   on every policy and ``compare`` on every ordered pair.  These cases are
-  listed as ``cap=N`` followed by the command.
+  listed as ``cap=N`` followed by the command;
+- the provider, report-file and input-error paths (:func:`edge_cases`):
+  ``summarize`` on every policy with the mock provider scripted to
+  ``SCRIPT`` at the default threshold and at ``--threshold 0``, and with a
+  timeout-only script under ``--no-fallback``; ``diff -n 200`` with
+  ``SCRIPT`` at both thresholds on every ordered pair of ``TRIO``; every
+  command writing ``--out`` to a file (whose content the digest also
+  covers) and into a missing directory; and missing or malformed policies,
+  bad option values and bad provider configs.
 
-The file name keeps pytest from collecting it.
+The files these cases read and write live in a temporary directory, written
+as ``TMP/`` in the listing and in the argument lists, so the listing does not
+depend on where it is.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -23,12 +33,27 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = (0, 5)
 CAPS = (16, 32)
+
+# One accepted-at-threshold-0 candidate, one provider failure, one parse error.
+SCRIPT = [".*", "<<TIMEOUT>>", "not(a regex"]
+TRIO = ("policies/music_public_read.json", "policies/allow_all.json", "policies/deny_all.json")
+TMP_FILES = {
+    "script.json": json.dumps({"script": SCRIPT}),
+    "timeout.json": json.dumps({"script": ["<<TIMEOUT>>"]}),
+    "not-json.json": "{not json",
+    "list.json": json.dumps(["not", "an", "object"]),
+    "http-model-only.json": json.dumps({"model": "m"}),
+    "schema-error.json": json.dumps({"Statement": [{"Effect": "Allow"}]}),
+}
+REPORT = "TMP/report.out"
 
 
 def cases(policies: list[str]) -> list[list[str]]:
@@ -52,17 +77,80 @@ def capped_cases(policies: list[str]) -> list[list[str]]:
     return [argv + ["--no-timestamp"] for argv in out]
 
 
-def run(main, argv: list[str]) -> bytes:
+def edge_cases(policies: list[str]) -> list[list[str]]:
+    script = ["--provider-config", "TMP/script.json"]
+    out = []
+    for p in policies:
+        out += [
+            ["summarize", p, *script],
+            ["summarize", p, *script, "--threshold", "0"],
+            ["summarize", p, "--provider-config", "TMP/timeout.json", "--no-fallback"],
+        ]
+    for p1 in TRIO:
+        for p2 in TRIO:
+            out += [["diff", p1, p2, "-n", "200", *script], ["diff", p1, p2, "-n", "200", *script, "--threshold", "0"]]
+    music, deny = TRIO[0], TRIO[2]
+    small = ["-n", "50", "-b", "8"]
+    commands = [
+        ["summarize", music, *small],
+        ["compare", music, deny],
+        ["diff", music, deny, *small],
+        ["count", music],
+        ["requests", music, "-k", "2"],
+    ]
+    for argv in commands:
+        out += [argv + ["--out", REPORT], argv + ["--format", "text", "--out", REPORT]]
+        out.append(argv + ["--out", "no/such/dir/report.json"])
+    # Input errors: the policy first, so each command's policies precede its settings.
+    for bad in ("policies/missing.json", "TMP/not-json.json", "TMP/schema-error.json"):
+        out += [
+            ["summarize", bad],
+            ["summarize", bad, "--threshold", "2"],
+            ["compare", bad, music],
+            ["compare", music, bad],
+            ["diff", bad, music],
+            ["diff", music, bad, "--provider-config", "TMP/not-json.json"],
+            ["count", bad],
+            ["requests", bad],
+        ]
+    settings = [
+        ["--threshold", "2"], ["--threshold", "-0.5"], ["--attempts", "0"], ["-n", "0"], ["-b", "-1"],
+        ["--dim", "galaxy"], ["--provider-config", "policies/no-such-provider.json"],
+        ["--provider-config", "TMP/not-json.json"], ["--provider-config", "TMP/list.json"],
+        ["--provider", "http"], ["--provider", "http", "--provider-config", "TMP/http-model-only.json"],
+        ["--threshold", "2", "--provider-config", "TMP/not-json.json"],
+    ]
+    for extra in settings:
+        out += [["summarize", music, *extra], ["diff", music, deny, *extra]]
+    out += [
+        ["summarize", deny, "--dim", "galaxy"],
+        ["compare", music, deny, "--witnesses", "-1"],
+        ["compare", "policies/missing.json", music, "--witnesses", "-1"],
+        ["count", music, "-b", "-1"],
+        ["count", music, "--dim", "galaxy"],
+        ["count", "policies/missing.json", "-b", "-1"],
+        ["requests", music, "-k", "-1"],
+        ["requests", "policies/missing.json", "-k", "-1"],
+    ]
+    return [argv + ["--no-timestamp"] for argv in out]
+
+
+def run(main, argv: list[str], tmp: str) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     code: object = 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            main.main(args=argv, prog_name="policylens")
+            main.main(args=[a.replace("TMP/", f"{tmp}/") for a in argv], prog_name="policylens")
         except SystemExit as e:
             code = e.code
         except Exception as e:  # an uncaught error is part of the behaviour
             code = f"raised {type(e).__name__}: {e}"
-    return f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode("utf-8")
+    result = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    report = Path(REPORT.replace("TMP/", f"{tmp}/"))
+    if report.exists():
+        result += f"\0{report.read_text(encoding='utf-8')}"
+        report.unlink()
+    return result.encode("utf-8")
 
 
 def main() -> None:
@@ -75,16 +163,21 @@ def main() -> None:
     from policylens.cli import main as cli
 
     policies = sorted(f"policies/{p.name}" for p in Path("policies").glob("*.json"))
-    for argv in cases(policies):
-        print(hashlib.sha256(run(cli, argv)).hexdigest(), " ".join(argv))
-    default_cap = automata.DEFAULT_STATE_CAP
-    try:
-        for cap in CAPS:
-            automata.DEFAULT_STATE_CAP = cap
-            for argv in capped_cases(policies):
-                print(hashlib.sha256(run(cli, argv)).hexdigest(), f"cap={cap}", " ".join(argv))
-    finally:
-        automata.DEFAULT_STATE_CAP = default_cap
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in TMP_FILES.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        for argv in cases(policies):
+            print(hashlib.sha256(run(cli, argv, tmp)).hexdigest(), " ".join(argv))
+        default_cap = automata.DEFAULT_STATE_CAP
+        try:
+            for cap in CAPS:
+                automata.DEFAULT_STATE_CAP = cap
+                for argv in capped_cases(policies):
+                    print(hashlib.sha256(run(cli, argv, tmp)).hexdigest(), f"cap={cap}", " ".join(argv))
+        finally:
+            automata.DEFAULT_STATE_CAP = default_cap
+        for argv in edge_cases(policies):
+            print(hashlib.sha256(run(cli, argv, tmp)).hexdigest(), " ".join(argv))
 
 
 if __name__ == "__main__":

@@ -169,8 +169,6 @@ def reference_sample(r: RegexAst, rng: random.Random) -> str:
     constants, read when the walk runs."""
     threshold, growth = sampler.STAR_THRESHOLD, sampler.STAR_GROWTH
     max_length = sampler.MAX_SAMPLE_LENGTH
-    if r.lang_empty:
-        raise EmptyLanguage("cannot sample from the empty language")
     out: list[str] = []
     length = 0
     # Work stack: ("v", node) expands a node; ("s", body, thresh) is a star
@@ -189,11 +187,10 @@ def reference_sample(r: RegexAst, rng: random.Random) -> str:
                 stack.append(("v", node.right))
                 stack.append(("v", node.left))
             elif isinstance(node, Union):
-                children = [c for c in union_children(node) if not c.lang_empty]
-                stack.append(("v", rng.choice(children)))
+                stack.append(("v", rng.choice(union_children(node))))
             elif isinstance(node, Star):
                 stack.append(("s", node.inner, threshold))
-            else:
+            else:  # only EMPTY itself has an empty language
                 raise EmptyLanguage("cannot sample from the empty language")
         else:
             _, body, thresh = item

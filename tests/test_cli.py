@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -9,9 +10,16 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from policylens import automata
+from policylens import automata, cli
 from policylens.cli import main
-from policylens.errors import StateBlowup
+from policylens.errors import (
+    CubeBlowup,
+    PolicyLensError,
+    ProviderError,
+    SchemaError,
+    StateBlowup,
+    VerificationError,
+)
 from policylens.policy import parse_policy
 from policylens.providers import MOCK_TIMEOUT
 from policylens.requestsets import compare_policies, compile_policy, sample_requests
@@ -294,6 +302,15 @@ def test_http_provider_config_missing_keys(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("value", ["hot", None])
+def test_non_numeric_http_provider_setting_is_an_input_error(runner, tmp_path, value):
+    cfg = provider_config(tmp_path, endpoint="e", model="m", temperature=value)
+    result = runner.invoke(main, ["summarize", MUSIC, "--provider", "http", "--provider-config", cfg])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: http provider config 'temperature' is not a number: {value!r}\n"
+
+
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
@@ -336,3 +353,66 @@ def test_every_command_writes_out_in_text_format(runner, tmp_path, argv, stamped
     assert lines[0] == f"command: {argv[0]}"
     assert any(line.startswith("timestamp: ") for line in lines) == stamped
     assert any(line.strip() == "timings:" for line in lines) == (stamped and argv[0] in ("summarize", "diff"))
+
+
+# The library call each command makes, by the name the CLI module binds it to.
+LIBRARY_CALLS = {
+    "summarize": "generate_summarization",
+    "compare": "compare_policies",
+    "diff": "summarize_difference",
+    "count": "compile_policy",
+    "requests": "sample_requests",
+}
+
+TYPED_ERRORS = {
+    "StateBlowup": (StateBlowup("too many states"), 2),
+    "CubeBlowup": (CubeBlowup("too many cubes"), 2),
+    "ProviderError": (ProviderError("provider down"), 3),
+    "VerificationError": (VerificationError("sampled request failed verification"), 5),
+    "SchemaError": (SchemaError("bad schema"), 1),
+    "PolicyLensError": (PolicyLensError("bad input"), 1),
+    "OSError": (OSError("disk gone"), 1),
+}
+
+
+@pytest.mark.parametrize("command", LIBRARY_CALLS)
+@pytest.mark.parametrize("error, code", TYPED_ERRORS.values(), ids=TYPED_ERRORS.keys())
+def test_runner_turns_each_typed_error_into_one_line_and_its_exit_code(runner, monkeypatch, command, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, LIBRARY_CALLS[command], fail)
+    result = runner.invoke(main, COMMANDS[command] + ["--no-timestamp"])
+    assert result.exit_code == code, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: {error}\n"
+
+
+def test_closed_standard_output_exits_1_without_an_error_line(runner, monkeypatch):
+    def fail(*args, **kwargs):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "compile_policy", fail)
+    result = runner.invoke(main, ["count", MUSIC])
+    assert result.exit_code == 1
+    assert result.stdout == result.stderr == ""
+
+
+@pytest.mark.parametrize("command", LIBRARY_CALLS)
+def test_every_command_runs_in_one_operation_cache_scope(runner, monkeypatch, command):
+    scopes = []
+    call, emit = getattr(cli, LIBRARY_CALLS[command]), cli._emit
+
+    def spy(inner):
+        def wrapped(*args, **kwargs):
+            scopes.append(automata._ACTIVE.get())
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, LIBRARY_CALLS[command], spy(call))
+    monkeypatch.setattr(cli, "_emit", spy(emit))
+    result = runner.invoke(main, COMMANDS[command] + ["--no-timestamp"])
+    assert result.exit_code == 0, result.output
+    assert len(scopes) == 2 and scopes[0] is not None and scopes[0] is scopes[1]
+    assert automata._ACTIVE.get() is None

@@ -223,6 +223,20 @@ def test_load_provider():
         load_provider("carrier-pigeon")
 
 
+@pytest.mark.parametrize("key", ["temperature", "timeout", "retries"])
+@pytest.mark.parametrize("value", ["hot", None, [1], "2.5x"])
+def test_load_provider_rejects_a_non_numeric_http_setting(key, value):
+    with pytest.raises(ProviderError, match=f"'{key}' is not a number"):
+        load_provider("http", {"endpoint": "https://e", "model": "m", key: value})
+
+
+def test_load_provider_converts_numeric_http_settings():
+    h = load_provider("http", {"endpoint": "https://e", "model": "m", "temperature": "0.5", "timeout": 3, "retries": 4.0})
+    assert (h.temperature, h.timeout, h.retries) == (0.5, 3.0, 4)
+    d = load_provider("http", {"endpoint": "https://e", "model": "m"})
+    assert (d.temperature, d.timeout, d.retries) == (0.2, 60.0, 2)
+
+
 def test_cli_start_up_does_not_import_the_http_client():
     code = "import sys, policylens.cli; print('requests' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

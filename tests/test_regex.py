@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from policylens.alphabet import FULL_MASK, char_bit, mask_of
+from policylens.automata import from_regex
 from policylens.errors import AlphabetError, RegexSyntaxError, UnsupportedConstruct
 from policylens.regex import (
     _REPR_TREE_NODES,
@@ -61,13 +62,6 @@ def test_smart_constructor_identities():
 
 def test_char_class_union_merges():
     assert alt(chars("a"), chars("b")) is chars("ab")
-
-
-def test_lang_empty_flag():
-    assert EMPTY.lang_empty
-    assert not EPSILON.lang_empty
-    assert not star(literal("a")).lang_empty
-    assert not chars("a").lang_empty
 
 
 def test_union_children_flattens_breadth_first():
@@ -246,11 +240,12 @@ def test_plus_and_repeat_helpers():
 SMALL = "abc"
 
 
-def ast_strategy() -> st.SearchStrategy:
+def ast_strategy(*extra_leaves) -> st.SearchStrategy:
     # Literal runs and stars over one class are frequent leaves, since the
     # sampler compiles each into one instruction.
     leaves = st.sampled_from(
         [
+            *extra_leaves,
             literal("a"),
             literal("b"),
             literal("c"),
@@ -272,6 +267,13 @@ def ast_strategy() -> st.SearchStrategy:
         ),
         max_leaves=12,
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ast_strategy(EMPTY))
+def test_empty_is_the_only_node_with_an_empty_language(r):
+    # The constructors absorb ∅, so no other node denotes the empty language.
+    assert (r is EMPTY) == from_regex(r).is_empty()
 
 
 @settings(max_examples=120, deadline=None)

@@ -106,9 +106,9 @@ def test_star_lengths_vary():
 
 
 @settings(max_examples=150, deadline=None)
-@given(ast_strategy())
+@given(ast_strategy(EMPTY))
 def test_samples_are_members(r):
-    if r.lang_empty:
+    if r is EMPTY:
         with pytest.raises(EmptyLanguage):
             sample(r, random.Random(0))
         return
@@ -133,13 +133,13 @@ def test_wide_regex_membership():
 
 
 @settings(max_examples=150, deadline=None)
-@given(ast_strategy(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 100]))
+@given(ast_strategy(EMPTY), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 100]))
 def test_sample_draws_as_reference_walker(r, seed, max_length):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     # the monkeypatch fixture would span every example hypothesis runs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "MAX_SAMPLE_LENGTH", max_length)
-        if r.lang_empty:
+        if r is EMPTY:
             with pytest.raises(EmptyLanguage):
                 sample(r, rng)
             with pytest.raises(EmptyLanguage):
