@@ -175,7 +175,7 @@ _summarizer = [
     click.option("--provider", default="mock", show_default=True, type=click.Choice(["mock", "http"])),
     click.option("--provider-config", default=None, help="JSON file with provider settings."),
     click.option("--include-extracted-regex-in-prompt", "include_extracted_in_prompt", is_flag=True, default=False),
-    click.option("--no-fallback", "fallback", flag_value=False, default=True, help="Fail instead of falling back when every provider attempt errors."),
+    click.option("--no-fallback", is_flag=True, default=False, help="Fail instead of falling back when every provider attempt errors."),
     *_output,
 ]
 
@@ -189,12 +189,12 @@ def _with_options(options):
     return wrap
 
 
-def _settings(provider, provider_config, **fields) -> tuple[SimplifierConfig, LlmProvider]:
+def _settings(provider, provider_config, no_fallback, **fields) -> tuple[SimplifierConfig, LlmProvider]:
     """The summarizer's configuration, from the options named after its
-    fields, then its provider.  A bad value, a malformed provider config and
-    a provider-config error exit 1."""
+    fields and ``--no-fallback``, then its provider.  A bad value, a malformed
+    provider config and a provider-config error exit 1."""
     try:
-        cfg = SimplifierConfig(**fields)
+        cfg = SimplifierConfig(fallback=not no_fallback, **fields)
         config = None
         if provider_config is not None:
             config = json.loads(Path(provider_config).read_text(encoding="utf-8"))

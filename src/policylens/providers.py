@@ -185,10 +185,10 @@ def load_provider(kind: str, config: Mapping[str, object] | None = None) -> LlmP
         except KeyError as e:
             raise ProviderError(f"http provider config is missing {e.args[0]!r}") from None
         numbers: dict = {}
-        for key, kind in (("temperature", float), ("timeout", float), ("retries", int)):
+        for key, convert in (("temperature", float), ("timeout", float), ("retries", int)):
             if key in config:
                 try:
-                    numbers[key] = kind(config[key])  # type: ignore[arg-type]
+                    numbers[key] = convert(config[key])  # type: ignore[arg-type]
                 except (TypeError, ValueError):
                     raise ProviderError(f"http provider config {key!r} is not a number: {config[key]!r}") from None
         return HttpProvider(
