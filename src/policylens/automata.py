@@ -10,9 +10,13 @@ accepting set.  State 0 is always the start state.
 Construction paths: one worklist kernel, :func:`_explore`, numbers the
 states of every automaton the module builds, in the order it discovers them
 from state 0.  Subset construction (:func:`from_regex`, :func:`from_pattern`)
-explores sets of Thompson NFA states, the set operations explore pairs of
-states, :meth:`Dfa.from_parts` keeps the states reachable from its start, and
-canonicalization renumbers the blocks of the minimized table.  The kernel
+explores sets of Glushkov positions, the character-class occurrences of the
+regex, which need no ε-closures: a state is the set of positions just read.
+The set operations explore pairs of states, a pair's row being the nonzero
+intersections of its two rows' masks.  :meth:`Dfa.from_parts` keeps the
+states reachable from its start, and canonicalization renumbers the blocks
+of the minimized table.  The tests check both table builders against the
+Thompson NFA and mask-refining kernels they replaced.  The kernel
 raises :class:`~policylens.errors.StateBlowup` when a new state would pass the
 state cap, :data:`DEFAULT_STATE_CAP`, which it reads when it runs (so a test
 can lower it).  Every result is minimized by Hopcroft partition refinement.
@@ -81,7 +85,6 @@ from .regex import (
     Empty,
     RegexAst,
     Star,
-    Union,
     alt,
     char_class,
     seq,
@@ -484,16 +487,24 @@ def _identity_law(op: str, a: Dfa, b: Dfa) -> Dfa | None:
 
 
 def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
-    def moves(pair: tuple[int, int]) -> Iterator[tuple[int, tuple[int, int]]]:
-        row_a, row_b = a.transitions[pair[0]], b.transitions[pair[1]]
-        for part in _refine([mask for mask, _ in row_a] + [mask for mask, _ in row_b]):
-            ta = next(t for mask, t in row_a if mask & part)
-            tb = next(t for mask, t in row_b if mask & part)
-            yield part, (ta, tb)
+    return _canonicalize(*_product_rows(a, b, keep))
+
+
+def _product_rows(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> _Table:
+    """The pairs of states reachable from (0, 0), as an unminimized table
+    accepting the pairs that ``keep`` keeps.  Each row of a total DFA
+    partitions the alphabet, so the nonzero intersections of two rows' masks
+    are their common refinement; a pair's row is those, ordered by lowest
+    member."""
+
+    def moves(pair: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
+        row_b = b.transitions[pair[1]]
+        edges = [(m, (ta, tb)) for ma, ta in a.transitions[pair[0]] for mb, tb in row_b if (m := ma & mb)]
+        edges.sort(key=lambda e: _low_bit(e[0]))
+        return edges
 
     pairs, rows = _explore((0, 0), moves, "product construction")
-    accepting = {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
-    return _canonicalize(rows, accepting)
+    return rows, {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
 
 
 # -- model counting ------------------------------------------------------------
@@ -594,60 +605,47 @@ def _live_states(rows: Sequence[Sequence[tuple[int, int]]], accepting: AbstractS
 # -- regex / pattern compilation ---------------------------------------------
 
 
-def _thompson(r: RegexAst) -> tuple[list[list[int]], list[list[tuple[int, int]]], int, int]:
-    """Thompson NFA build, iterative so deep trees cannot overflow the stack.
-
-    Returns (epsilon edges, symbol edges, start, accept)."""
-    eps: list[list[int]] = []
-    sym: list[list[tuple[int, int]]] = []
-
-    def new_state() -> int:
-        eps.append([])
-        sym.append([])
-        return len(eps) - 1
-
-    frags: list[tuple[int, int]] = []
-    work: list[tuple[RegexAst, int]] = [(r, 0)]
+def _positions(r: RegexAst) -> tuple[list[int], list[set[int]], frozenset[int]]:
+    """Glushkov positions of ``r``, iterative so deep trees cannot overflow
+    the stack.  Each character-class occurrence in the tree (a shared subtree
+    once per occurrence) is a position, numbered from 1; position 0 stands
+    for the start.  Returns each position's mask, each position's follow set
+    (the start's is the first set) and the last positions, with 0 among them
+    when ``r`` accepts the empty string."""
+    masks, follow = [0], [set()]
+    frags: list[tuple[frozenset[int], frozenset[int], bool]] = []  # (first, last, nullable) of finished subtrees
+    work: list[tuple[RegexAst, bool]] = [(r, False)]
     while work:
-        node, phase = work.pop()
-        if phase == 0:
-            if isinstance(node, Empty):
-                frags.append((new_state(), new_state()))
-            elif isinstance(node, Epsilon):
-                s = new_state()
-                frags.append((s, s))
-            elif isinstance(node, CharClass):
-                s, a = new_state(), new_state()
-                sym[s].append((node.mask, a))
-                frags.append((s, a))
+        node, done = work.pop()
+        if not done:
+            if isinstance(node, CharClass):
+                p = frozenset([len(masks)])
+                masks.append(node.mask)
+                follow.append(set())
+                frags.append((p, p, False))
+            elif isinstance(node, (Empty, Epsilon)):
+                frags.append((frozenset(), frozenset(), isinstance(node, Epsilon)))
             elif isinstance(node, Star):
-                work.append((node, 1))
-                work.append((node.inner, 0))
+                work += ((node, True), (node.inner, False))
             else:  # Union / Concat
-                work.append((node, 1))
-                work.append((node.right, 0))  # type: ignore[union-attr]
-                work.append((node.left, 0))  # type: ignore[union-attr]
+                work += ((node, True), (node.right, False), (node.left, False))  # type: ignore[union-attr]
         elif isinstance(node, Star):
-            ins, ina = frags.pop()
-            q = new_state()
-            eps[q].append(ins)
-            eps[ina].append(q)
-            frags.append((q, q))
-        elif isinstance(node, Concat):
-            rs, ra = frags.pop()
-            ls, la = frags.pop()
-            eps[la].append(rs)
-            frags.append((ls, ra))
-        else:  # Union
-            rs, ra = frags.pop()
-            ls, la = frags.pop()
-            s, a = new_state(), new_state()
-            eps[s] += (ls, rs)
-            eps[la].append(a)
-            eps[ra].append(a)
-            frags.append((s, a))
-    start, accept = frags.pop()
-    return eps, sym, start, accept
+            first, last, _ = frags.pop()
+            for p in last:
+                follow[p] |= first
+            frags.append((first, last, True))
+        else:
+            rfirst, rlast, rnull = frags.pop()
+            lfirst, llast, lnull = frags.pop()
+            if isinstance(node, Concat):
+                for p in llast:
+                    follow[p] |= rfirst
+                frags.append((lfirst | rfirst if lnull else lfirst, llast | rlast if rnull else rlast, lnull and rnull))
+            else:  # Union
+                frags.append((lfirst | rfirst, llast | rlast, lnull or rnull))
+    first, last, nullable = frags.pop()
+    follow[0] = set(first)
+    return masks, follow, last | {0} if nullable else last
 
 
 def from_regex(r: RegexAst) -> Dfa:
@@ -656,28 +654,24 @@ def from_regex(r: RegexAst) -> Dfa:
 
 
 def _subset_rows(r: RegexAst) -> _Table:
-    """Subset construction over the Thompson NFA of ``r``: a total,
-    deterministic, unminimized table with start state 0."""
-    eps, sym, start, accept = _thompson(r)
+    """Subset construction over the Glushkov positions of ``r``: a total,
+    deterministic, unminimized table with start state 0.
 
-    def closure(states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for t in eps[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+    A state is the set of positions just read; the start state is position 0
+    alone.  Its row refines the masks of the positions that can follow it,
+    and each part leads to those of them whose mask meets it."""
+    masks, follow, last = _positions(r)
 
-    def moves(cur: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
-        for part in _refine([mask for s in cur for mask, _ in sym[s]]):
-            # refinement guarantees part is inside or outside each edge mask
-            yield part, closure([t for s in cur for mask, t in sym[s] if mask & part])
+    def moves(state: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
+        by_mask: dict[int, list[int]] = {}
+        for q in set().union(*[follow[p] for p in state]):
+            by_mask.setdefault(masks[q], []).append(q)
+        for part in _refine(by_mask):
+            # refinement guarantees part is inside or outside each mask
+            yield part, frozenset([q for mask, qs in by_mask.items() if mask & part for q in qs])
 
-    sets, rows = _explore(closure([start]), moves, "subset construction")
-    return rows, {i for i, cur in enumerate(sets) if accept in cur}
+    states, rows = _explore(frozenset([0]), moves, "subset construction")
+    return rows, {i for i, state in enumerate(states) if state & last}
 
 
 def from_pattern(pattern: object) -> Dfa:

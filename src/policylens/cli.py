@@ -30,7 +30,7 @@ import click
 
 from . import __version__
 from .automata import operation_cache
-from .errors import CubeBlowup, PolicyLensError, ProviderError, StateBlowup, VerificationError
+from .errors import CubeBlowup, PolicyLensError, PolicySyntaxError, ProviderError, StateBlowup, VerificationError
 from .policy import PolicyDocument, parse_policy
 from .providers import LlmProvider, load_provider
 from .requestsets import compare_policies, compile_policy, project, sample_requests
@@ -91,7 +91,11 @@ def _command(body):
 
 
 def _load_policy(path: str) -> PolicyDocument:
-    return parse_policy(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise PolicySyntaxError(f"policy file {path} is not valid UTF-8: {e}") from None
+    return parse_policy(text)
 
 
 def _timestamp() -> str:

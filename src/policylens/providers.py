@@ -174,10 +174,12 @@ def load_provider(kind: str, config: Mapping[str, object] | None = None) -> LlmP
     """Provider factory for the CLI; ``config`` is the parsed provider-config file."""
     config = config or {}
     if kind == "mock":
-        return MockProvider(
-            script=config.get("script"),  # type: ignore[arg-type]
-            by_prompt=config.get("by_prompt"),  # type: ignore[arg-type]
-        )
+        script, by_prompt = config.get("script", []), config.get("by_prompt", {})
+        if not (isinstance(script, list) and all(isinstance(s, str) for s in script)):
+            raise ProviderError("mock provider config 'script' is not a list of strings")
+        if not (isinstance(by_prompt, Mapping) and all(isinstance(s, str) for s in (*by_prompt, *by_prompt.values()))):
+            raise ProviderError("mock provider config 'by_prompt' is not an object of strings")
+        return MockProvider(script=script, by_prompt=by_prompt)
     if kind == "http":
         try:
             endpoint = str(config["endpoint"])

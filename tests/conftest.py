@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from policylens import parse_policy
+
+# HYPOTHESIS_PROFILE=ci runs 1,000 examples of every property test that sets
+# no max_examples of its own; the others keep their explicit budgets.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 POLICY_DIR = Path(__file__).resolve().parent.parent / "policies"
 

@@ -6,7 +6,10 @@ the wildcard matcher is a direct DP, regex membership goes through Python's
 statement by statement on concrete requests, the minimizer is Moore's
 round-by-round refinement, the model counter steps one count vector over
 every state of a table, and the sampler walks the AST node by node, picking
-with ``rng.choice``.
+with ``rng.choice``.  The table builders are the engine's earlier kernels,
+each with its own worklist: subset construction over the ε-closures of a
+Thompson NFA, and a product whose rows refine both rows' masks and look up
+each part's targets.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import re
 from functools import lru_cache
 from itertools import product
 
-from policylens import sampler
+from policylens import automata, sampler
 from policylens.alphabet import FULL_MASK, chars_of
-from policylens.errors import EmptyLanguage
+from policylens.errors import EmptyLanguage, StateBlowup
 from policylens.policy import Effect, PolicyDocument
 from policylens.regex import EPSILON, CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union, union_children
 
@@ -218,3 +221,123 @@ def reference_sample_from_set(x, k: int, seed: int) -> list[dict[str, str]]:
             if len(out) == k:
                 break
     return out
+
+
+def _refine(masks) -> list[int]:
+    """Coarsest partition of the alphabet splitting every given mask, by lowest member."""
+    parts = [FULL_MASK]
+    for m in set(masks):
+        parts = [q for p in parts for q in (p & m, p & ~m) if q]
+    return sorted(parts, key=lambda p: p & -p)
+
+
+def _explore(start, moves, what: str):
+    """The keys reachable from ``start`` in discovery order, and their rows.
+    Raises StateBlowup when a new key would pass ``automata.DEFAULT_STATE_CAP``."""
+    cap = automata.DEFAULT_STATE_CAP
+    index, keys, rows = {start: 0}, [start], []
+    for key in keys:
+        row = []
+        for mask, target in moves(key):
+            if target not in index:
+                if len(keys) >= cap:
+                    raise StateBlowup(f"{what} exceeded the state cap of {cap}")
+                index[target] = len(keys)
+                keys.append(target)
+            row.append((mask, index[target]))
+        rows.append(row)
+    return keys, rows
+
+
+def _thompson(r: RegexAst):
+    """(epsilon edges, symbol edges, start, accept) of the Thompson NFA of
+    ``r``, one fragment per occurrence of a subtree; iterative, so deep
+    trees cannot overflow the stack."""
+    eps: list[list[int]] = []
+    sym: list[list[tuple[int, int]]] = []
+
+    def new_state() -> int:
+        eps.append([])
+        sym.append([])
+        return len(eps) - 1
+
+    frags: list[tuple[int, int]] = []
+    work: list[tuple[RegexAst, int]] = [(r, 0)]
+    while work:
+        node, phase = work.pop()
+        if phase == 0:
+            if isinstance(node, Empty):
+                frags.append((new_state(), new_state()))
+            elif isinstance(node, Epsilon):
+                s = new_state()
+                frags.append((s, s))
+            elif isinstance(node, CharClass):
+                s, a = new_state(), new_state()
+                sym[s].append((node.mask, a))
+                frags.append((s, a))
+            elif isinstance(node, Star):
+                work.append((node, 1))
+                work.append((node.inner, 0))
+            else:  # Union / Concat
+                work.append((node, 1))
+                work.append((node.right, 0))
+                work.append((node.left, 0))
+        elif isinstance(node, Star):
+            ins, ina = frags.pop()
+            q = new_state()
+            eps[q].append(ins)
+            eps[ina].append(q)
+            frags.append((q, q))
+        elif isinstance(node, Concat):
+            rs, ra = frags.pop()
+            ls, la = frags.pop()
+            eps[la].append(rs)
+            frags.append((ls, ra))
+        else:  # Union
+            rs, ra = frags.pop()
+            ls, la = frags.pop()
+            s, a = new_state(), new_state()
+            eps[s] += (ls, rs)
+            eps[la].append(a)
+            eps[ra].append(a)
+            frags.append((s, a))
+    start, accept = frags.pop()
+    return eps, sym, start, accept
+
+
+def thompson_subset_rows(r: RegexAst):
+    """(rows, accepting) of the subset construction over the ε-closures of
+    the Thompson NFA of ``r``, states numbered in discovery order."""
+    eps, sym, start, accept = _thompson(r)
+
+    def closure(states) -> frozenset[int]:
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            for t in eps[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    def moves(cur: frozenset[int]):
+        for part in _refine(mask for s in cur for mask, _ in sym[s]):
+            yield part, closure(t for s in cur for mask, t in sym[s] if mask & part)
+
+    sets, rows = _explore(closure([start]), moves, "subset construction")
+    return rows, {i for i, cur in enumerate(sets) if accept in cur}
+
+
+def refine_product_rows(a, b, keep):
+    """(rows, accepting) of the product of two DFAs whose rows refine both
+    operand rows' masks, finding each part's targets by lookup."""
+
+    def moves(pair):
+        row_a, row_b = a.transitions[pair[0]], b.transitions[pair[1]]
+        for part in _refine([mask for mask, _ in row_a] + [mask for mask, _ in row_b]):
+            ta = next(t for mask, t in row_a if mask & part)
+            tb = next(t for mask, t in row_b if mask & part)
+            yield part, (ta, tb)
+
+    pairs, rows = _explore((0, 0), moves, "product construction")
+    return rows, {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}

@@ -311,6 +311,24 @@ def test_non_numeric_http_provider_setting_is_an_input_error(runner, tmp_path, v
     assert result.stderr == f"error: http provider config 'temperature' is not a number: {value!r}\n"
 
 
+@pytest.mark.parametrize("script", [5, "abc", None, ["ok", 7]])
+def test_mistyped_mock_script_is_an_input_error(runner, tmp_path, script):
+    cfg = provider_config(tmp_path, script=script)
+    result = runner.invoke(main, ["summarize", MUSIC, "--provider-config", cfg, "-n", "10", "-b", "6"])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: mock provider config 'script' is not a list of strings\n"
+
+
+@pytest.mark.parametrize("by_prompt", [["x"], "x", {"digest": 3}])
+def test_mistyped_mock_by_prompt_is_an_input_error(runner, tmp_path, by_prompt):
+    cfg = provider_config(tmp_path, by_prompt=by_prompt)
+    result = runner.invoke(main, ["diff", MUSIC, DENY_ALL, "--provider-config", cfg, "-n", "10", "-b", "6"])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: mock provider config 'by_prompt' is not an object of strings\n"
+
+
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
@@ -416,3 +434,20 @@ def test_every_command_runs_in_one_operation_cache_scope(runner, monkeypatch, co
     assert result.exit_code == 0, result.output
     assert len(scopes) == 2 and scopes[0] is not None and scopes[0] is scopes[1]
     assert automata._ACTIVE.get() is None
+
+
+# Each command with the policy argument at ``position`` replaced: the first, and the second of compare and diff.
+POLICY_POSITIONS = [(command, 1) for command in COMMANDS] + [("compare", 2), ("diff", 2)]
+
+
+@pytest.mark.parametrize("command, position", POLICY_POSITIONS)
+def test_policy_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, command, position):
+    argv = list(COMMANDS[command])
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv[position] = str(bad)
+    result = runner.invoke(main, argv + ["--no-timestamp"])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: policy file {bad} is not valid UTF-8: ")
+    assert result.stderr.count("\n") == 1

@@ -223,6 +223,26 @@ def test_load_provider():
         load_provider("carrier-pigeon")
 
 
+@pytest.mark.parametrize("script", [5, "abc", None, {"a": "b"}, ["ok", 7], [None]])
+def test_load_provider_rejects_a_mock_script_that_is_not_a_list_of_strings(script):
+    with pytest.raises(ProviderError, match="'script' is not a list of strings"):
+        load_provider("mock", {"script": script})
+
+
+@pytest.mark.parametrize("by_prompt", [5, "abc", None, ["x"], {"digest": 3}, {1: "x"}])
+def test_load_provider_rejects_a_mock_by_prompt_that_is_not_an_object_of_strings(by_prompt):
+    with pytest.raises(ProviderError, match="'by_prompt' is not an object of strings"):
+        load_provider("mock", {"by_prompt": by_prompt})
+
+
+def test_load_provider_keeps_well_typed_mock_settings():
+    p = load_provider("mock", {"script": [], "by_prompt": {}})
+    assert (p.script, p.by_prompt) == ([], {})
+    digest = hashlib.sha256(b"x").hexdigest()
+    p = load_provider("mock", {"script": ["a", "b"], "by_prompt": {digest: "pinned"}})
+    assert [p.complete("x"), p.complete("y"), p.complete("z")] == ["pinned", "b", "a"]
+
+
 @pytest.mark.parametrize("key", ["temperature", "timeout", "retries"])
 @pytest.mark.parametrize("value", ["hot", None, [1], "2.5x"])
 def test_load_provider_rejects_a_non_numeric_http_setting(key, value):
