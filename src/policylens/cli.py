@@ -24,7 +24,6 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NoReturn
 
 import click
 
@@ -42,7 +41,6 @@ from .simplifier import (
     summarize_difference,
 )
 
-EXIT_INPUT = 1
 EXIT_PARTIAL = 4
 
 DEFAULT_SEED = 0
@@ -56,19 +54,14 @@ def _echo(message: str, err: bool = False) -> None:
     click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
-def _fail(message: str, code: int) -> NoReturn:
-    _echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 # Read by the runner: the first row that the error is an instance of wins.
 EXIT_CODES: dict[type[Exception], int] = {
     StateBlowup: 2,
     CubeBlowup: 2,
     ProviderError: 3,
     VerificationError: 5,
-    PolicyLensError: EXIT_INPUT,
-    OSError: EXIT_INPUT,
+    PolicyLensError: 1,
+    OSError: 1,
 }
 
 
@@ -85,7 +78,8 @@ def _command(body):
             except tuple(EXIT_CODES) as e:
                 if isinstance(e, BrokenPipeError):
                     raise  # a closed standard output: click exits 1 without a message
-                _fail(str(e), next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind)))
+                _echo(f"error: {e}", err=True)
+                sys.exit(next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind)))
 
     return run
 
@@ -196,7 +190,8 @@ def _with_options(options):
 def _settings(provider, provider_config, no_fallback, **fields) -> tuple[SimplifierConfig, LlmProvider]:
     """The summarizer's configuration, from the options named after its
     fields and ``--no-fallback``, then its provider.  A bad value, a malformed
-    provider config and a provider-config error exit 1."""
+    provider config and a provider-config error raise PolicyLensError, so
+    they exit 1, not with a provider failure's 3."""
     try:
         cfg = SimplifierConfig(fallback=not no_fallback, **fields)
         config = None
@@ -205,10 +200,10 @@ def _settings(provider, provider_config, no_fallback, **fields) -> tuple[Simplif
             if not isinstance(config, dict):
                 raise ProviderError("provider config must be a JSON object")
         return cfg, load_provider(provider, config)
-    except json.JSONDecodeError as e:
-        _fail(f"invalid provider config: {e}", EXIT_INPUT)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise PolicyLensError(f"invalid provider config: {e}") from None
     except (ValueError, ProviderError) as e:
-        _fail(str(e), EXIT_INPUT)
+        raise PolicyLensError(str(e)) from None
 
 
 @click.group()
@@ -240,7 +235,7 @@ def summarize(policy_path, out, fmt, no_timestamp, **settings):
 def compare(policy1, policy2, witnesses, seed, out, fmt, no_timestamp):
     """Classify the permissiveness relation between two policies."""
     if witnesses < 0:
-        _fail("--witnesses must be non-negative", EXIT_INPUT)
+        raise PolicyLensError("--witnesses must be non-negative")
     verdict = compare_policies(_load_policy(policy1), _load_policy(policy2), witnesses, seed)
     payload = {
         "command": "compare",
@@ -301,7 +296,7 @@ def count(policy_path, projection, bound, out, fmt, no_timestamp):
 def requests(policy_path, count_per_side, seed, out, fmt, no_timestamp):
     """Emit verified allowed and denied sample requests for a policy."""
     if count_per_side < 0:
-        _fail("-k must be non-negative", EXIT_INPUT)
+        raise PolicyLensError("-k must be non-negative")
     doc = _load_policy(policy_path)
     allowed, denied = sample_requests(doc, count_per_side, seed)
     empty = [label for label, side in (("allowed", allowed), ("denied", denied)) if count_per_side > 0 and not side]

@@ -179,7 +179,7 @@ def parse_policy(text: str) -> PolicyDocument:
         text = "{" + text + "}"
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise PolicySyntaxError(f"invalid policy JSON: {e}") from None
     if not isinstance(data, dict):
         raise SchemaError("policy document must be an object")

@@ -101,7 +101,8 @@ class HttpProvider(LlmProvider):
     """Chat-completions client over HTTP with a bounded retry budget.
 
     Connection errors, timeouts, 429 and 5xx are retried up to ``retries``
-    times with exponential backoff; any other 4xx fails at once.
+    times with exponential backoff; any other 4xx fails at once.  The
+    ``timeout`` must be finite and positive and ``retries`` non-negative.
     """
 
     name = "http"
@@ -116,6 +117,10 @@ class HttpProvider(LlmProvider):
         retries: int = 2,
         session: requests.Session | None = None,
     ) -> None:
+        if not 0 < timeout < float("inf"):
+            raise ProviderError(f"http provider timeout must be a finite positive number of seconds: {timeout!r}")
+        if retries < 0:
+            raise ProviderError(f"http provider retries must be non-negative: {retries!r}")
         self.endpoint = endpoint
         self.model = model
         # Environment overrides the configured credential, nothing else.
@@ -165,7 +170,7 @@ class HttpProvider(LlmProvider):
                 raise ProviderError(f"provider rejected the request: HTTP {status}")
             try:
                 return resp.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError, ValueError) as e:
+            except (KeyError, IndexError, TypeError, ValueError, RecursionError) as e:
                 raise ProviderError(f"malformed provider response: {e}") from None
         raise ProviderError(f"provider request failed after {self.retries + 1} attempts: {last}")
 

@@ -234,23 +234,49 @@ class _Parser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse_alt(self) -> RegexAst:
-        node = self.parse_seq()
-        while self.peek() == "|":
-            self.pos += 1
-            node = alt(node, self.parse_seq())
-        return node
-
-    def parse_seq(self) -> RegexAst:
-        node: RegexAst = EPSILON
+    def parse(self) -> RegexAst:
+        """Parse alternatives up to the end of the text or an unmatched
+        ``)``, which is left unconsumed.  One loop, no recursion: each open
+        group pushes the alternatives and the sequence it interrupts, so
+        nesting depth is bounded only by the text."""
+        groups: list[tuple[RegexAst | None, RegexAst]] = []
+        alts: RegexAst | None = None  # union of the alternatives before the last '|'
+        node: RegexAst = EPSILON  # the sequence since then
         while True:
             ch = self.peek()
-            if ch is None or ch in "|)":
-                return node
-            node = seq(node, self.parse_factor())
+            if ch == "(":
+                self.open_group()
+                groups.append((alts, node))
+                alts, node = None, EPSILON
+            elif ch == "|":
+                self.pos += 1
+                alts = node if alts is None else alt(alts, node)
+                node = EPSILON
+            elif ch is None or ch == ")":
+                body = node if alts is None else alt(alts, node)
+                if not groups:
+                    return body
+                self.expect(")")
+                alts, node = groups.pop()
+                node = seq(node, self.parse_quantifiers(body))
+            else:
+                node = seq(node, self.parse_quantifiers(self.parse_atom()))
 
-    def parse_factor(self) -> RegexAst:
-        node = self.parse_atom()
+    def open_group(self) -> None:
+        self.expect("(")
+        if self.peek() == "?":
+            self.pos += 1
+            ch = self.peek()
+            if ch == ":":
+                self.pos += 1
+            elif ch in ("=", "!", "<"):
+                raise UnsupportedConstruct(f"lookaround is not supported (position {self.pos})")
+            elif ch == "P":
+                raise UnsupportedConstruct(f"named groups are not supported (position {self.pos})")
+            else:
+                raise UnsupportedConstruct(f"(?{ch}...) groups are not supported (position {self.pos})")
+
+    def parse_quantifiers(self, node: RegexAst) -> RegexAst:
         quantified = False
         while True:
             ch = self.peek()
@@ -300,11 +326,8 @@ class _Parser:
         return int(self.text[start : self.pos])
 
     def parse_atom(self) -> RegexAst:
+        """One atom other than a group; the text does not end here."""
         ch = self.peek()
-        if ch is None:
-            raise self.error("unexpected end of pattern")
-        if ch == "(":
-            return self.parse_group()
         if ch == "[":
             return self.parse_class()
         if ch == ".":
@@ -324,23 +347,6 @@ class _Parser:
             raise AlphabetError(
                 f"character {ch!r} at position {self.pos - 1} outside printable ASCII 32-126"
             ) from None
-
-    def parse_group(self) -> RegexAst:
-        self.expect("(")
-        if self.peek() == "?":
-            self.pos += 1
-            ch = self.peek()
-            if ch == ":":
-                self.pos += 1
-            elif ch in ("=", "!", "<"):
-                raise UnsupportedConstruct(f"lookaround is not supported (position {self.pos})")
-            elif ch == "P":
-                raise UnsupportedConstruct(f"named groups are not supported (position {self.pos})")
-            else:
-                raise UnsupportedConstruct(f"(?{ch}...) groups are not supported (position {self.pos})")
-        node = self.parse_alt()
-        self.expect(")")
-        return node
 
     def parse_escape(self) -> int:
         """Mask denoted by the escape following a consumed backslash."""
@@ -439,7 +445,7 @@ def parse_regex(text: str) -> RegexAst:
         if backslashes % 2 == 0:
             body = body[:-1]
     parser = _Parser(body)
-    node = parser.parse_alt()
+    node = parser.parse()
     if parser.pos != len(body):
         raise parser.error(f"unexpected {parser.peek()!r}")
     return node

@@ -2,7 +2,8 @@
 
 A request is a tuple of strings over the dimensions (principal, action,
 resource, then any condition keys, lexicographic).  A :class:`RequestSet` is
-a union of *cubes*, each cube a per-dimension product of DFA languages.
+a union of *cubes*.  A cube is a plain tuple of languages, one :class:`Dfa`
+per dimension, and denotes their product; it is empty iff any component is.
 Unions of cubes are closed under union, intersection and difference (the
 difference of two cubes distributes into at most one cube per dimension), so
 policy compilation and the permissiveness comparison stay exact.
@@ -65,14 +66,8 @@ class DimensionSchema:
         return DimensionSchema(self.condition_keys + other.condition_keys)
 
 
-@dataclass(frozen=True)
-class RequestCube:
-    """One per-dimension product of languages; empty iff any component is."""
-
-    dfas: tuple[Dfa, ...]
-
-    def is_empty(self) -> bool:
-        return any(d.is_empty() for d in self.dfas)
+# One language per dimension; ``RequestCube(dfas)`` builds one from an iterable.
+RequestCube = tuple[Dfa, ...]
 
 
 @dataclass(frozen=True)
@@ -84,9 +79,9 @@ class RequestSet:
         kept: list[RequestCube] = []
         seen: set[RequestCube] = set()
         for cube in self.cubes:
-            if len(cube.dfas) != len(self.schema.dimensions):
+            if len(cube) != len(self.schema.dimensions):
                 raise SchemaError("cube arity does not match the schema")
-            if cube.is_empty() or cube in seen:
+            if any(d.is_empty() for d in cube) or cube in seen:
                 continue
             kept.append(cube)
             seen.add(cube)
@@ -98,8 +93,7 @@ def is_empty_set(x: RequestSet) -> bool:
 
 
 def universe_set(schema: DimensionSchema) -> RequestSet:
-    cube = RequestCube(tuple(universe_dfa() for _ in schema.dimensions))
-    return RequestSet(schema, (cube,))
+    return RequestSet(schema, (tuple(universe_dfa() for _ in schema.dimensions),))
 
 
 def empty_set(schema: DimensionSchema) -> RequestSet:
@@ -112,12 +106,8 @@ def _pad(x: RequestSet, schema: DimensionSchema) -> RequestSet:
         return x
     univ = universe_dfa()
     own = {d: i for i, d in enumerate(x.schema.dimensions)}
-    cubes = []
-    for cube in x.cubes:
-        cubes.append(
-            RequestCube(tuple(cube.dfas[own[d]] if d in own else univ for d in schema.dimensions))
-        )
-    return RequestSet(schema, tuple(cubes))
+    cubes = tuple(tuple(cube[own[d]] if d in own else univ for d in schema.dimensions) for cube in x.cubes)
+    return RequestSet(schema, cubes)
 
 
 def _aligned(x: RequestSet, y: RequestSet) -> tuple[RequestSet, RequestSet, DimensionSchema]:
@@ -134,13 +124,13 @@ def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
     drops empty cubes, so a's components are not."""
     out: list[RequestCube] = []
     prefix: list[Dfa] = []
-    k = len(a.dfas)
+    k = len(a)
     for i in range(k):
-        diff = a.dfas[i].difference(b.dfas[i])
+        diff = a[i].difference(b[i])
         if not diff.is_empty():
-            out.append(RequestCube(tuple(prefix) + (diff,) + a.dfas[i + 1 :]))
+            out.append((*prefix, diff, *a[i + 1 :]))
         if i + 1 < k:
-            inter = a.dfas[i].intersect(b.dfas[i])
+            inter = a[i].intersect(b[i])
             if inter.is_empty():
                 break
             prefix.append(inter)
@@ -170,11 +160,17 @@ def _check_cubes(count: int) -> None:
 # -- policy compilation -------------------------------------------------------
 
 
+def _union(languages: Iterable[Dfa]) -> Dfa:
+    """Union of the languages, folded left to right from ∅."""
+    d = empty_dfa()
+    for lang in languages:
+        d = d.union(lang)
+    return d
+
+
 def _disjunction(patterns: Iterable[WildcardPattern], negated: bool) -> Dfa:
     """Union of the patterns' languages, complemented when ``negated``."""
-    d = empty_dfa()
-    for p in patterns:
-        d = d.union(from_pattern(p))
+    d = _union(from_pattern(p) for p in patterns)
     return d.complement() if negated else d
 
 
@@ -202,10 +198,8 @@ def compile_policy(doc: PolicyDocument) -> RequestSet:
             values = _disjunction(cond.values, cond.operator.negated)
             per_key[cond.key] = per_key[cond.key].intersect(values)
         clauses = (stmt.principal, stmt.action, stmt.resource)
-        cube = RequestCube(
-            tuple(_disjunction(c.patterns, c.negated) for c in clauses)
-            + tuple(per_key[k] for k in schema.condition_keys)
-        )
+        cube = tuple(_disjunction(c.patterns, c.negated) for c in clauses)
+        cube += tuple(per_key[k] for k in schema.condition_keys)
         (allow if stmt.effect == Effect.ALLOW else deny).append(cube)
     allowed = RequestSet(schema, tuple(allow))
     if not deny:
@@ -219,18 +213,13 @@ def compile_policy(doc: PolicyDocument) -> RequestSet:
 def project(x: RequestSet, dim: str) -> Dfa:
     """Language of one dimension across all (non-empty) cubes."""
     i = x.schema.index(dim)
-    d = empty_dfa()
-    for cube in x.cubes:
-        d = d.union(cube.dfas[i])
-    return d
+    return _union(cube[i] for cube in x.cubes)
 
 
 def contains(x: RequestSet, request: Mapping[str, str]) -> bool:
     """Membership of a request; dimensions the request omits read as ""."""
     values = [request.get(dim, "") for dim in x.schema.dimensions]
-    return any(
-        all(d.accepts(v) for d, v in zip(cube.dfas, values)) for cube in x.cubes
-    )
+    return any(all(d.accepts(v) for d, v in zip(cube, values)) for cube in x.cubes)
 
 
 def decide_request(doc: PolicyDocument, request: Mapping[str, str]) -> Effect:
@@ -262,7 +251,7 @@ def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]
     seen: set[tuple[str, ...]] = set()
     for draw in range(5 * k + 10):
         cube = x.cubes[draw % len(x.cubes)]
-        values = tuple(sample(_regex_of(d), rng) for d in cube.dfas)
+        values = tuple(sample(_regex_of(d), rng) for d in cube)
         if values not in seen:
             seen.add(values)
             out.append(dict(zip(x.schema.dimensions, values)))

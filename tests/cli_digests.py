@@ -4,8 +4,10 @@ Usage: ``python tests/cli_digests.py CHECKOUT``
 
 Each digest covers a case's exit code, standard output and standard error,
 run with ``--no-timestamp`` from the checkout's root on its ``policies/``
-corpus, importing ``policylens`` from the checkout's ``src/``.  Two checkouts
-whose listings are equal produce byte-identical CLI output on every case:
+corpus, importing ``policylens`` from the checkout's ``src/``.  Each line is
+the digest, then the exit code, or ``raised`` for an exception that escaped
+the CLI, then the case.  Two checkouts whose listings are equal produce
+byte-identical CLI output on every case:
 
 - ``summarize`` (json and text) and ``requests -k 3`` on every policy;
 - ``compare`` and ``diff -n 200`` on every ordered pair of policies;
@@ -135,7 +137,8 @@ def edge_cases(policies: list[str]) -> list[list[str]]:
     return [argv + ["--no-timestamp"] for argv in out]
 
 
-def run(main, argv: list[str], tmp: str) -> bytes:
+def run(main, argv: list[str], tmp: str) -> str:
+    """The digest of one case and its exit code, or ``raised``."""
     out, err = io.StringIO(), io.StringIO()
     code: object = 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -150,7 +153,7 @@ def run(main, argv: list[str], tmp: str) -> bytes:
     if report.exists():
         result += f"\0{report.read_text(encoding='utf-8')}"
         report.unlink()
-    return result.encode("utf-8")
+    return f"{hashlib.sha256(result.encode('utf-8')).hexdigest()} {'raised' if isinstance(code, str) else code}"
 
 
 def main() -> None:
@@ -167,17 +170,17 @@ def main() -> None:
         for name, text in TMP_FILES.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         for argv in cases(policies):
-            print(hashlib.sha256(run(cli, argv, tmp)).hexdigest(), " ".join(argv))
+            print(run(cli, argv, tmp), " ".join(argv))
         default_cap = automata.DEFAULT_STATE_CAP
         try:
             for cap in CAPS:
                 automata.DEFAULT_STATE_CAP = cap
                 for argv in capped_cases(policies):
-                    print(hashlib.sha256(run(cli, argv, tmp)).hexdigest(), f"cap={cap}", " ".join(argv))
+                    print(run(cli, argv, tmp), f"cap={cap}", " ".join(argv))
         finally:
             automata.DEFAULT_STATE_CAP = default_cap
         for argv in edge_cases(policies):
-            print(hashlib.sha256(run(cli, argv, tmp)).hexdigest(), " ".join(argv))
+            print(run(cli, argv, tmp), " ".join(argv))
 
 
 if __name__ == "__main__":

@@ -214,7 +214,7 @@ def reference_sample_from_set(x, k: int, seed: int) -> list[dict[str, str]]:
     seen: set[tuple[str, ...]] = set()
     for draw in range(5 * k + 10):
         cube = x.cubes[draw % len(x.cubes)]
-        values = tuple(reference_sample(d.extract_regex(), rng) for d in cube.dfas)
+        values = tuple(reference_sample(d.extract_regex(), rng) for d in cube)
         if values not in seen:
             seen.add(values)
             out.append(dict(zip(x.schema.dimensions, values)))

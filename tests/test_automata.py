@@ -74,7 +74,7 @@ def test_complement_is_canonical_on_corpus_components():
     checked = 0
     for path in corpus_paths():
         for cube in compile_policy(parse_policy(path.read_text())).cubes:
-            for d in cube.dfas:
+            for d in cube:
                 assert d.complement() == _complement_oracle(d), path.name
                 checked += 1
     assert checked >= 40

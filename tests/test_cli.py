@@ -451,3 +451,68 @@ def test_policy_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, comman
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: policy file {bad} is not valid UTF-8: ")
     assert result.stderr.count("\n") == 1
+
+
+# --- hostile input: every case ends in an exit code from the table, never a traceback
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def assert_handled(result, code: int) -> None:
+    """``code`` is 0 or a code from ``cli.EXIT_CODES``; the run raised nothing
+    past the runner and wrote at most one ``error:`` line."""
+    assert code == 0 or code in cli.EXIT_CODES.values()
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == code, result.output
+    assert result.stderr.count("error:") <= 1
+    assert "Traceback" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("command, position", POLICY_POSITIONS)
+def test_policy_nested_too_deep_is_an_input_error(runner, tmp_path, command, position):
+    argv = list(COMMANDS[command])
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv[position] = str(deep)
+    result = runner.invoke(main, argv + ["--no-timestamp"])
+    assert_handled(result, 1)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: invalid policy JSON: ")
+
+
+@pytest.mark.parametrize("command", ["summarize", "diff"])
+def test_provider_config_nested_too_deep_is_an_input_error(runner, tmp_path, command):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(DEEP_JSON)
+    result = runner.invoke(main, COMMANDS[command] + ["--provider-config", str(cfg), "--no-timestamp"])
+    assert_handled(result, 1)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: invalid provider config: ")
+
+
+def test_candidate_with_hundreds_of_nested_groups_is_scored(runner, tmp_path):
+    cfg = provider_config(tmp_path, script=["(" * 400 + "a" + ")" * 400])
+    result = runner.invoke(main, COMMANDS["summarize"] + ["--provider-config", cfg, "--no-timestamp"])
+    assert_handled(result, 0)
+    candidate = body_json(result.stdout)["candidates"][0]
+    assert candidate["error"] is None and candidate["similarity"] is not None
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"timeout": -1}, "timeout must be a finite positive number of seconds: -1.0"),
+        ({"timeout": 0}, "timeout must be a finite positive number of seconds: 0.0"),
+        ({"timeout": float("nan")}, "timeout must be a finite positive number of seconds: nan"),
+        ({"timeout": float("inf")}, "timeout must be a finite positive number of seconds: inf"),
+        ({"retries": -1}, "retries must be non-negative: -1"),
+    ],
+    ids=["timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf", "retries-negative"],
+)
+def test_out_of_range_http_provider_setting_is_an_input_error(runner, tmp_path, setting, message):
+    # A loopback endpoint: the provider is rejected before any request is made.
+    cfg = provider_config(tmp_path, endpoint="http://127.0.0.1:9/", model="m", **setting)
+    result = runner.invoke(main, COMMANDS["summarize"] + ["--provider", "http", "--provider-config", cfg])
+    assert_handled(result, 1)
+    assert result.stdout == ""
+    assert result.stderr == f"error: http provider {message}\n"

@@ -27,8 +27,7 @@ from policylens.simplifier import SimplifierConfig, generate_summarization
 from conftest import corpus_paths
 from oracles import refine_product_rows, thompson_subset_rows
 from test_automata import small_regex
-from test_regex import ast_strategy
-from test_sampler import _nested_star_unions, _nested_stars, _nested_unions
+from test_regex import _nested_star_unions, _nested_stars, _nested_unions, ast_strategy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -155,6 +155,30 @@ def test_http_provider_malformed_response(monkeypatch):
             p.complete("q")
 
 
+def test_http_provider_response_nested_too_deep(monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    resp = requests.Response()
+    resp.status_code = 200
+    resp._content = b"[" * 100_000 + b"]" * 100_000
+    p = HttpProvider("https://api.test", "m", session=FakeSession([resp]))
+    with pytest.raises(ProviderError, match="^malformed provider response: "):
+        p.complete("q")
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"timeout": -1.0}, {"timeout": 0}, {"timeout": float("nan")}, {"timeout": float("inf")}, {"retries": -1}],
+    ids=["timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf", "retries-negative"],
+)
+def test_http_provider_rejects_out_of_range_numbers(setting):
+    session = FakeSession([])
+    with pytest.raises(ProviderError, match=f"^http provider {next(iter(setting))} must be "):
+        HttpProvider("https://api.test", "m", session=session, **setting)
+    with pytest.raises(ProviderError, match=f"^http provider {next(iter(setting))} must be "):
+        load_provider("http", {"endpoint": "https://e", "model": "m", **setting})
+    assert session.requests == []
+
+
 def test_http_provider_http_error_retries(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     session = FakeSession([FakeResponse(500, {}), _ok("later")])
@@ -255,6 +279,8 @@ def test_load_provider_converts_numeric_http_settings():
     assert (h.temperature, h.timeout, h.retries) == (0.5, 3.0, 4)
     d = load_provider("http", {"endpoint": "https://e", "model": "m"})
     assert (d.temperature, d.timeout, d.retries) == (0.2, 60.0, 2)
+    z = load_provider("http", {"endpoint": "https://e", "model": "m", "timeout": 1e-9, "retries": 0})
+    assert (z.timeout, z.retries) == (1e-9, 0)
 
 
 def test_cli_start_up_does_not_import_the_http_client():

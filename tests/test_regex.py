@@ -155,6 +155,47 @@ def test_parse_syntax_errors():
             parse_regex(bad)
 
 
+def test_unbalanced_groups_are_syntax_errors():
+    with pytest.raises(RegexSyntaxError, match=r"^expected '\)' at position 5000$"):
+        parse_regex("(" * 5000)
+    with pytest.raises(RegexSyntaxError, match=r"^unexpected '\)' at position 0$"):
+        parse_regex(")")
+    with pytest.raises(RegexSyntaxError, match=r"^expected '\)' at position 11$"):
+        parse_regex("not(a regex")
+
+
+# Trees deeper than the interpreter's recursion limit, shared with the sampler and kernel tests.
+def _nested_unions(depth: int):
+    r = literal("z")
+    for _ in range(depth):
+        r = alt(seq(literal("a"), r), literal("b"))
+    return r
+
+
+def _nested_stars(depth: int):
+    r = literal("z")
+    for _ in range(depth):
+        r = star(seq(literal("a"), r))
+    return r
+
+
+def _nested_star_unions(depth: int):
+    r = literal("z")
+    for _ in range(depth):
+        r = star(alt(r, literal("ya")))
+    return r
+
+
+@pytest.mark.parametrize(
+    "r",
+    [_nested_star_unions(300), _nested_stars(300), _nested_unions(1500)],
+    ids=["star-unions-300", "stars-300", "unions-1500"],
+)
+def test_deeply_nested_regex_parses_back_to_itself(r):
+    # The parser keeps open groups on its own stack, not on the interpreter's.
+    assert parse_regex(print_regex(r)) is r
+
+
 def test_parse_alphabet_errors():
     with pytest.raises(AlphabetError):
         parse_regex("a\tb")

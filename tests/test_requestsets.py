@@ -39,7 +39,7 @@ def d(regex: str) -> Dfa:
 
 
 def rs(*cubes: tuple[Dfa, ...]) -> RequestSet:
-    return RequestSet(SCHEMA, tuple(RequestCube(c) for c in cubes))
+    return RequestSet(SCHEMA, cubes)
 
 
 def test_compile_deny_all_is_empty(deny_all_doc):
@@ -89,8 +89,8 @@ def test_cube_difference_distribution_shape():
     b = rs((d(".*"), d("b*"), d(".*")))
     diff = set_difference(a, b)
     assert len(diff.cubes) == 1
-    assert diff.cubes[0].dfas[0] == d("a*")
-    assert diff.cubes[0].dfas[1] == d("b*").complement()
+    assert diff.cubes[0][0] == d("a*")
+    assert diff.cubes[0][1] == d("b*").complement()
     assert contains(diff, {"principal": "aa", "action": "a", "resource": "zz"})
     assert not contains(diff, {"principal": "aa", "action": "bb", "resource": "zz"})
     assert not contains(diff, {"principal": "c", "action": "a", "resource": ""})
@@ -125,7 +125,7 @@ def test_duplicate_cubes_deduplicated():
 
 def test_cube_arity_checked():
     with pytest.raises(SchemaError):
-        RequestSet(SCHEMA, (RequestCube((d("a"),)),))
+        RequestSet(SCHEMA, (RequestCube([d("a")]),))
 
 
 def test_project_cases():

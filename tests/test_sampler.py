@@ -24,7 +24,7 @@ from policylens.sampler import sample, sample_n
 
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
 from oracles import reference_sample, reference_sample_from_set
-from test_regex import ast_strategy
+from test_regex import _nested_star_unions, _nested_stars, _nested_unions, ast_strategy
 
 
 def test_constant_regex_samples_itself():
@@ -184,27 +184,6 @@ def _assert_draws_as_reference(r, seed, draws=20):
 
 
 # --- fused instructions and deep trees ---------------------------------------
-
-
-def _nested_unions(depth: int):
-    r = literal("z")
-    for _ in range(depth):
-        r = alt(seq(literal("a"), r), literal("b"))
-    return r
-
-
-def _nested_stars(depth: int):
-    r = literal("z")
-    for _ in range(depth):
-        r = star(seq(literal("a"), r))
-    return r
-
-
-def _nested_star_unions(depth: int):
-    r = literal("z")
-    for _ in range(depth):
-        r = star(alt(r, literal("ya")))
-    return r
 
 
 @pytest.mark.parametrize(
