@@ -20,19 +20,10 @@ Thompson NFA and mask-refining kernels they replaced.  The kernel
 raises :class:`~policylens.errors.StateBlowup` when a new state would pass the
 state cap, :data:`DEFAULT_STATE_CAP`, which it reads when it runs (so a test
 can lower it).  Every result is minimized by Hopcroft partition refinement.
-
-Identity laws: a product whose result an identity law fixes is not built.
-When the operands are equal or one has a single state (a canonical one-state
-DFA is ∅ or U), the operation's truth table makes membership in the result
-follow one operand, so the result is that operand, ∅, U or its complement:
-``a∩a = a∪a = a``, ``a∖a = ∅``, ``x∩U = x∪∅ = x∖∅ = x``, ``x∩∅ = x∖U = ∅∖x
-= ∅``, ``x∪U = U`` and ``U∖x`` is the complement of ``x``.  A law applies
-only when neither operand has more states than the state cap; within the
-cap such a product cannot raise, and past it the product runs and raises
-:class:`~policylens.errors.StateBlowup` exactly as before.  The result is
-the canonical DFA the product returns, and a law's case bypasses the
-operation cache below.  The tests check every law against the product
-itself.
+The set operations always build the product or fetch it from the operation
+cache, trivial operands included, so ``a.intersect(a)`` is a DFA equal to
+``a``, not necessarily ``a`` itself; callers that know a term is trivial
+settle it themselves (see :mod:`policylens.requestsets`).
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their
@@ -458,32 +449,7 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {
 
 
 def _cached_product(op: str, a: Dfa, b: Dfa) -> Dfa:
-    # Within the cap neither law case can raise: its product reaches at most
-    # max(|a|, |b|) pairs.  Past it, the product decides whether to raise.
-    if max(a.state_count, b.state_count) <= DEFAULT_STATE_CAP:
-        fixed = _identity_law(op, a, b)
-        if fixed is not None:
-            return fixed
     return _memoized((op, a, b), _product, a, b, _KEEP[op])
-
-
-def _identity_law(op: str, a: Dfa, b: Dfa) -> Dfa | None:
-    """The product's result when an identity law (see the module docstring)
-    fixes it, else None."""
-    keep = _KEEP[op]
-    # ``x`` is the operand that membership in the result follows, through ``member``.
-    if a == b:
-        x, member = a, lambda m: keep(m, m)
-    elif b.state_count == 1:
-        x, member = a, lambda m: keep(m, bool(b.accepting))
-    elif a.state_count == 1:
-        x, member = b, lambda m: keep(bool(a.accepting), m)
-    else:
-        return None
-    inside, outside = member(True), member(False)
-    if inside == outside:
-        return _UNIVERSE_DFA if inside else _EMPTY_DFA
-    return x if inside else x.complement()
 
 
 def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:

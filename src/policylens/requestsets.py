@@ -6,7 +6,9 @@ a union of *cubes*.  A cube is a plain tuple of languages, one :class:`Dfa`
 per dimension, and denotes their product; it is empty iff any component is.
 Unions of cubes are closed under union, intersection and difference (the
 difference of two cubes distributes into at most one cube per dimension), so
-policy compilation and the permissiveness comparison stay exact.
+policy compilation and the permissiveness comparison stay exact.  Unions of
+languages, and a condition key's conjunction, fold from the first language,
+not from ∅ or U; :func:`_cube_difference` settles its trivial terms itself.
 
 Deny-overrides semantics: a policy's set is (union of allow-statement cubes)
 minus (union of deny-statement cubes).
@@ -19,6 +21,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping
 
 from .automata import (
@@ -121,19 +124,25 @@ def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
     Term i keeps intersections on dimensions before i, the difference on
     dimension i, and a's own components after i.  Once a prefix intersection
     is empty every later term is empty too.  No term is empty: a request set
-    drops empty cubes, so a's components are not."""
+    drops empty cubes, so a's components are not.  Trivial dimensions take
+    no product: where Bᵢ is U or equals Aᵢ the difference is ∅ and the
+    intersection Aᵢ, and where Aᵢ is U they are Bᵢ's complement and Bᵢ."""
     out: list[RequestCube] = []
     prefix: list[Dfa] = []
-    k = len(a)
-    for i in range(k):
-        diff = a[i].difference(b[i])
+    univ, k = universe_dfa(), len(a)
+    for i, (x, y) in enumerate(zip(a, b)):
+        last = i + 1 == k
+        if y == univ or x == y:
+            diff, inter = empty_dfa(), x
+        elif x == univ:
+            diff, inter = y.complement(), y
+        else:
+            diff, inter = x.difference(y), None if last else x.intersect(y)
         if not diff.is_empty():
             out.append((*prefix, diff, *a[i + 1 :]))
-        if i + 1 < k:
-            inter = a[i].intersect(b[i])
-            if inter.is_empty():
-                break
-            prefix.append(inter)
+        if last or inter.is_empty():
+            break
+        prefix.append(inter)
     return out
 
 
@@ -161,11 +170,9 @@ def _check_cubes(count: int) -> None:
 
 
 def _union(languages: Iterable[Dfa]) -> Dfa:
-    """Union of the languages, folded left to right from ∅."""
-    d = empty_dfa()
-    for lang in languages:
-        d = d.union(lang)
-    return d
+    """Union of the languages, folded left to right from the first; ∅ for none."""
+    langs = list(languages)
+    return reduce(Dfa.union, langs) if langs else empty_dfa()
 
 
 def _disjunction(patterns: Iterable[WildcardPattern], negated: bool) -> Dfa:
@@ -193,13 +200,13 @@ def compile_policy(doc: PolicyDocument) -> RequestSet:
     allow: list[RequestCube] = []
     deny: list[RequestCube] = []
     for stmt in doc.statements:
-        per_key: dict[str, Dfa] = {k: univ for k in schema.condition_keys}
+        per_key: dict[str, Dfa] = {}
         for cond in stmt.conditions:
             values = _disjunction(cond.values, cond.operator.negated)
-            per_key[cond.key] = per_key[cond.key].intersect(values)
+            per_key[cond.key] = per_key[cond.key].intersect(values) if cond.key in per_key else values
         clauses = (stmt.principal, stmt.action, stmt.resource)
         cube = tuple(_disjunction(c.patterns, c.negated) for c in clauses)
-        cube += tuple(per_key[k] for k in schema.condition_keys)
+        cube += tuple(per_key.get(k, univ) for k in schema.condition_keys)
         (allow if stmt.effect == Effect.ALLOW else deny).append(cube)
     allowed = RequestSet(schema, tuple(allow))
     if not deny:

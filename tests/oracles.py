@@ -9,7 +9,8 @@ every state of a table, and the sampler walks the AST node by node, picking
 with ``rng.choice``.  The table builders are the engine's earlier kernels,
 each with its own worklist: subset construction over the ε-closures of a
 Thompson NFA, and a product whose rows refine both rows' masks and look up
-each part's targets.
+each part's targets.  The cube difference builds every term with the
+engine's bare product, with no operation cache and no settled terms.
 """
 
 from __future__ import annotations
@@ -341,3 +342,20 @@ def refine_product_rows(a, b, keep):
 
     pairs, rows = _explore((0, 0), moves, "product construction")
     return rows, {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
+
+
+def reference_cube_difference(a, b) -> list[tuple]:
+    """``requestsets._cube_difference`` with every difference and prefix
+    intersection built by ``automata._product``: the same terms in the same
+    order, the stop at the first empty prefix included."""
+    out, prefix = [], []
+    for i, (x, y) in enumerate(zip(a, b)):
+        diff = automata._product(x, y, lambda p, q: p and not q)
+        if not diff.is_empty():
+            out.append((*prefix, diff, *a[i + 1 :]))
+        if i + 1 < len(a):
+            inter = automata._product(x, y, lambda p, q: p and q)
+            if inter.is_empty():
+                break
+            prefix.append(inter)
+    return out

@@ -451,22 +451,23 @@ def test_product_ops_match_set_semantics(r1, r2):
         assert diff.accepts(s) == (a and not b)
 
 
-# -- identity laws ---------------------------------------------------------------
+# -- former identity-law cases -----------------------------------------------------
 
 _OPS = ("union", "intersect", "difference")
 
 
-def _law_cases(d: Dfa) -> list[tuple[str, Dfa, Dfa]]:
+def _law_cases(d: Dfa) -> list[tuple[str, Dfa, Dfa, Dfa]]:
     """Every product of ``d`` against U, ∅, itself and an equal but distinct
-    copy, ``U∖d`` (the complement) included."""
+    copy, ``U∖d`` (the complement) included, with the DFA each must equal."""
     twin = Dfa(d.transitions, d.accepting)
     u, e = universe_dfa(), empty_dfa()
-    pairs = [(d, u), (u, d), (d, e), (e, d), (d, d), (d, twin)]
-    return [(op, a, b) for a, b in pairs for op in _OPS]
-
-
-def _no_product(*_):
-    raise AssertionError("a product was built for a case an identity law fixes")
+    return [
+        *[(op, d, other, want) for other in (d, twin) for op, want in zip(_OPS, (d, d, e))],
+        ("union", d, u, u), ("intersect", d, u, d), ("difference", d, u, e),
+        ("union", u, d, u), ("intersect", u, d, d), ("difference", u, d, d.complement()),
+        ("union", d, e, d), ("intersect", d, e, e), ("difference", d, e, d),
+        ("union", e, d, d), ("intersect", e, d, e), ("difference", e, d, e),
+    ]
 
 
 def _outcome(run):
@@ -476,65 +477,58 @@ def _outcome(run):
         return StateBlowup
 
 
-def _check_laws_against_the_product(d: Dfa, cap: int = automata.DEFAULT_STATE_CAP) -> None:
-    """Under the state cap ``cap``, each law case of ``d`` gives what
-    ``_product`` gives, result or StateBlowup, and calls no product when both
-    operands fit in the cap."""
-    for op, a, b in _law_cases(d):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
-            want = _outcome(lambda: _product(a, b, _KEEP[op]))
-            if max(a.state_count, b.state_count) <= cap:
-                mp.setattr(automata, "_product", _no_product)
-            assert _outcome(lambda: getattr(a, op)(b)) == want, (op, a, b)
+def _check_law_cases_against_the_product(d: Dfa, cap: int = automata.DEFAULT_STATE_CAP) -> None:
+    """Under the state cap ``cap``, each former law case of ``d`` gives what
+    ``_product`` gives, result or StateBlowup, and a result is the DFA the
+    law named."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
+        for op, a, b, want in _law_cases(d):
+            got = _outcome(lambda: getattr(a, op)(b))
+            assert got == _outcome(lambda: _product(a, b, _KEEP[op])), (op, a, b)
+            assert got in (want, StateBlowup), (op, a, b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_regex(), small_regex())
-def test_identity_laws_match_the_product(r1, r2):
+def test_former_law_cases_match_the_product(r1, r2):
     d1, d2 = from_regex(r1), from_regex(r2)
-    _check_laws_against_the_product(d1)
-    _check_laws_against_the_product(d2)
-    for op in _OPS:  # any other pair still gets the product itself
+    _check_law_cases_against_the_product(d1)
+    _check_law_cases_against_the_product(d2)
+    for op in _OPS:
         assert getattr(d1, op)(d2) == _product(d1, d2, _KEEP[op])
-    u = universe_dfa()
-    assert u.difference(d1) == _product(u, d1, _KEEP["difference"])
 
 
-def test_identity_laws_match_the_product_on_corpus_projections():
+def test_former_law_cases_match_the_product_on_corpus_projections():
     checked = 0
     for path in corpus_paths():
         request_set = compile_policy(parse_policy(path.read_text()))
         for dim in request_set.schema.dimensions:
-            _check_laws_against_the_product(project(request_set, dim))
+            _check_law_cases_against_the_product(project(request_set, dim))
             checked += 1
     assert checked >= 30
 
 
-def test_equal_operands_built_apart_need_no_product(monkeypatch):
-    a, b = from_pattern("*a??"), from_pattern("*a??")  # outside a scope: two builds
-    assert a is not b and a == b
-    monkeypatch.setattr(automata, "_product", _no_product)
-    assert a.intersect(b) is a
-    assert a.union(b) is a
-    assert a.difference(b) is empty_dfa()
-
-
-def test_identity_laws_raise_where_the_product_raises(monkeypatch):
+def test_former_law_cases_raise_where_the_product_raises(monkeypatch):
     d = from_pattern("*a??")
     n = d.state_count
     assert n > 2
-    for cap in range(n + 2):  # from cap n up, every law answers without a product
-        _check_laws_against_the_product(d, cap)
+    for cap in range(n + 2):
+        _check_law_cases_against_the_product(d, cap)
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", n - 1)
-    for op, a, b in _law_cases(d):  # one state short, the product runs and raises
+    for op, a, b, _ in _law_cases(d):  # one state short, every product raises
         with pytest.raises(StateBlowup):
             getattr(a, op)(b)
 
 
-def test_identity_laws_bypass_the_operation_cache():
+def test_set_operations_always_go_through_the_operation_cache():
     d = from_pattern("*a??")
+    cases = _law_cases(d)
+    keys = {(op, a, b) for op, a, b, _ in cases}
     with operation_cache() as cache:
-        for op, a, b in _law_cases(d):
+        for op, a, b, _ in cases:
             getattr(a, op)(b)
-        assert (cache.hits, cache.misses, cache.table) == (0, 0, {})
+        assert (cache.hits + cache.misses, cache.misses, len(cache.table)) == (len(cases), len(keys), len(keys))
+        for op, a, b, want in cases:  # a second round is served from the table
+            assert getattr(a, op)(b) == want
+        assert cache.misses == len(keys)

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from policylens import requestsets
-from policylens.automata import Dfa, OperationCache, from_regex, operation_cache
+from hypothesis import given, settings, strategies as st
+
+from policylens import automata, requestsets
+from policylens.automata import Dfa, OperationCache, empty_dfa, from_regex, operation_cache, universe_dfa
 from policylens.errors import CubeBlowup, InsufficientLanguage, SchemaError
 from policylens.policy import Effect, parse_policy
 from policylens.regex import parse_regex
@@ -29,7 +31,8 @@ from policylens.requestsets import (
 )
 
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
-from oracles import ref_decide
+from oracles import ref_decide, reference_cube_difference
+from test_automata import small_regex
 
 SCHEMA = DimensionSchema()
 
@@ -94,6 +97,83 @@ def test_cube_difference_distribution_shape():
     assert contains(diff, {"principal": "aa", "action": "a", "resource": "zz"})
     assert not contains(diff, {"principal": "aa", "action": "bb", "resource": "zz"})
     assert not contains(diff, {"principal": "c", "action": "a", "resource": ""})
+
+
+def _no_product(*_):
+    raise AssertionError("a product was built for a settled term")
+
+
+def test_cube_difference_settles_trivial_terms_without_a_product(monkeypatch):
+    x, twin, y = d("a*b"), d("a*b"), d("b+")
+    assert x is not twin and x == twin
+    u = universe_dfa()
+    monkeypatch.setattr(automata, "_product", _no_product)
+    # equal operands built apart, then a U on the left, then a U on the right
+    assert requestsets._cube_difference((x, u, y), (twin, y, u)) == [(x, y.complement(), y)]
+    assert requestsets._cube_difference((x, u, y), (twin, u, y)) == []
+
+
+@st.composite
+def cube_pairs(draw) -> tuple[RequestCube, RequestCube]:
+    """Two cubes of one arity whose components repeat, include U, and
+    include complements and equal copies built apart."""
+    dfas = [from_regex(r) for r in draw(st.lists(small_regex(), min_size=1, max_size=3))]
+    pool = [universe_dfa(), *dfas, *(x.complement() for x in dfas), *(Dfa(x.transitions, x.accepting) for x in dfas)]
+    k = draw(st.integers(1, 4))
+    cube = st.lists(st.sampled_from(pool), min_size=k, max_size=k).map(tuple)
+    return draw(cube), draw(cube)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cube_pairs())
+def test_cube_difference_matches_the_reference(pair):
+    a, b = pair
+    assert requestsets._cube_difference(a, b) == reference_cube_difference(a, b)
+
+
+def _check_every_cube_difference(monkeypatch) -> list[int]:
+    """Check each ``_cube_difference`` the engine runs against the reference;
+    the returned list counts the checks."""
+    real, checked = requestsets._cube_difference, []
+
+    def cube_difference(a, b):
+        got = real(a, b)
+        assert got == reference_cube_difference(a, b), (a, b)
+        checked.append(1)
+        return got
+
+    monkeypatch.setattr(requestsets, "_cube_difference", cube_difference)
+    return checked
+
+
+def _differences(docs) -> None:
+    sets = [compile_policy(doc) for doc in docs]
+    for x in sets:
+        set_difference(universe_set(x.schema), x)
+        for y in sets:
+            set_difference(x, y)
+
+
+def test_cube_difference_matches_the_reference_on_corpus_pairs(monkeypatch, corpus):
+    checked = _check_every_cube_difference(monkeypatch)
+    _differences(corpus.values())
+    assert len(checked) > 200
+
+
+def test_cube_difference_matches_the_reference_on_random_policies(monkeypatch):
+    checked = _check_every_cube_difference(monkeypatch)
+    for seed in range(30):
+        rng = random.Random(f"cube-difference/{seed}")
+        _differences([parse_policy(random_policy_text(rng)) for _ in range(2)])
+    assert len(checked) > 500
+
+
+def test_union_of_no_languages_is_empty_and_of_one_is_itself(monkeypatch):
+    assert requestsets._union([]) == empty_dfa()
+    x = d("a*b")
+    monkeypatch.setattr(automata, "_product", _no_product)
+    assert requestsets._union([x]) is x
+    assert requestsets._union(iter([x])) is x
 
 
 def test_cube_operations_match_brute_force():
