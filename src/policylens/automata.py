@@ -21,9 +21,7 @@ raises :class:`~policylens.errors.StateBlowup` when a new state would pass the
 state cap, :data:`DEFAULT_STATE_CAP`, which it reads when it runs (so a test
 can lower it).  Every result is minimized by Hopcroft partition refinement.
 The set operations always build the product or fetch it from the operation
-cache, trivial operands included, so ``a.intersect(a)`` is a DFA equal to
-``a``, not necessarily ``a`` itself; callers that know a term is trivial
-settle it themselves (see :mod:`policylens.requestsets`).
+cache, so ``a.intersect(a)`` equals ``a`` but need not be ``a``.
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their
@@ -46,16 +44,16 @@ Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 :meth:`Dfa.count_models` on ``("count", dfa, bound)``,
 :func:`similarity_counts` on ``("similarity", exact, candidate, bound)``,
 draw programs on ``("program", regex)``, extracted regexes on
-``("extract", dfa)`` and candidate parses on ``("parse", line)``.  The
-policy-level entry points (compilation, comparison, sampling, summarization)
-each enter a scope, and the CLI runs every command in one.  The scope
-is re-entrant: nested scopes share the outermost one's table, which is
-dropped when the outermost scope exits.  A scope spans one command, so
-memory is bounded by that command's work and there is no size setting; it is
-not meant to be held open across commands.  Cached values are the ones a
-fresh build returns, and a build that raises stores nothing.  No key holds
-the state cap: one command runs under one cap.  Outside a scope every
-operation is computed afresh.
+``("extract", dfa)``, candidate parses on ``("parse", line)`` and candidate
+scores on ``("score", exact, candidate, bound)``.  The policy-level entry points
+(compilation, comparison, sampling, summarization) each enter a scope, and
+the CLI runs every command in one.  The scope is re-entrant: nested scopes
+share the outermost one's table, which is dropped when the outermost scope
+exits.  A scope spans one command, so memory is bounded by that command's
+work and there is no size setting; it is not meant to be held open across
+commands.  Cached values are the ones a fresh build returns, and a build
+that raises stores nothing.  No key holds the state cap: one command runs
+under one cap.  Outside a scope every operation is computed afresh.
 """
 
 from __future__ import annotations

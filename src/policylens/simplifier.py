@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .automata import Dfa, _memoized, from_regex, operation_cache, similarity_counts
-from .errors import PolicyLensError, ProviderError, RegexSyntaxError
+from .errors import PolicyLensError, ProviderError, RegexSyntaxError, StateBlowup
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
 from .regex import EMPTY_TOKEN, RegexAst, parse_regex, print_regex
@@ -130,6 +130,14 @@ def _jaccard(exact: Dfa, candidate: RegexAst, bound: int) -> Fraction:
     inter, union = similarity_counts(exact, candidate, bound)
     # Both languages empty within the bound: equal, so similarity 1.
     return Fraction(inter, union) if union else Fraction(1)
+
+
+def _score(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[Fraction | None, str | None]:
+    """A candidate's (similarity, error); the error says it is too large to score."""
+    try:
+        return _jaccard(exact, candidate, bound), None
+    except StateBlowup as e:
+        return None, f"too large to score: {e}"
 
 
 PROMPT_DIALECT = (
@@ -282,11 +290,12 @@ def summarize_set(
 
     with timer.stage("similarity"):
         # Attempts often return the same regex; ASTs are interned, so the
-        # operation cache scores each distinct candidate once, and counts
-        # the projection once for all of them.
+        # operation cache scores each distinct candidate once, a failure
+        # included, and counts the projection once for all of them.
         for cand in candidates:
             if cand.ast is not None:
-                cand.similarity = _jaccard(dfa, cand.ast, cfg.bound)
+                key = ("score", dfa, cand.ast, cfg.bound)
+                cand.similarity, cand.error = _memoized(key, _score, dfa, cand.ast, cfg.bound)
 
     scored = [c for c in candidates if c.similarity is not None]
     best = max(scored, key=lambda c: (c.similarity, -len(c.regex_text), -c.attempt), default=None)

@@ -23,7 +23,10 @@ byte-identical CLI output on every case:
   ``SCRIPT`` at both thresholds on every ordered pair of ``TRIO``; every
   command writing ``--out`` to a file (whose content the digest also
   covers) and into a missing directory; and missing or malformed policies,
-  bad option values and bad provider configs.
+  bad option values and bad provider configs, with hostile inputs among them:
+  a policy and a provider config nested past the JSON decoder's recursion
+  limit, a scripted candidate of 400 nested groups, and out-of-range HTTP
+  provider settings.
 
 The files these cases read and write live in a temporary directory, written
 as ``TMP/`` in the listing and in the argument lists, so the listing does not
@@ -54,6 +57,15 @@ TMP_FILES = {
     "list.json": json.dumps(["not", "an", "object"]),
     "http-model-only.json": json.dumps({"model": "m"}),
     "schema-error.json": json.dumps({"Statement": [{"Effect": "Allow"}]}),
+    # Nested deeper than the JSON decoder's recursion limit, as a policy and as a provider config.
+    "deep.json": "[" * 100000 + "]" * 100000,
+    "nested-groups.json": json.dumps({"script": ["(" * 400 + "a" + ")" * 400]}),
+    # Rejected when the provider is built, so no request is made.
+    **{
+        f"http-{name}.json": json.dumps({"endpoint": "http://127.0.0.1:9/", "model": "m", **setting})
+        for name, setting in (("timeout-negative", {"timeout": -1}), ("timeout-zero", {"timeout": 0}),
+                              ("retries-negative", {"retries": -1}))
+    },
 }
 REPORT = "TMP/report.out"
 
@@ -104,7 +116,7 @@ def edge_cases(policies: list[str]) -> list[list[str]]:
         out += [argv + ["--out", REPORT], argv + ["--format", "text", "--out", REPORT]]
         out.append(argv + ["--out", "no/such/dir/report.json"])
     # Input errors: the policy first, so each command's policies precede its settings.
-    for bad in ("policies/missing.json", "TMP/not-json.json", "TMP/schema-error.json"):
+    for bad in ("policies/missing.json", "TMP/not-json.json", "TMP/schema-error.json", "TMP/deep.json"):
         out += [
             ["summarize", bad],
             ["summarize", bad, "--threshold", "2"],
@@ -120,7 +132,9 @@ def edge_cases(policies: list[str]) -> list[list[str]]:
         ["--dim", "galaxy"], ["--provider-config", "policies/no-such-provider.json"],
         ["--provider-config", "TMP/not-json.json"], ["--provider-config", "TMP/list.json"],
         ["--provider", "http"], ["--provider", "http", "--provider-config", "TMP/http-model-only.json"],
-        ["--threshold", "2", "--provider-config", "TMP/not-json.json"],
+        ["--threshold", "2", "--provider-config", "TMP/not-json.json"], ["--provider-config", "TMP/deep.json"],
+        *(["--provider", "http", "--provider-config", f"TMP/http-{name}.json"]
+          for name in ("timeout-negative", "timeout-zero", "retries-negative")),
     ]
     for extra in settings:
         out += [["summarize", music, *extra], ["diff", music, deny, *extra]]
@@ -133,6 +147,7 @@ def edge_cases(policies: list[str]) -> list[list[str]]:
         ["count", "policies/missing.json", "-b", "-1"],
         ["requests", music, "-k", "-1"],
         ["requests", "policies/missing.json", "-k", "-1"],
+        ["summarize", music, "--provider-config", "TMP/nested-groups.json"],
     ]
     return [argv + ["--no-timestamp"] for argv in out]
 

@@ -498,6 +498,21 @@ def test_candidate_with_hundreds_of_nested_groups_is_scored(runner, tmp_path):
     assert candidate["error"] is None and candidate["similarity"] is not None
 
 
+def test_candidate_too_large_to_score_falls_back(runner, monkeypatch):
+    # The echo mock's candidates need more states than the lowered cap; the
+    # exact summary does not.
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 32)
+    result = runner.invoke(main, ["summarize", MUSIC, "-n", "200", "--no-timestamp"])
+    assert_handled(result, 0)
+    report = body_json(result.stdout)
+    assert report["fallback"] and report["chosen_source"] == "extracted"
+    assert len(report["candidates"]) == 3
+    for candidate in report["candidates"]:
+        assert candidate["error"].startswith("too large to score: ")
+        assert candidate["error"].endswith(" exceeded the state cap of 32")
+        assert candidate["similarity"] is None
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [

@@ -174,6 +174,23 @@ def test_repeated_candidate_is_compiled_once(music_doc, monkeypatch):
     assert third.similarity == Fraction(1) and report.chosen == MUSIC_REGEX
 
 
+def test_candidate_too_large_to_score_is_built_once_and_rejected(music_doc, monkeypatch):
+    from policylens import automata
+
+    request_set = compile_policy(music_doc)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 32)
+    compiled = []
+    real = automata._subset_rows
+    monkeypatch.setattr(automata, "_subset_rows", lambda r: compiled.append(r) or real(r))
+    big = "a{40}"  # 42 subset states
+    cfg = SimplifierConfig(samples=50, bound=6, attempts=3)
+    report = summarize_set(request_set, cfg, MockProvider(script=[big] * 3))
+    assert compiled == [parse_regex(big)]
+    message = "too large to score: subset construction exceeded the state cap of 32"
+    assert [(c.error, c.similarity) for c in report.candidates] == [(message, None)] * 3
+    assert report.fallback and report.chosen == report.extracted_regex
+
+
 def _per_attempt_candidates(request_set, cfg, provider):
     """Candidates as each attempt makes them on its own: its own prompt and
     its own parse."""
