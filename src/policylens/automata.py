@@ -16,27 +16,28 @@ The set operations explore pairs of states, a pair's row being the nonzero
 intersections of its two rows' masks.  :meth:`Dfa.from_parts` keeps the
 states reachable from its start, and canonicalization renumbers the blocks
 of the minimized table.  The tests check both table builders against the
-Thompson NFA and mask-refining kernels they replaced.  The kernel
-raises :class:`~policylens.errors.StateBlowup` when a new state would pass the
-state cap, :data:`DEFAULT_STATE_CAP`, which it reads when it runs (so a test
-can lower it).  Every result is minimized by Hopcroft partition refinement.
+Thompson NFA and mask-refining kernels they replaced.  The kernel is the
+one place that raises :class:`~policylens.errors.StateBlowup`, when a new
+state would pass the state cap, :data:`DEFAULT_STATE_CAP`, which it reads
+when it runs (so a test can lower it).  Every result is minimized by Hopcroft partition refinement.
 The set operations always build the product or fetch it from the operation
 cache, so ``a.intersect(a)`` equals ``a`` but need not be ``a``.
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their
-product level by level without building or minimizing it.  It keeps only
-pairs from which both sides can still accept, steps along the nonzero
-intersections of the two rows' masks weighted by their sizes, and stops at
-the first empty level, so a finite language costs its longest string.  It
-too raises :class:`~policylens.errors.StateBlowup` once its distinct pairs
-exceed the state cap.  :meth:`Dfa.count_models` is this walk against the
-universe.  :func:`similarity_counts` is the one scoring function: it walks a
-candidate regex's unminimized subset table (:func:`_subset_rows`) against
-the exact language and against the universe, for the (intersection, union)
-counts behind a Jaccard similarity.
-The tests check the walk against the product-then-count path and against
-exhaustive enumeration.
+product level by level without minimizing it.  It keeps only pairs from
+which both sides can still accept, and :func:`_explore` numbers the pairs
+within ``bound`` steps, each row stepping along the nonzero intersections of
+the two rows' masks weighted by their sizes.  Pairs further away are never
+numbered, so they cannot pass the state cap.  The walk stops at the first
+empty level, so a finite language costs its longest string.
+:meth:`Dfa.count_models` is this walk against the universe.
+:func:`similarity_counts` is the one scoring function: it walks a candidate
+regex's unminimized subset table (:func:`_subset_rows`) against the exact
+language and against the universe, for the (intersection, union) counts
+behind a Jaccard similarity.  The tests check the walk against the earlier
+walk with its own worklist, the product-then-count path and exhaustive
+enumeration.
 
 Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 :meth:`Dfa.intersect` and :meth:`Dfa.difference` are memoized on
@@ -337,27 +338,34 @@ def universe_dfa() -> Dfa:
 
 
 def _explore(
-    start: _K, moves: Callable[[_K], Iterable[tuple[int, _K]]], what: str
+    start: _K, moves: Callable[[_K], Iterable[tuple[int, _K]]], what: str, depth: int | None = None
 ) -> tuple[list[_K], list[list[tuple[int, int]]]]:
-    """The keys reachable from ``start``, numbered in the order they are
-    discovered (``start`` is 0), and each key's row: the ``(mask, target)``
-    pairs in the order ``moves(key)`` yields its ``(mask, key)`` edges.
+    """The keys reachable from ``start`` within ``depth`` steps (any number
+    when None), numbered in the order they are discovered (``start`` is 0),
+    and each key's row: the ``(mask, target)`` pairs in the order
+    ``moves(key)`` yields its ``(mask, key)`` edges.  A key ``depth`` steps
+    away is numbered but its row is left empty.
 
-    The one worklist behind every automaton built here.  Raises StateBlowup,
-    naming ``what``, when a new key would pass the state cap."""
+    The one worklist behind every automaton built here, and the one place
+    the state cap is checked.  Raises StateBlowup, naming ``what``, when a
+    new key would pass the state cap."""
     index = {start: 0}
     keys = [start]
     rows: list[list[tuple[int, int]]] = []
-    for key in keys:  # grows as new keys are found
+    level, level_end = 0, 1  # keys before level_end lie within level steps
+    for n, key in enumerate(keys):  # grows as new keys are found
+        if n == level_end:
+            level, level_end = level + 1, len(keys)
         row = []
-        for mask, target in moves(key):
-            i = index.get(target)
-            if i is None:
-                if len(keys) >= DEFAULT_STATE_CAP:
-                    raise StateBlowup(f"{what} exceeded the state cap of {DEFAULT_STATE_CAP}")
-                i = index[target] = len(keys)
-                keys.append(target)
-            row.append((mask, i))
+        if level != depth:
+            for mask, target in moves(key):
+                i = index.get(target)
+                if i is None:
+                    if len(keys) >= DEFAULT_STATE_CAP:
+                        raise StateBlowup(f"{what} exceeded the state cap of {DEFAULT_STATE_CAP}")
+                    i = index[target] = len(keys)
+                    keys.append(target)
+                row.append((mask, i))
         rows.append(row)
     return keys, rows
 
@@ -478,12 +486,9 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
     """Exact number of strings of length 0 through ``bound`` accepted by both
     deterministic tables, by the counting walk the module docstring describes.
 
-    A level maps each reached pair of states to the number of strings of that
-    length leading to it; a pair's weighted successors are built once.
-    Raises StateBlowup once its distinct pairs exceed the state cap.  It finds
-    pairs level by level and only up to ``bound``, not through
-    :func:`_explore`: a full product build would also explore pairs that a
-    bounded count never reaches, and could raise where this walk does not."""
+    The pairs within ``bound`` steps are explored once, each row holding a
+    ``(weight, pair)`` step per nonzero mask intersection; a level maps each
+    reached pair to the number of strings of that length leading to it."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     (a_rows, a_acc), (b_rows, b_acc) = a, b
@@ -492,48 +497,26 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
         return 0
     a_edges = [[(m, t) for m, t in row if a_live[t]] for row in a_rows]
     b_edges = [[(m, t) for m, t in row if b_live[t]] for row in b_rows]
-    index: dict[tuple[int, int], int] = {(0, 0): 0}
-    pairs = [(0, 0)]
-    accepts = [0 in a_acc and 0 in b_acc]
-    steps: list[list[tuple[int, int]] | None] = [None]
+
+    def moves(pair: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
+        row_b = b_edges[pair[1]]
+        return [(m.bit_count(), (ta, tb)) for ma, ta in a_edges[pair[0]] for mb, tb in row_b if (m := ma & mb)]
+
+    pairs, steps = _explore((0, 0), moves, "counting walk", bound)
+    accepts = [pa in a_acc and pb in b_acc for pa, pb in pairs]
     level = {0: 1}
     total = 0
-    for depth in range(bound + 1):
-        last = depth == bound
+    for _ in range(bound):
         nxt: dict[int, int] = {}
         for p, c in level.items():
             if accepts[p]:
                 total += c
-            if last:
-                continue
-            out = steps[p]
-            if out is None:
-                pa, pb = pairs[p]
-                row_b = b_edges[pb]
-                weights: dict[int, int] = {}
-                for ma, ta in a_edges[pa]:
-                    for mb, tb in row_b:
-                        m = ma & mb
-                        if m:
-                            key = (ta, tb)
-                            q = index.get(key)
-                            if q is None:
-                                if len(pairs) >= DEFAULT_STATE_CAP:
-                                    raise StateBlowup(
-                                        f"counting walk exceeded the state cap of {DEFAULT_STATE_CAP}"
-                                    )
-                                q = index[key] = len(pairs)
-                                pairs.append(key)
-                                accepts.append(ta in a_acc and tb in b_acc)
-                                steps.append(None)
-                            weights[q] = weights.get(q, 0) + m.bit_count()
-                out = steps[p] = list(weights.items())
-            for q, w in out:
+            for w, q in steps[p]:
                 nxt[q] = nxt.get(q, 0) + c * w
         if not nxt:
-            break
+            return total
         level = nxt
-    return total
+    return total + sum(c for p, c in level.items() if accepts[p])
 
 
 def similarity_counts(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int, int]:

@@ -8,9 +8,10 @@ round-by-round refinement, the model counter steps one count vector over
 every state of a table, and the sampler walks the AST node by node, picking
 with ``rng.choice``.  The table builders are the engine's earlier kernels,
 each with its own worklist: subset construction over the ε-closures of a
-Thompson NFA, and a product whose rows refine both rows' masks and look up
-each part's targets.  The cube difference builds every term with the
-engine's bare product, with no operation cache and no settled terms.
+Thompson NFA, a product whose rows refine both rows' masks and look up
+each part's targets, and a counting walk that finds pairs level by level.
+The cube difference builds every term with the engine's bare product, with
+no operation cache and no settled terms.
 """
 
 from __future__ import annotations
@@ -342,6 +343,62 @@ def refine_product_rows(a, b, keep):
 
     pairs, rows = _explore((0, 0), moves, "product construction")
     return rows, {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
+
+
+def reference_count_common(a, b, bound: int) -> int:
+    """Strings of length 0 through ``bound`` accepted by both tables: the
+    engine's earlier counting walk, which finds pairs level by level with its
+    own numbering, and raises StateBlowup when a new pair would pass
+    ``automata.DEFAULT_STATE_CAP``.  Dead states are dropped by
+    ``automata._live_states``."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    cap = automata.DEFAULT_STATE_CAP
+    (a_rows, a_acc), (b_rows, b_acc) = a, b
+    a_live, b_live = automata._live_states(a_rows, a_acc), automata._live_states(b_rows, b_acc)
+    if not (a_live[0] and b_live[0]):
+        return 0
+    a_edges = [[(m, t) for m, t in row if a_live[t]] for row in a_rows]
+    b_edges = [[(m, t) for m, t in row if b_live[t]] for row in b_rows]
+    index = {(0, 0): 0}
+    pairs = [(0, 0)]
+    accepts = [0 in a_acc and 0 in b_acc]
+    steps = [None]
+    level = {0: 1}
+    total = 0
+    for depth in range(bound + 1):
+        last = depth == bound
+        nxt = {}
+        for p, c in level.items():
+            if accepts[p]:
+                total += c
+            if last:
+                continue
+            out = steps[p]
+            if out is None:
+                pa, pb = pairs[p]
+                weights = {}
+                for ma, ta in a_edges[pa]:
+                    for mb, tb in b_edges[pb]:
+                        m = ma & mb
+                        if m:
+                            key = (ta, tb)
+                            q = index.get(key)
+                            if q is None:
+                                if len(pairs) >= cap:
+                                    raise StateBlowup(f"counting walk exceeded the state cap of {cap}")
+                                q = index[key] = len(pairs)
+                                pairs.append(key)
+                                accepts.append(ta in a_acc and tb in b_acc)
+                                steps.append(None)
+                            weights[q] = weights.get(q, 0) + m.bit_count()
+                out = steps[p] = list(weights.items())
+            for q, w in out:
+                nxt[q] = nxt.get(q, 0) + c * w
+        if not nxt:
+            break
+        level = nxt
+    return total
 
 
 def reference_cube_difference(a, b) -> list[tuple]:

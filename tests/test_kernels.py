@@ -1,11 +1,14 @@
-"""The subset and product kernels against the earlier kernels kept in
-``oracles.py``: Thompson NFA ε-closures, and product rows that refine both
-rows' masks and look up each part's targets.
+"""The subset and product kernels and the counting walk against the earlier
+kernels kept in ``oracles.py``: Thompson NFA ε-closures, product rows that
+refine both rows' masks and look up each part's targets, and a counting walk
+that numbers its pairs level by level.
 
 The tables must be equal, rows, accepting states and state count alike, not
 only their languages: :func:`automata.similarity_counts` walks unminimized
 subset tables.  Under every state cap from 0 to one past the table's size,
 both sides must build the same table or raise the same StateBlowup message.
+Likewise both walks must give the same count or raise the same message
+under every cap from 0 to one past the number of pairs within the bound.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from policylens import automata, parse_policy
-from policylens.automata import _KEEP, _product_rows, _subset_rows, from_regex
+from policylens.automata import _KEEP, UNIVERSE_TABLE, _count_common, _explore, _product_rows, _subset_rows, from_regex
 from policylens.errors import StateBlowup
 from policylens.providers import MockProvider
-from policylens.regex import EMPTY, EPSILON, literal, wildcard
+from policylens.regex import EMPTY, EPSILON, literal, parse_regex, wildcard
 from policylens.requestsets import compare_policies, compile_policy, project
 from policylens.simplifier import SimplifierConfig, generate_summarization
 
 from conftest import corpus_paths
-from oracles import refine_product_rows, thompson_subset_rows
+from oracles import reference_count_common, refine_product_rows, thompson_subset_rows
 from test_automata import small_regex
 from test_regex import _nested_star_unions, _nested_stars, _nested_unions, ast_strategy
 
@@ -148,3 +151,100 @@ def test_subset_kernel_matches_the_thompson_oracle_on_echo_mock_candidates():
 def test_subset_kernel_matches_the_thompson_oracle_on_deep_trees(r):
     # deeper than the default recursion limit: building the positions needs no recursion
     assert _outcome(lambda: _subset_rows(r)) == _outcome(lambda: thompson_subset_rows(r))
+
+
+# -- counting walk ---------------------------------------------------------------
+
+BOUNDS = (0, 1, 3, 8, 100)
+
+
+def _count_outcome(walk, a, b, bound):
+    """The count ``walk`` returns, or the message of the StateBlowup it raises."""
+    try:
+        return walk(a, b, bound)
+    except StateBlowup as e:
+        return str(e)
+
+
+def _pairs_numbered(a, b, bound) -> int:
+    """The pairs the reference walk numbers: the lowest cap it runs under."""
+    lo, hi = 0, automata.DEFAULT_STATE_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "DEFAULT_STATE_CAP", mid)
+            raised = isinstance(_count_outcome(reference_count_common, a, b, bound), str)
+        lo, hi = (mid + 1, hi) if raised else (lo, mid)
+    return lo
+
+
+def _check_walk(a, b, bound, stride: int = 1) -> None:
+    """Equal counts at the default cap, and equal outcomes under every
+    ``stride``-th cap from 0 and the caps one below, at and one past the
+    number of pairs within ``bound``."""
+    assert _count_outcome(_count_common, a, b, bound) == _count_outcome(reference_count_common, a, b, bound)
+    n = _pairs_numbered(a, b, bound)
+    for cap in sorted({*range(0, n + 2, stride), n - 1, n, n + 1} - {-1}):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
+            want = _count_outcome(reference_count_common, a, b, bound)
+            assert _count_outcome(_count_common, a, b, bound) == want, (cap, bound)
+            assert isinstance(want, str) == (cap < n)
+
+
+@settings(deadline=None)
+@given(regexes(), regexes(), st.sampled_from(BOUNDS))
+def test_counting_walk_matches_the_reference_walk(r1, r2, bound):
+    a, b = _subset_rows(r1), _subset_rows(r2)
+    for x, y in ((a, b), (a, UNIVERSE_TABLE), (UNIVERSE_TABLE, from_regex(r2).table)):
+        _check_walk(x, y, bound)
+
+
+def test_counting_walk_matches_the_reference_walk_on_corpus_candidates():
+    # Echo-mock candidates alternate samples that can run past bound 100, so
+    # some walks have pairs beyond the bound: those must count against no cap.
+    walks = 0
+    for path in corpus_paths():
+        doc = parse_policy(path.read_text())
+        cfg = SimplifierConfig()
+        exact = project(compile_policy(doc), cfg.projection)
+        candidates = dict.fromkeys(
+            c.ast for c in generate_summarization(doc, cfg, MockProvider()).candidates if c.ast is not None
+        )
+        tables = [_subset_rows(r) for r in (*candidates, parse_regex(".*"))]
+        for table in tables:
+            for a, b in ((exact.table, table), (table, UNIVERSE_TABLE)):
+                for bound in BOUNDS:
+                    _check_walk(a, b, bound, stride=max(1, _pairs_numbered(a, b, bound) // 8))
+                    walks += 1
+        for bound in BOUNDS:
+            _check_walk(exact.table, UNIVERSE_TABLE, bound)
+    assert walks > 200
+
+
+def test_explore_within_a_depth_numbers_the_keys_within_it():
+    # Keys are integers; from x the edges lead to 2x+1 and 2x+2 below 200, and back to 0.
+    def moves(x):
+        return [(mask, t) for mask, t in ((1, 2 * x + 1), (2, 2 * x + 2), (4, 0)) if t < 200]
+
+    distance, queue = {0: 0}, [0]
+    for x in queue:
+        for _, t in moves(x):
+            if t not in distance:
+                distance[t] = distance[x] + 1
+                queue.append(t)
+    full_keys, full_rows = _explore(0, moves, "walk")
+    assert full_keys == queue
+    for k in (0, 1, 3, 7, 20):
+        keys, rows = _explore(0, moves, "walk", k)
+        assert keys == [x for x in queue if distance[x] <= k]
+        assert rows == [[] if distance[x] == k else row for x, row in zip(keys, full_rows)]
+        # the cap bounds the keys within the depth, no more; the start is always numbered
+        for cap in (len(keys) - 1, len(keys)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
+                if len(keys) > max(cap, 1):
+                    with pytest.raises(StateBlowup, match=f"^walk exceeded the state cap of {cap}$"):
+                        _explore(0, moves, "walk", k)
+                else:
+                    assert _explore(0, moves, "walk", k) == (keys, rows)
