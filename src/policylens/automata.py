@@ -19,9 +19,10 @@ of the minimized table.  The tests check both table builders against the
 Thompson NFA and mask-refining kernels they replaced.  The kernel is the
 one place that raises :class:`~policylens.errors.StateBlowup`, when a new
 state would pass the state cap, :data:`DEFAULT_STATE_CAP`, which it reads
-when it runs (so a test can lower it).  Every result is minimized by Hopcroft partition refinement.
-The set operations always build the product or fetch it from the operation
-cache, so ``a.intersect(a)`` equals ``a`` but need not be ``a``.
+when it runs (so a test can lower it).  Every result is minimized by
+Hopcroft partition refinement.  The set operations always build the product
+or fetch it from the operation cache, so ``a.intersect(a)`` equals ``a`` but
+need not be ``a``.
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their
@@ -36,8 +37,7 @@ empty level, so a finite language costs its longest string.
 regex's unminimized subset table (:func:`_subset_rows`) against the exact
 language and against the universe, for the (intersection, union) counts
 behind a Jaccard similarity.  The tests check the walk against the earlier
-walk with its own worklist, the product-then-count path and exhaustive
-enumeration.
+walk it replaced, the product-then-count path and exhaustive enumeration.
 
 Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
 :meth:`Dfa.intersect` and :meth:`Dfa.difference` are memoized on
@@ -552,14 +552,15 @@ def _live_states(rows: Sequence[Sequence[tuple[int, int]]], accepting: AbstractS
 # -- regex / pattern compilation ---------------------------------------------
 
 
-def _positions(r: RegexAst) -> tuple[list[int], list[set[int]], frozenset[int]]:
+def _positions(r: RegexAst) -> tuple[list[int], list[list[frozenset[int]]], frozenset[int]]:
     """Glushkov positions of ``r``, iterative so deep trees cannot overflow
     the stack.  Each character-class occurrence in the tree (a shared subtree
     once per occurrence) is a position, numbered from 1; position 0 stands
     for the start.  Returns each position's mask, each position's follow set
-    (the start's is the first set) and the last positions, with 0 among them
+    as a list of first sets shared, not copied, between positions (the
+    start's is the first set), and the last positions, with 0 among them
     when ``r`` accepts the empty string."""
-    masks, follow = [0], [set()]
+    masks, follow = [0], [[]]
     frags: list[tuple[frozenset[int], frozenset[int], bool]] = []  # (first, last, nullable) of finished subtrees
     work: list[tuple[RegexAst, bool]] = [(r, False)]
     while work:
@@ -568,7 +569,7 @@ def _positions(r: RegexAst) -> tuple[list[int], list[set[int]], frozenset[int]]:
             if isinstance(node, CharClass):
                 p = frozenset([len(masks)])
                 masks.append(node.mask)
-                follow.append(set())
+                follow.append([])
                 frags.append((p, p, False))
             elif isinstance(node, (Empty, Epsilon)):
                 frags.append((frozenset(), frozenset(), isinstance(node, Epsilon)))
@@ -579,19 +580,19 @@ def _positions(r: RegexAst) -> tuple[list[int], list[set[int]], frozenset[int]]:
         elif isinstance(node, Star):
             first, last, _ = frags.pop()
             for p in last:
-                follow[p] |= first
+                follow[p].append(first)
             frags.append((first, last, True))
         else:
             rfirst, rlast, rnull = frags.pop()
             lfirst, llast, lnull = frags.pop()
             if isinstance(node, Concat):
                 for p in llast:
-                    follow[p] |= rfirst
+                    follow[p].append(rfirst)
                 frags.append((lfirst | rfirst if lnull else lfirst, llast | rlast if rnull else rlast, lnull and rnull))
             else:  # Union
                 frags.append((lfirst | rfirst, llast | rlast, lnull or rnull))
     first, last, nullable = frags.pop()
-    follow[0] = set(first)
+    follow[0] = [first]
     return masks, follow, last | {0} if nullable else last
 
 
@@ -611,7 +612,7 @@ def _subset_rows(r: RegexAst) -> _Table:
 
     def moves(state: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
         by_mask: dict[int, list[int]] = {}
-        for q in set().union(*[follow[p] for p in state]):
+        for q in set().union(*{f for p in state for f in follow[p]}):
             by_mask.setdefault(masks[q], []).append(q)
         for part in _refine(by_mask):
             # refinement guarantees part is inside or outside each mask

@@ -169,9 +169,12 @@ class HttpProvider(LlmProvider):
             if status >= 400:
                 raise ProviderError(f"provider rejected the request: HTTP {status}")
             try:
-                return resp.json()["choices"][0]["message"]["content"]
+                content = resp.json()["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError, RecursionError) as e:
                 raise ProviderError(f"malformed provider response: {e}") from None
+            if not isinstance(content, str):  # e.g. null for a refusal or a tool call
+                raise ProviderError("malformed provider response: content is not a string")
+            return content
         raise ProviderError(f"provider request failed after {self.retries + 1} attempts: {last}")
 
 

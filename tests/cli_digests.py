@@ -25,8 +25,8 @@ byte-identical CLI output on every case:
   covers) and into a missing directory; and missing or malformed policies,
   bad option values and bad provider configs, with hostile inputs among them:
   a policy and a provider config nested past the JSON decoder's recursion
-  limit, a scripted candidate of 400 nested groups, and out-of-range HTTP
-  provider settings.
+  limit, scripted candidates of 400 nested groups and of 1,200 nested
+  star-unions, and out-of-range HTTP provider settings.
 
 The files these cases read and write live in a temporary directory, written
 as ``TMP/`` in the listing and in the argument lists, so the listing does not
@@ -60,6 +60,8 @@ TMP_FILES = {
     # Nested deeper than the JSON decoder's recursion limit, as a policy and as a provider config.
     "deep.json": "[" * 100000 + "]" * 100000,
     "nested-groups.json": json.dumps({"script": ["(" * 400 + "a" + ")" * 400]}),
+    # 1,200 nested star-unions: cubic follow-set work would take seconds to score it.
+    "star-unions.json": json.dumps({"script": ["(" * 1200 + "z" + "|ya)*" * 1200]}),
     # Rejected when the provider is built, so no request is made.
     **{
         f"http-{name}.json": json.dumps({"endpoint": "http://127.0.0.1:9/", "model": "m", **setting})
@@ -148,6 +150,7 @@ def edge_cases(policies: list[str]) -> list[list[str]]:
         ["requests", music, "-k", "-1"],
         ["requests", "policies/missing.json", "-k", "-1"],
         ["summarize", music, "--provider-config", "TMP/nested-groups.json"],
+        ["summarize", music, "--provider-config", "TMP/star-unions.json"],
     ]
     return [argv + ["--no-timestamp"] for argv in out]
 

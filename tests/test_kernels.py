@@ -13,7 +13,9 @@ under every cap from 0 to one past the number of pairs within the bound.
 
 from __future__ import annotations
 
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -143,14 +145,35 @@ def test_subset_kernel_matches_the_thompson_oracle_on_echo_mock_candidates():
         _check_subset_kernel(r, stride=25)
 
 
+@contextmanager
+def _deadline(seconds: int):
+    """Fail the block if it runs longer than ``seconds``, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def too_slow(*_):
+        raise AssertionError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize(
     "r",
-    [literal("a" * 3000), _nested_unions(1500), _nested_stars(300), _nested_star_unions(300)],
-    ids=["literal-3000", "unions-1500", "stars-300", "star-unions-300"],
+    [literal("a" * 3000), _nested_unions(1500), _nested_stars(300), _nested_star_unions(300), _nested_star_unions(2000)],
+    ids=["literal-3000", "unions-1500", "stars-300", "star-unions-300", "star-unions-2000"],
 )
 def test_subset_kernel_matches_the_thompson_oracle_on_deep_trees(r):
-    # deeper than the default recursion limit: building the positions needs no recursion
-    assert _outcome(lambda: _subset_rows(r)) == _outcome(lambda: thompson_subset_rows(r))
+    # deeper than the default recursion limit: building the positions needs no recursion;
+    # follow sets shared between nested stars keep the work quadratic, not cubic, in the depth
+    with _deadline(20):
+        assert _outcome(lambda: _subset_rows(r)) == _outcome(lambda: thompson_subset_rows(r))
 
 
 # -- counting walk ---------------------------------------------------------------
@@ -178,12 +201,14 @@ def _pairs_numbered(a, b, bound) -> int:
     return lo
 
 
-def _check_walk(a, b, bound, stride: int = 1) -> None:
-    """Equal counts at the default cap, and equal outcomes under every
-    ``stride``-th cap from 0 and the caps one below, at and one past the
-    number of pairs within ``bound``."""
+def _check_walk(a, b, bound, parts: int | None = None) -> None:
+    """Equal counts at the default cap, and equal outcomes under every cap
+    from 0 to one past the number of pairs within ``bound``, or under about
+    ``parts`` of them spread evenly and the caps one below, at and one past
+    that number."""
     assert _count_outcome(_count_common, a, b, bound) == _count_outcome(reference_count_common, a, b, bound)
     n = _pairs_numbered(a, b, bound)
+    stride = max(1, n // parts) if parts else 1
     for cap in sorted({*range(0, n + 2, stride), n - 1, n, n + 1} - {-1}):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
@@ -215,7 +240,7 @@ def test_counting_walk_matches_the_reference_walk_on_corpus_candidates():
         for table in tables:
             for a, b in ((exact.table, table), (table, UNIVERSE_TABLE)):
                 for bound in BOUNDS:
-                    _check_walk(a, b, bound, stride=max(1, _pairs_numbered(a, b, bound) // 8))
+                    _check_walk(a, b, bound, parts=8)
                     walks += 1
         for bound in BOUNDS:
             _check_walk(exact.table, UNIVERSE_TABLE, bound)

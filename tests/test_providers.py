@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 import requests
 
-from policylens import providers
+from policylens import parse_policy, providers
 from policylens.errors import ProviderError
 from policylens.providers import (
     API_KEY_ENV,
@@ -23,6 +24,7 @@ from policylens.providers import (
     prompt_samples,
 )
 from policylens.regex import parse_regex
+from policylens.simplifier import SimplifierConfig, generate_summarization
 from policylens.automata import from_regex
 
 PROMPT = f"intro\n{SAMPLES_BEGIN}\nalpha\nbeta\nalpha\n{SAMPLES_END}\ntail"
@@ -153,6 +155,34 @@ def test_http_provider_malformed_response(monkeypatch):
         p = HttpProvider("https://api.test", "m", session=FakeSession([FakeResponse(200, body)]))
         with pytest.raises(ProviderError):
             p.complete("q")
+
+
+@pytest.mark.parametrize("content", [None, 42, ["a"], {"x": 1}], ids=["null", "number", "list", "object"])
+def test_http_provider_rejects_content_that_is_not_a_string(monkeypatch, content):
+    # Chat-completions APIs answer a refusal or a tool call with "content": null.
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    reply = FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+    p = HttpProvider("https://api.test", "m", session=FakeSession([reply]))
+    with pytest.raises(ProviderError, match="^malformed provider response: content is not a string$"):
+        p.complete("q")
+
+
+def test_summarize_falls_back_when_every_http_reply_has_no_content(monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    doc = parse_policy(json.dumps(
+        {"Statement": [{"Effect": "Allow", "Principal": "*", "Action": "s3:GetObject", "Resource": "arn:a*"}]}
+    ))
+    cfg = SimplifierConfig(attempts=2, samples=20)
+
+    def provider() -> HttpProvider:
+        replies = [FakeResponse(200, {"choices": [{"message": {"content": None}}]}) for _ in range(cfg.attempts)]
+        return HttpProvider("https://api.test", "m", session=FakeSession(replies))
+
+    report = generate_summarization(doc, cfg, provider())
+    assert report.fallback and report.chosen_source == "extracted"
+    assert [c.error for c in report.candidates] == ["provider: malformed provider response: content is not a string"] * 2
+    with pytest.raises(ProviderError, match="fallback is disabled"):
+        generate_summarization(doc, replace(cfg, fallback=False), provider())
 
 
 def test_http_provider_response_nested_too_deep(monkeypatch):
