@@ -39,26 +39,26 @@ language and against the universe, for the (intersection, union) counts
 behind a Jaccard similarity.  The tests check the walk against the earlier
 walk it replaced, the product-then-count path and exhaustive enumeration.
 
-Operation cache: inside an :func:`operation_cache` scope, :meth:`Dfa.union`,
-:meth:`Dfa.intersect` and :meth:`Dfa.difference` are memoized on
-``(op, left, right)``, :func:`from_pattern` on ``("pattern", text)``,
-:meth:`Dfa.count_models` on ``("count", dfa, bound)``,
-:func:`similarity_counts` on ``("similarity", exact, candidate, bound)``,
-draw programs on ``("program", regex)``, extracted regexes on
-``("extract", dfa)``, candidate parses on ``("parse", line)`` and candidate
-scores on ``("score", exact, candidate, bound)``.  The policy-level entry points
-(compilation, comparison, sampling, summarization) each enter a scope, and
-the CLI runs every command in one.  The scope is re-entrant: nested scopes
-share the outermost one's table, which is dropped when the outermost scope
-exits.  A scope spans one command, so memory is bounded by that command's
-work and there is no size setting; it is not meant to be held open across
-commands.  Cached values are the ones a fresh build returns, and a build
-that raises stores nothing.  No key holds the state cap: one command runs
-under one cap.  Outside a scope every operation is computed afresh.
+Operation cache: a function decorated :func:`memoized` is memoized on
+``(function, *arguments)`` inside an :func:`operation_cache` scope.  The
+memoized functions are the set operations' product (:meth:`Dfa.union`,
+:meth:`Dfa.intersect`, :meth:`Dfa.difference`), :meth:`Dfa.count_models`,
+:meth:`Dfa.extract_regex`, pattern compilation (:func:`from_pattern`), the
+sampler's draw programs, and the summarizer's candidate parses and scores.
+The policy-level entry points (compilation, comparison, sampling,
+summarization) each enter a scope, and the CLI runs every command in one.
+The scope is re-entrant: nested scopes share the outermost one's table,
+which is dropped when the outermost scope exits.  A scope spans one command,
+so memory is bounded by that command's work and there is no size setting; it
+is not meant to be held open across commands.  Cached values are the ones a
+fresh call returns, and a call that raises stores nothing.  No key holds the
+state cap: one command runs under one cap.  Outside a scope every call is
+computed afresh.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -125,7 +125,7 @@ _ACTIVE: ContextVar[OperationCache | None] = ContextVar("policylens_operation_ca
 
 @contextmanager
 def operation_cache() -> Iterator[OperationCache]:
-    """Scope in which the operations the module docstring lists are memoized.
+    """Scope in which :func:`memoized` functions are memoized.
 
     Re-entrant: an inner scope yields the enclosing scope's cache.  The cache
     is dropped when the outermost scope exits, by return or by exception.
@@ -142,12 +142,19 @@ def operation_cache() -> Iterator[OperationCache]:
         _ACTIVE.reset(token)
 
 
-def _memoized(key: Hashable, compute: Callable[..., _T], *args: object) -> _T:
-    """``compute(*args)``, served from the active operation cache if there is one."""
-    cache = _ACTIVE.get()
-    if cache is None:
-        return compute(*args)
-    return cache.get(key, compute, *args)
+def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
+    """``fn``, memoized in the active operation cache on ``(memoized fn,
+    *arguments)``; outside a scope each call computes afresh.  The arguments
+    are positional and hashable."""
+
+    @functools.wraps(fn)
+    def call(*args: Hashable) -> _T:
+        cache = _ACTIVE.get()
+        if cache is None:
+            return fn(*args)
+        return cache.get((call, *args), fn, *args)
+
+    return call
 
 
 class Dfa:
@@ -241,15 +248,17 @@ class Dfa:
 
     # -- analyses -------------------------------------------------------------
 
+    @memoized
     def count_models(self, bound: int) -> int:
         """Exact number of accepted strings of length 0 through ``bound``."""
-        return _memoized(("count", self, bound), _count_common, self.table, UNIVERSE_TABLE, bound)
+        return _count_common(self.table, UNIVERSE_TABLE, bound)
 
     @property
     def table(self) -> _Table:
         """The transitions and accepting states, as a table to count over."""
         return self.transitions, self.accepting
 
+    @memoized
     def extract_regex(self) -> RegexAst:
         """Equivalent regex by state elimination.
 
@@ -454,8 +463,9 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {
 }
 
 
+@memoized
 def _cached_product(op: str, a: Dfa, b: Dfa) -> Dfa:
-    return _memoized((op, a, b), _product, a, b, _KEEP[op])
+    return _product(a, b, _KEEP[op])
 
 
 def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
@@ -522,10 +532,6 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
 def similarity_counts(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int, int]:
     """The (intersection, union) counts, within ``bound``, of the languages
     of ``exact`` and ``candidate``, by the walks described above."""
-    return _memoized(("similarity", exact, candidate, bound), _similarity, exact, candidate, bound)
-
-
-def _similarity(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int, int]:
     table = _subset_rows(candidate)
     inter = _count_common(exact.table, table, bound)
     return inter, exact.count_models(bound) + _count_common(table, UNIVERSE_TABLE, bound) - inter
@@ -627,8 +633,9 @@ def from_pattern(pattern: object) -> Dfa:
     text = getattr(pattern, "text", pattern)
     if not isinstance(text, str):
         raise TypeError(f"expected a pattern string, got {type(text).__name__}")
-    return _memoized(("pattern", text), _compile_pattern, text)
+    return _compile_pattern(text)
 
 
+@memoized
 def _compile_pattern(text: str) -> Dfa:
     return from_regex(wildcard(text))

@@ -24,18 +24,10 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping
 
-from .automata import (
-    Dfa,
-    _memoized,
-    empty_dfa,
-    from_pattern,
-    operation_cache,
-    universe_dfa,
-)
+from .automata import Dfa, empty_dfa, from_pattern, operation_cache, universe_dfa
 from .errors import CubeBlowup, InsufficientLanguage, SchemaError, VerificationError
 from .policy import Effect, PolicyDocument, WildcardPattern
 from .sampler import sample
-from .regex import RegexAst
 
 DEFAULT_CUBE_CAP = 10_000
 
@@ -236,10 +228,6 @@ def decide_request(doc: PolicyDocument, request: Mapping[str, str]) -> Effect:
 # -- sampling and comparison --------------------------------------------------
 
 
-def _regex_of(dfa: Dfa) -> RegexAst:
-    return _memoized(("extract", dfa), dfa.extract_regex)
-
-
 @operation_cache()
 def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]]:
     """Up to ``k`` distinct member requests, deterministic for a given seed.
@@ -258,7 +246,7 @@ def sample_from_set(x: RequestSet, k: int, seed: int = 0) -> list[dict[str, str]
     seen: set[tuple[str, ...]] = set()
     for draw in range(5 * k + 10):
         cube = x.cubes[draw % len(x.cubes)]
-        values = tuple(sample(_regex_of(d), rng) for d in cube)
+        values = tuple(sample(d.extract_regex(), rng) for d in cube)
         if values not in seen:
             seen.add(values)
             out.append(dict(zip(x.schema.dimensions, values)))

@@ -20,7 +20,7 @@ concatenation chain becomes one flat sequence; a run of single-character
 classes becomes one literal; a star over a character class becomes one inner
 loop; a union keeps its flattened non-empty children, each a sequence.
 :func:`sample` and :func:`sample_n` (one program for all its draws) take
-their programs from :func:`_program`, which memoizes them in the active
+their programs from :func:`_compile`, which is memoized in the active
 operation cache, so calls in one scope compile a regex once; nothing
 outlives the call or the scope.  Compilation walks the hash-consed DAG with
 an explicit work stack, so the very deep trees that state elimination builds
@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 
 from .alphabet import chars_of
-from .automata import _memoized
+from .automata import memoized
 from .errors import EmptyLanguage
 from .regex import EMPTY, CharClass, Concat, RegexAst, Star, Union, union_children
 
@@ -53,14 +53,14 @@ def sample(r: RegexAst, rng: random.Random) -> str:
 
     Inside an operation cache scope the draw program is compiled once per
     regex and shared by every call."""
-    return _draw(_program(r), rng)
+    return _draw(_compile(r), rng)
 
 
 def sample_n(r: RegexAst, n: int, seed: int = 0) -> set[str]:
     """Distinct strings from ``n`` draws, deterministic for a given seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    program = _program(r)
+    program = _compile(r)
     rng = random.Random(seed)
     return {_draw(program, rng) for _ in range(n)}
 
@@ -77,11 +77,7 @@ def sample_n(r: RegexAst, n: int, seed: int = 0) -> set[str]:
 _LITERAL, _CLASS, _STAR_CLASS, _UNION, _STAR, _LOOP = range(6)
 
 
-def _program(r: RegexAst) -> tuple:
-    """The draw program of ``r``, from the active operation cache if there is one."""
-    return _memoized(("program", r), _compile, r)
-
-
+@memoized
 def _compile(r: RegexAst) -> tuple:
     """The draw program of ``r``: its instruction sequence.
 

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .automata import Dfa, _memoized, from_regex, operation_cache, similarity_counts
+from .automata import Dfa, from_regex, memoized, operation_cache, similarity_counts
 from .errors import PolicyLensError, ProviderError, RegexSyntaxError, StateBlowup
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
@@ -68,6 +68,7 @@ class LlmCandidate:
     error: str | None = None
     similarity: Fraction | None = None
     ast: RegexAst | None = None
+    counts: tuple[int, int] | None = None  # (intersection, union) behind the similarity
 
     def to_dict(self) -> dict:
         return {
@@ -123,21 +124,23 @@ def fraction_str(j: Fraction) -> str:
 
 def quantify_similarity(r1: RegexAst, r2: RegexAst, bound: int) -> Fraction:
     """Jaccard similarity of the two languages restricted to length <= bound."""
-    return _jaccard(from_regex(r1), r2, bound)
+    return _jaccard(similarity_counts(from_regex(r1), r2, bound))
 
 
-def _jaccard(exact: Dfa, candidate: RegexAst, bound: int) -> Fraction:
-    inter, union = similarity_counts(exact, candidate, bound)
+def _jaccard(counts: tuple[int, int]) -> Fraction:
+    inter, union = counts
     # Both languages empty within the bound: equal, so similarity 1.
     return Fraction(inter, union) if union else Fraction(1)
 
 
-def _score(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[Fraction | None, str | None]:
-    """A candidate's (similarity, error); the error says it is too large to score."""
+@memoized
+def _score(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int, int] | str:
+    """A candidate's (intersection, union) counts, or the error saying it is
+    too large to score."""
     try:
-        return _jaccard(exact, candidate, bound), None
+        return similarity_counts(exact, candidate, bound)
     except StateBlowup as e:
-        return None, f"too large to score: {e}"
+        return f"too large to score: {e}"
 
 
 PROMPT_DIALECT = (
@@ -192,12 +195,13 @@ def generate_regex_from_llm(prompt: str, provider: LlmProvider, attempt: int = 1
     line = _candidate_line(response)
     if line is None:
         return LlmCandidate(attempt, response, None, error="no regex line in response")
-    outcome = _memoized(("parse", line), _parse_candidate, line)
+    outcome = _parse_candidate(line)
     if isinstance(outcome, str):
         return LlmCandidate(attempt, response, line, error=outcome)
     return LlmCandidate(attempt, response, line, ast=outcome)
 
 
+@memoized
 def _parse_candidate(line: str) -> RegexAst | str:
     """The line's AST, or its parse error as text."""
     try:
@@ -294,15 +298,18 @@ def summarize_set(
         # included, and counts the projection once for all of them.
         for cand in candidates:
             if cand.ast is not None:
-                key = ("score", dfa, cand.ast, cfg.bound)
-                cand.similarity, cand.error = _memoized(key, _score, dfa, cand.ast, cfg.bound)
+                outcome = _score(dfa, cand.ast, cfg.bound)
+                if isinstance(outcome, str):
+                    cand.error = outcome
+                else:
+                    cand.counts, cand.similarity = outcome, _jaccard(outcome)
 
     scored = [c for c in candidates if c.similarity is not None]
     best = max(scored, key=lambda c: (c.similarity, -len(c.regex_text), -c.attempt), default=None)
     # Exact-decimal threshold: Fraction("0.8") is 4/5, unlike the float 0.8.
     if best is not None and best.similarity >= Fraction(str(cfg.threshold)):
         chosen, source, fallback = best.regex_text, "candidate", False
-        similarity, counts = best.similarity, similarity_counts(dfa, best.ast, cfg.bound)
+        similarity, counts = best.similarity, best.counts
     else:
         # Chosen output is the exact extracted regex; scores stay per-candidate.
         chosen, source, fallback = extracted_text, "extracted", True

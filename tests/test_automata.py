@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 import signal
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from policylens import automata, parse_policy
+from policylens import automata, parse_policy, sampler, simplifier
 from policylens.alphabet import FULL_MASK, mask_of
 from policylens.automata import (
     _KEEP,
@@ -21,11 +22,13 @@ from policylens.automata import (
     operation_cache,
     universe_dfa,
 )
-from policylens.errors import AlphabetError, StateBlowup
+from policylens.errors import AlphabetError, EmptyLanguage, StateBlowup
+from policylens.providers import MockProvider
 from policylens.regex import EMPTY, char_class, literal, parse_regex, print_regex, star
-from policylens.requestsets import compile_policy, project
+from policylens.requestsets import compare_policies, compile_policy, project, sample_requests
+from policylens.simplifier import SimplifierConfig, generate_summarization
 
-from conftest import corpus_paths
+from conftest import ALLOW_ALL_POLICY, corpus_paths
 from oracles import glob_match, moore_canonical, re_accepts, reference_count_models, strings_up_to
 from test_regex import SMALL as ABC, ast_strategy
 
@@ -262,46 +265,99 @@ def test_count_models_is_memoized_per_scope(monkeypatch):
 # -- operation cache -----------------------------------------------------------
 
 
-def test_operation_cache_counts_hits_and_returns_the_stored_dfa():
-    a, b = from_pattern("*a?"), from_pattern("b*")
+class Memo(NamedTuple):
+    """A memoized function, two argument tuples it accepts, and one it
+    raises on (under a state cap of 2)."""
+
+    fn: Callable
+    args: tuple
+    other: tuple
+    raises: type[Exception]
+    bad: tuple
+
+
+_A, _B, _R = from_pattern("*a?"), from_pattern("b*"), parse_regex("a(b|c)*")
+
+MEMOIZED = {
+    "product": Memo(automata._cached_product, ("union", _A, _B), ("intersect", _A, _B), StateBlowup, ("union", _A, _B)),
+    "count_models": Memo(Dfa.count_models, (_A, 5), (_A, 4), StateBlowup, (_A, 5)),
+    # state elimination has no cap; a malformed table makes it raise
+    "extract_regex": Memo(Dfa.extract_regex, (_A,), (_B,), IndexError, (Dfa((), frozenset({0})),)),
+    "compile_pattern": Memo(automata._compile_pattern, ("*a?",), ("b*",), StateBlowup, ("*a?",)),
+    "draw_program": Memo(sampler._compile, (_R,), (parse_regex("b+"),), EmptyLanguage, (EMPTY,)),
+    "parse_candidate": Memo(simplifier._parse_candidate, ("a|b",), ("(a",), AttributeError, (5,)),
+    "score": Memo(simplifier._score, (_A, _R, 5), (_A, _R, 4), ValueError, (_A, EMPTY, -1)),
+}
+
+
+def _keys_of(cache, fn) -> list:
+    return [key for key in cache.table if key[0] is fn]
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_operation_cache_counts_hits_and_returns_the_stored_value(name):
+    fn, args, other, _, _ = MEMOIZED[name]
     with operation_cache() as cache:
-        first = a.intersect(b)
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert a.intersect(b) is first
-        assert (cache.hits, cache.misses) == (1, 1)
-        a.union(b)  # same operands, different operation: a miss
-        assert (cache.hits, cache.misses) == (1, 2)
-        assert from_pattern("*a?") is from_pattern("*a?")
-        assert (cache.hits, cache.misses) == (2, 3)
-    assert first == a.intersect(b)
+        first = fn(*args)
+        assert _keys_of(cache, fn) == [(fn, *args)]
+        hits, misses = cache.hits, cache.misses
+        assert fn(*args) is first
+        assert (cache.hits, cache.misses) == (hits + 1, misses)
+        fn(*other)  # other arguments: a miss
+        assert cache.misses > misses
+        assert _keys_of(cache, fn) == [(fn, *args), (fn, *other)]
+    assert fn(*args) == first
 
 
-def test_nested_operation_scopes_share_one_cache():
-    a, b = from_pattern("*a?"), from_pattern("b*")
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_nested_operation_scopes_share_one_cache(name):
+    fn, args, _, _, _ = MEMOIZED[name]
     with operation_cache() as outer:
         with operation_cache() as inner:
             assert inner is outer
-            a.difference(b)
-        a.difference(b)
-        assert (outer.hits, outer.misses) == (1, 1)
+            first = fn(*args)
+        hits = outer.hits
+        assert fn(*args) is first
+        assert outer.hits == hits + 1
+        assert _keys_of(outer, fn) == [(fn, *args)]
 
 
-def test_no_cache_is_active_after_the_outermost_scope_exits():
-    a, b = from_pattern("*a?"), from_pattern("b*")
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_no_cache_is_active_after_the_outermost_scope_exits(name):
+    fn, args, _, _, _ = MEMOIZED[name]
     with operation_cache() as done:
-        a.union(b)
+        first = fn(*args)
     with pytest.raises(RuntimeError):
         with operation_cache() as failed:
             with operation_cache():
-                a.union(b)
+                fn(*args)
                 raise RuntimeError("boom")
-    counts = [(c.hits, c.misses) for c in (done, failed)]
-    a.union(b)
-    from_pattern("*a?")
-    assert [(c.hits, c.misses) for c in (done, failed)] == counts
+    counts = [(c.hits, c.misses, len(c.table)) for c in (done, failed)]
+    assert fn(*args) == first  # outside a scope: computed afresh, no table touched
+    assert [(c.hits, c.misses, len(c.table)) for c in (done, failed)] == counts
     with operation_cache() as fresh:
         assert fresh is not done and fresh is not failed
         assert (fresh.hits, fresh.misses) == (0, 0)
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_a_call_that_raises_stores_nothing(monkeypatch, name):
+    fn, _, _, raises, bad = MEMOIZED[name]
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
+    with operation_cache() as cache:
+        for _ in range(2):  # nothing was stored, so the call raises again
+            with pytest.raises(raises):
+                fn(*bad)
+        assert (cache.hits, cache.table) == (0, {})
+
+
+def test_every_cache_key_starts_with_a_memoized_function(music_doc):
+    allow_all = parse_policy(ALLOW_ALL_POLICY.read_text())
+    with operation_cache() as cache:
+        compare_policies(music_doc, allow_all)
+        sample_requests(music_doc, 3)
+        generate_summarization(music_doc, SimplifierConfig(samples=50, bound=6), MockProvider())
+    assert {key[0] for key in cache.table} == {memo.fn for memo in MEMOIZED.values()}
 
 
 def test_state_blowup_repeats_and_is_never_cached(monkeypatch):

@@ -246,35 +246,32 @@ def test_sample_from_set_draws_as_reference(text):
             assert sample_from_set(x, 3, seed) == reference_sample_from_set(x, 3, seed)
 
 
-def test_sample_in_one_scope_compiles_once(monkeypatch):
-    calls = []
-    real = sampler._compile
-    monkeypatch.setattr(sampler, "_compile", lambda r: calls.append(r) or real(r))
+def _compiled(cache) -> list:
+    """The regexes whose draw programs the scope's table holds."""
+    return [key[1] for key in cache.table if key[0] is sampler._compile]
+
+
+def test_sample_in_one_scope_compiles_once():
     r = from_pattern("*a?????").extract_regex()
     rng, ref_rng = random.Random(11), random.Random(11)
-    with operation_cache():
+    with operation_cache() as cache:
         draws = [sample(r, rng) for _ in range(100)]
     # compared by identity: printing this regex for a failure report takes minutes
-    assert [c is r for c in calls] == [True]
+    assert [c is r for c in _compiled(cache)] == [True]
+    assert (cache.hits, cache.misses) == (99, 1)
     assert draws == [reference_sample(r, ref_rng) for _ in range(100)]
     assert rng.getstate() == ref_rng.getstate()
     # outside a scope each call compiles afresh, with the same draws
     rng = random.Random(11)
     assert [sample(r, rng) for _ in range(3)] == draws[:3]
-    assert len(calls) == 4
 
 
-def test_sample_from_set_compiles_each_regex_once(music_doc, monkeypatch):
-    calls = []
-    real = sampler._compile
-
-    def counting(r):
-        calls.append(r)
-        return real(r)
-
-    monkeypatch.setattr(sampler, "_compile", counting)
+def test_sample_from_set_compiles_each_regex_once(music_doc):
     denied = set_difference(universe_set(compile_policy(music_doc).schema), compile_policy(music_doc))
     assert len(denied.cubes) > 1
-    assert len(sample_from_set(denied, 20, seed=3)) == 20
+    with operation_cache() as cache:
+        assert len(sample_from_set(denied, 20, seed=3)) == 20
+    compiled = _compiled(cache)
     # 20 requests need at least 20 draws of each of the three dimensions
-    assert 0 < len(calls) == len(set(calls)) < 20
+    assert 0 < len(compiled) < 20
+    assert set(compiled) <= {d.extract_regex() for cube in denied.cubes for d in cube}

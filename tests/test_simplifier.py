@@ -191,6 +191,22 @@ def test_candidate_too_large_to_score_is_built_once_and_rejected(music_doc, monk
     assert report.fallback and report.chosen == report.extracted_regex
 
 
+def test_each_distinct_candidate_is_scored_once(music_doc, monkeypatch):
+    from policylens import simplifier
+
+    request_set = compile_policy(music_doc)
+    scored = []
+    real = simplifier.similarity_counts
+    monkeypatch.setattr(simplifier, "similarity_counts", lambda *args: scored.append(args) or real(*args))
+    cfg = SimplifierConfig(samples=50, bound=6, attempts=4)
+    report = summarize_set(request_set, cfg, MockProvider(script=[MUSIC_REGEX, "zzzz", MUSIC_REGEX, "zzzz"]))
+    exact, chosen = project(request_set, "resource"), parse_regex(MUSIC_REGEX)
+    # the chosen candidate's model counts are its score's, not a recount
+    assert scored == [(exact, chosen, 6), (exact, parse_regex("zzzz"), 6)]
+    assert report.chosen == MUSIC_REGEX
+    assert report.model_counts == similarity_counts(exact, chosen, 6)
+
+
 def _per_attempt_candidates(request_set, cfg, provider):
     """Candidates as each attempt makes them on its own: its own prompt and
     its own parse."""
