@@ -189,22 +189,19 @@ def load_provider(kind: str, config: Mapping[str, object] | None = None) -> LlmP
             raise ProviderError("mock provider config 'by_prompt' is not an object of strings")
         return MockProvider(script=script, by_prompt=by_prompt)
     if kind == "http":
-        try:
-            endpoint = str(config["endpoint"])
-            model = str(config["model"])
-        except KeyError as e:
-            raise ProviderError(f"http provider config is missing {e.args[0]!r}") from None
+        strings = {key: config[key] for key in ("endpoint", "model", "api_key") if key in config}
+        for key in ("endpoint", "model"):
+            if key not in strings:
+                raise ProviderError(f"http provider config is missing {key!r}")
+        for key, value in strings.items():
+            if not isinstance(value, str):
+                raise ProviderError(f"http provider config {key!r} is not a string: {value!r}")
         numbers: dict = {}
         for key, convert in (("temperature", float), ("timeout", float), ("retries", int)):
             if key in config:
                 try:
                     numbers[key] = convert(config[key])  # type: ignore[arg-type]
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf), float(10**400)
                     raise ProviderError(f"http provider config {key!r} is not a number: {config[key]!r}") from None
-        return HttpProvider(
-            endpoint=endpoint,
-            model=model,
-            api_key=str(config["api_key"]) if "api_key" in config else None,
-            **numbers,
-        )
+        return HttpProvider(**strings, **numbers)
     raise ProviderError(f"unknown provider kind {kind!r}")

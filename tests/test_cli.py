@@ -513,6 +513,25 @@ def test_candidate_too_large_to_score_falls_back(runner, monkeypatch):
         assert candidate["similarity"] is None
 
 
+@pytest.mark.parametrize("command", ["summarize", "diff"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"retries": 1e400}, "config 'retries' is not a number: inf"),
+        ({"api_key": None}, "config 'api_key' is not a string: None"),
+        ({"model": 5}, "config 'model' is not a string: 5"),
+    ],
+    ids=["retries-overflow", "api-key-null", "model-number"],
+)
+def test_malformed_http_provider_setting_is_an_input_error(runner, tmp_path, command, setting, message):
+    # json writes 1e400 as Infinity, which it reads back as inf.
+    cfg = provider_config(tmp_path, **{"endpoint": "http://127.0.0.1:9/", "model": "m", **setting})
+    result = runner.invoke(main, COMMANDS[command] + ["--provider", "http", "--provider-config", cfg])
+    assert_handled(result, 1)
+    assert result.stdout == ""
+    assert result.stderr == f"error: http provider {message}\n"
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [

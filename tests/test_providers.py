@@ -304,6 +304,23 @@ def test_load_provider_rejects_a_non_numeric_http_setting(key, value):
         load_provider("http", {"endpoint": "https://e", "model": "m", key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("retries", float("inf")), ("retries", float("-inf")), ("temperature", 10**400), ("timeout", 10**400)],
+    ids=["retries-inf", "retries-minus-inf", "temperature-huge", "timeout-huge"],
+)
+def test_load_provider_rejects_an_http_setting_that_overflows(key, value):
+    with pytest.raises(ProviderError, match=f"^http provider config '{key}' is not a number: "):
+        load_provider("http", {"endpoint": "https://e", "model": "m", key: value})
+
+
+@pytest.mark.parametrize("key", ["endpoint", "model", "api_key"])
+@pytest.mark.parametrize("value", [None, 5, ["x"], {"a": "b"}])
+def test_load_provider_rejects_an_http_setting_that_is_not_a_string(key, value):
+    with pytest.raises(ProviderError, match=f"^http provider config '{key}' is not a string: "):
+        load_provider("http", {"endpoint": "https://e", "model": "m", key: value})
+
+
 def test_load_provider_converts_numeric_http_settings():
     h = load_provider("http", {"endpoint": "https://e", "model": "m", "temperature": "0.5", "timeout": 3, "retries": 4.0})
     assert (h.temperature, h.timeout, h.retries) == (0.5, 3.0, 4)
