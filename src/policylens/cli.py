@@ -152,9 +152,12 @@ def _summary_line(report: SummarizationReport) -> str:
     return f"summary (candidate, J={fraction_str(report.similarity)}): {report.chosen}"
 
 
+# The summarizer's options read their defaults from its configuration.
+_DEFAULTS = SimplifierConfig()
+
 _seed = click.option("--seed", default=DEFAULT_SEED, show_default=True, help="Random seed.")
-_bound = click.option("--bound", "-b", default=100, show_default=True, help="Model-counting length bound.")
-_dim = click.option("--dim", "projection", default="resource", show_default=True, help="Policy dimension to project.")
+_bound = click.option("--bound", "-b", default=_DEFAULTS.bound, show_default=True, help="Model-counting length bound.")
+_dim = click.option("--dim", "projection", default=_DEFAULTS.projection, show_default=True, help="Policy dimension to project.")
 
 # Every command writes its report through these and ``_emit``.
 _output = [
@@ -164,10 +167,10 @@ _output = [
 ]
 
 _summarizer = [
-    click.option("--samples", "-n", default=1000, show_default=True, help="Sample draws per run."),
+    click.option("--samples", "-n", default=_DEFAULTS.samples, show_default=True, help="Sample draws per run."),
     _bound,
-    click.option("--threshold", "-t", default=0.8, show_default=True, help="Similarity acceptance threshold."),
-    click.option("--attempts", default=3, show_default=True, help="Independent provider attempts."),
+    click.option("--threshold", "-t", default=_DEFAULTS.threshold, show_default=True, help="Similarity acceptance threshold."),
+    click.option("--attempts", default=_DEFAULTS.attempts, show_default=True, help="Independent provider attempts."),
     _seed,
     _dim,
     click.option("--provider", default="mock", show_default=True, type=click.Choice(["mock", "http"])),
