@@ -145,7 +145,7 @@ def operation_cache() -> Iterator[OperationCache]:
 def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
     """``fn``, memoized in the active operation cache on ``(memoized fn,
     *arguments)``; outside a scope each call computes afresh.  The arguments
-    are positional and hashable."""
+    are positional (``/`` in a public signature says so) and hashable."""
 
     @functools.wraps(fn)
     def call(*args: Hashable) -> _T:
@@ -249,7 +249,7 @@ class Dfa:
     # -- analyses -------------------------------------------------------------
 
     @memoized
-    def count_models(self, bound: int) -> int:
+    def count_models(self, bound: int, /) -> int:
         """Exact number of accepted strings of length 0 through ``bound``."""
         return _count_common(self.table, UNIVERSE_TABLE, bound)
 
