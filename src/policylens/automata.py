@@ -9,27 +9,32 @@ accepting set.  State 0 is always the start state.
 
 Construction paths: one worklist kernel, :func:`_explore`, numbers the
 states of every automaton the module builds, in the order it discovers them
-from state 0.  Subset construction (:func:`from_regex`, :func:`from_pattern`)
-explores sets of Glushkov positions, the character-class occurrences of the
-regex, which need no ε-closures: a state is the set of positions just read.
-The set operations explore pairs of states, a pair's row being the nonzero
-intersections of its two rows' masks.  :meth:`Dfa.from_parts` keeps the
-states reachable from its start, and canonicalization renumbers the blocks
-of the minimized table.  The tests check both table builders against the
-Thompson NFA and mask-refining kernels they replaced.  The kernel is the
-one place that raises :class:`~policylens.errors.StateBlowup`, when a new
-state would pass the state cap, :data:`DEFAULT_STATE_CAP`, which it reads
-when it runs (so a test can lower it).  Every result is minimized by
-Hopcroft partition refinement.  The set operations always build the product
-or fetch it from the operation cache, so ``a.intersect(a)`` equals ``a`` but
-need not be ``a``.
+from state 0.  Every row is built by intersecting masks and left unordered;
+canonicalization orders the edges.  Subset construction (:func:`from_regex`,
+:func:`from_pattern`) explores sets of Glushkov positions, the
+character-class occurrences of the regex, which need no ε-closures: a state
+is the set of positions just read, and each follow mask splits its row's
+parts.  :meth:`Dfa.intersect` is the one product: a pair's row is the
+nonzero intersections of its two rows' masks (:func:`_pair_moves`).
+Complements are free on canonical total DFAs, so :meth:`Dfa.union` is
+``¬(¬a ∩ ¬b)`` and :meth:`Dfa.difference` is ``a ∩ ¬b``.
+:meth:`Dfa.from_parts` keeps the states reachable from its start, and
+canonicalization renumbers the blocks of the minimized table.  The tests
+check both table builders, up to state numbering, against the Thompson NFA
+and mask-refining kernels they replaced.  The kernel is the one place that
+raises :class:`~policylens.errors.StateBlowup`, when more states are
+reachable than the state cap, :data:`DEFAULT_STATE_CAP`, whatever order it
+finds them in; it reads the cap when it runs (so a test can lower it).
+Every result is minimized by Hopcroft partition refinement.  The set
+operations always build the product or fetch it from the operation cache,
+so ``a.intersect(a)`` equals ``a`` but need not be ``a``.
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their
 product level by level without minimizing it.  It keeps only pairs from
 which both sides can still accept, and :func:`_explore` numbers the pairs
-within ``bound`` steps, each row stepping along the nonzero intersections of
-the two rows' masks weighted by their sizes.  Pairs further away are never
+within ``bound`` steps through the product's :func:`_pair_moves`, each edge
+then weighted by the size of its mask.  Pairs further away are never
 numbered, so they cannot pass the state cap.  The walk stops at the first
 empty level, so a finite language costs its longest string.
 :meth:`Dfa.count_models` is this walk against the universe.
@@ -41,8 +46,8 @@ walk it replaced, the product-then-count path and exhaustive enumeration.
 
 Operation cache: a function decorated :func:`memoized` is memoized on
 ``(function, *arguments)`` inside an :func:`operation_cache` scope.  The
-memoized functions are the set operations' product (:meth:`Dfa.union`,
-:meth:`Dfa.intersect`, :meth:`Dfa.difference`), :meth:`Dfa.count_models`,
+memoized functions are the one product, :meth:`Dfa.intersect` (so a union
+or difference is stored as the intersection it runs), :meth:`Dfa.count_models`,
 :meth:`Dfa.extract_regex`, pattern compilation (:func:`from_pattern`), the
 sampler's draw programs, and the summarizer's candidate parses and scores.
 The policy-level entry points (compilation, comparison, sampling,
@@ -85,12 +90,9 @@ from .regex import (
 DEFAULT_STATE_CAP = 100_000
 
 _Row = tuple[tuple[int, int], ...]  # ((mask, target), ...) partitioning the alphabet
+_Rows = Sequence[Sequence[tuple[int, int]]]
 # A deterministic table read from start state 0: its rows and accepting states.
-_Table = tuple[Sequence[Sequence[tuple[int, int]]], AbstractSet[int]]
-
-
-def _low_bit(mask: int) -> int:
-    return mask & -mask
+_Table = tuple[_Rows, AbstractSet[int]]
 
 
 # -- operation cache -----------------------------------------------------------
@@ -238,13 +240,18 @@ class Dfa:
         return Dfa(self.transitions, frozenset(range(self.state_count)) - self.accepting)
 
     def union(self, other: "Dfa") -> "Dfa":
-        return _cached_product("union", self, other)
+        return self.complement().intersect(other.complement()).complement()
 
-    def intersect(self, other: "Dfa") -> "Dfa":
-        return _cached_product("intersect", self, other)
+    @memoized
+    def intersect(self, other: "Dfa", /) -> "Dfa":
+        """The one product: the pairs reachable from (0, 0), accepting where
+        both sides accept."""
+        pairs, rows = _explore((0, 0), _pair_moves(self.transitions, other.transitions), "product construction")
+        accepting = {i for i, (p, q) in enumerate(pairs) if p in self.accepting and q in other.accepting}
+        return _canonicalize(rows, accepting)
 
     def difference(self, other: "Dfa") -> "Dfa":
-        return _cached_product("difference", self, other)
+        return self.intersect(other.complement())
 
     # -- analyses -------------------------------------------------------------
 
@@ -315,24 +322,6 @@ class Dfa:
         return out[init].get(final, EMPTY)
 
 
-def _refine(masks: Iterable[int]) -> list[int]:
-    """Coarsest partition of the alphabet splitting every given mask."""
-    parts = [FULL_MASK]
-    for m in set(masks):
-        nxt = []
-        for p in parts:
-            inside = p & m
-            outside = p & ~m
-            if inside and outside:
-                nxt.append(inside)
-                nxt.append(outside)
-            else:
-                nxt.append(p)
-        parts = nxt
-    parts.sort(key=_low_bit)
-    return parts
-
-
 _EMPTY_DFA = Dfa((((FULL_MASK, 0),),), frozenset())
 _UNIVERSE_DFA = Dfa((((FULL_MASK, 0),),), frozenset({0}))
 UNIVERSE_TABLE: _Table = _UNIVERSE_DFA.table
@@ -379,7 +368,7 @@ def _explore(
     return keys, rows
 
 
-def _canonicalize(trans: Sequence[Sequence[tuple[int, int]]], accepting: AbstractSet[int]) -> Dfa:
+def _canonicalize(trans: _Rows, accepting: AbstractSet[int]) -> Dfa:
     """Minimize a total table whose states are all reachable from state 0,
     and number its blocks breadth-first with edges ordered by lowest class
     member."""
@@ -399,14 +388,14 @@ def _canonicalize(trans: Sequence[Sequence[tuple[int, int]]], accepting: Abstrac
         qtrans[b] = merged
 
     def edges(b: int) -> list[tuple[int, int]]:
-        return sorted(((mask, tb) for tb, mask in qtrans[b].items()), key=lambda e: _low_bit(e[0]))
+        return sorted(((mask, tb) for tb, mask in qtrans[b].items()), key=lambda e: e[0] & -e[0])
 
     blocks, rows = _explore(block[0], edges, "canonicalization")
     order = {b: i for i, b in enumerate(blocks)}
     return Dfa(tuple(map(tuple, rows)), frozenset(order[block[s]] for s in accepting))
 
 
-def _coarsest_partition(trans: Sequence[Sequence[tuple[int, int]]], accepting: AbstractSet[int]) -> list[int]:
+def _coarsest_partition(trans: _Rows, accepting: AbstractSet[int]) -> list[int]:
     """Block id of every state in the coarsest partition that separates
     accepting from rejecting states and that every transition respects.
 
@@ -456,37 +445,16 @@ def _coarsest_partition(trans: Sequence[Sequence[tuple[int, int]]], accepting: A
     return block
 
 
-_KEEP: dict[str, Callable[[bool, bool], bool]] = {
-    "union": lambda a, b: a or b,
-    "intersect": lambda a, b: a and b,
-    "difference": lambda a, b: a and not b,
-}
-
-
-@memoized
-def _cached_product(op: str, a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, _KEEP[op])
-
-
-def _product(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
-    return _canonicalize(*_product_rows(a, b, keep))
-
-
-def _product_rows(a: Dfa, b: Dfa, keep: Callable[[bool, bool], bool]) -> _Table:
-    """The pairs of states reachable from (0, 0), as an unminimized table
-    accepting the pairs that ``keep`` keeps.  Each row of a total DFA
-    partitions the alphabet, so the nonzero intersections of two rows' masks
-    are their common refinement; a pair's row is those, ordered by lowest
-    member."""
+def _pair_moves(a_rows: _Rows, b_rows: _Rows) -> Callable[[tuple[int, int]], list[tuple[int, tuple[int, int]]]]:
+    """The moves of pairs of states of two tables.  Each row of a total
+    table partitions the alphabet, so the nonzero intersections of two rows'
+    masks are their common refinement: a pair's edges."""
 
     def moves(pair: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-        row_b = b.transitions[pair[1]]
-        edges = [(m, (ta, tb)) for ma, ta in a.transitions[pair[0]] for mb, tb in row_b if (m := ma & mb)]
-        edges.sort(key=lambda e: _low_bit(e[0]))
-        return edges
+        row_b = b_rows[pair[1]]
+        return [(m, (ta, tb)) for ma, ta in a_rows[pair[0]] for mb, tb in row_b if (m := ma & mb)]
 
-    pairs, rows = _explore((0, 0), moves, "product construction")
-    return rows, {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
+    return moves
 
 
 # -- model counting ------------------------------------------------------------
@@ -496,9 +464,10 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
     """Exact number of strings of length 0 through ``bound`` accepted by both
     deterministic tables, by the counting walk the module docstring describes.
 
-    The pairs within ``bound`` steps are explored once, each row holding a
-    ``(weight, pair)`` step per nonzero mask intersection; a level maps each
-    reached pair to the number of strings of that length leading to it."""
+    The pairs within ``bound`` steps are explored once, and each edge
+    becomes a ``(weight, pair)`` step, its weight the size of its mask; a
+    level maps each reached pair to the number of strings of that length
+    leading to it."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     (a_rows, a_acc), (b_rows, b_acc) = a, b
@@ -507,12 +476,8 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
         return 0
     a_edges = [[(m, t) for m, t in row if a_live[t]] for row in a_rows]
     b_edges = [[(m, t) for m, t in row if b_live[t]] for row in b_rows]
-
-    def moves(pair: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-        row_b = b_edges[pair[1]]
-        return [(m.bit_count(), (ta, tb)) for ma, ta in a_edges[pair[0]] for mb, tb in row_b if (m := ma & mb)]
-
-    pairs, steps = _explore((0, 0), moves, "counting walk", bound)
+    pairs, rows = _explore((0, 0), _pair_moves(a_edges, b_edges), "counting walk", bound)
+    steps = [[(m.bit_count(), q) for m, q in row] for row in rows]
     accepts = [pa in a_acc and pb in b_acc for pa, pb in pairs]
     level = {0: 1}
     total = 0
@@ -537,7 +502,7 @@ def similarity_counts(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int,
     return inter, exact.count_models(bound) + _count_common(table, UNIVERSE_TABLE, bound) - inter
 
 
-def _live_states(rows: Sequence[Sequence[tuple[int, int]]], accepting: AbstractSet[int]) -> list[bool]:
+def _live_states(rows: _Rows, accepting: AbstractSet[int]) -> list[bool]:
     """Whether each state is live: an accepting state is reachable from it."""
     preds: list[list[int]] = [[] for _ in rows]
     for s, row in enumerate(rows):
@@ -612,17 +577,19 @@ def _subset_rows(r: RegexAst) -> _Table:
     deterministic, unminimized table with start state 0.
 
     A state is the set of positions just read; the start state is position 0
-    alone.  Its row refines the masks of the positions that can follow it,
-    and each part leads to those of them whose mask meets it."""
+    alone.  Its row starts as the whole alphabet leading nowhere; each mask
+    of the positions that can follow splits every part into the characters
+    inside and outside it, and a part inside carries that mask's positions."""
     masks, follow, last = _positions(r)
 
-    def moves(state: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
+    def moves(state: frozenset[int]) -> list[tuple[int, frozenset[int]]]:
         by_mask: dict[int, list[int]] = {}
         for q in set().union(*{f for p in state for f in follow[p]}):
             by_mask.setdefault(masks[q], []).append(q)
-        for part in _refine(by_mask):
-            # refinement guarantees part is inside or outside each mask
-            yield part, frozenset([q for mask, qs in by_mask.items() if mask & part for q in qs])
+        row: list[tuple[int, list[int]]] = [(FULL_MASK, [])]
+        for mask, qs in by_mask.items():
+            row = [(m, to + qs if m & mask else to) for part, to in row for m in (part & mask, part & ~mask) if m]
+        return [(m, frozenset(to)) for m, to in row]
 
     states, rows = _explore(frozenset([0]), moves, "subset construction")
     return rows, {i for i, state in enumerate(states) if state & last}

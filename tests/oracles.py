@@ -10,8 +10,9 @@ with ``rng.choice``.  The table builders are the engine's earlier kernels,
 each with its own worklist: subset construction over the ε-closures of a
 Thompson NFA, a product whose rows refine both rows' masks and look up
 each part's targets, and a counting walk that finds pairs level by level.
-The cube difference builds every term with the engine's bare product, with
-no operation cache and no settled terms.
+The set operations minimize that product with Moore's rounds, and the cube
+difference builds every term with them, with no operation cache and no
+settled terms.
 """
 
 from __future__ import annotations
@@ -345,6 +346,21 @@ def refine_product_rows(a, b, keep):
     return rows, {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
 
 
+KEEP = {
+    "union": lambda p, q: p or q,
+    "intersect": lambda p, q: p and q,
+    "difference": lambda p, q: p and not q,
+}
+
+
+def reference_product(op: str, a, b):
+    """The canonical DFA of ``a`` op ``b`` for an op of :data:`KEEP`: the
+    refining product, minimized by Moore's rounds.  Raises StateBlowup
+    where the product construction would."""
+    rows, accepting = refine_product_rows(a, b, KEEP[op])
+    return automata.Dfa(*moore_canonical(rows, 0, accepting))
+
+
 def reference_count_common(a, b, bound: int) -> int:
     """Strings of length 0 through ``bound`` accepted by both tables: the
     engine's earlier counting walk, which finds pairs level by level with its
@@ -403,15 +419,15 @@ def reference_count_common(a, b, bound: int) -> int:
 
 def reference_cube_difference(a, b) -> list[tuple]:
     """``requestsets._cube_difference`` with every difference and prefix
-    intersection built by ``automata._product``: the same terms in the same
-    order, the stop at the first empty prefix included."""
+    intersection built by :func:`reference_product`: the same terms in the
+    same order, the stop at the first empty prefix included."""
     out, prefix = [], []
     for i, (x, y) in enumerate(zip(a, b)):
-        diff = automata._product(x, y, lambda p, q: p and not q)
+        diff = reference_product("difference", x, y)
         if not diff.is_empty():
             out.append((*prefix, diff, *a[i + 1 :]))
         if i + 1 < len(a):
-            inter = automata._product(x, y, lambda p, q: p and q)
+            inter = reference_product("intersect", x, y)
             if inter.is_empty():
                 break
             prefix.append(inter)

@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 from policylens import automata, parse_policy, sampler, simplifier
 from policylens.alphabet import FULL_MASK, mask_of
 from policylens.automata import (
-    _KEEP,
     UNIVERSE_TABLE,
     Dfa,
     _count_common,
-    _product,
     _subset_rows,
     empty_dfa,
     from_pattern,
@@ -29,7 +27,14 @@ from policylens.requestsets import compare_policies, compile_policy, project, sa
 from policylens.simplifier import SimplifierConfig, generate_summarization
 
 from conftest import ALLOW_ALL_POLICY, corpus_paths
-from oracles import glob_match, moore_canonical, re_accepts, reference_count_models, strings_up_to
+from oracles import (
+    glob_match,
+    moore_canonical,
+    re_accepts,
+    reference_count_models,
+    reference_product,
+    strings_up_to,
+)
 from test_regex import SMALL as ABC, ast_strategy
 
 
@@ -279,7 +284,7 @@ class Memo(NamedTuple):
 _A, _B, _R = from_pattern("*a?"), from_pattern("b*"), parse_regex("a(b|c)*")
 
 MEMOIZED = {
-    "product": Memo(automata._cached_product, ("union", _A, _B), ("intersect", _A, _B), StateBlowup, ("union", _A, _B)),
+    "product": Memo(Dfa.intersect, (_A, _B), (_B, _A), StateBlowup, (_A, _B)),
     "count_models": Memo(Dfa.count_models, (_A, 5), (_A, 4), StateBlowup, (_A, 5)),
     # state elimination has no cap; a malformed table makes it raise
     "extract_regex": Memo(Dfa.extract_regex, (_A,), (_B,), IndexError, (Dfa((), frozenset({0})),)),
@@ -535,13 +540,13 @@ def _outcome(run):
 
 def _check_law_cases_against_the_product(d: Dfa, cap: int = automata.DEFAULT_STATE_CAP) -> None:
     """Under the state cap ``cap``, each former law case of ``d`` gives what
-    ``_product`` gives, result or StateBlowup, and a result is the DFA the
-    law named."""
+    the oracle product gives, result or StateBlowup, and a result is the DFA
+    the law named."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
         for op, a, b, want in _law_cases(d):
             got = _outcome(lambda: getattr(a, op)(b))
-            assert got == _outcome(lambda: _product(a, b, _KEEP[op])), (op, a, b)
+            assert got == _outcome(lambda: reference_product(op, a, b)), (op, a, b)
             assert got in (want, StateBlowup), (op, a, b)
 
 
@@ -552,7 +557,7 @@ def test_former_law_cases_match_the_product(r1, r2):
     _check_law_cases_against_the_product(d1)
     _check_law_cases_against_the_product(d2)
     for op in _OPS:
-        assert getattr(d1, op)(d2) == _product(d1, d2, _KEEP[op])
+        assert getattr(d1, op)(d2) == reference_product(op, d1, d2)
 
 
 def test_former_law_cases_match_the_product_on_corpus_projections():
@@ -577,10 +582,15 @@ def test_former_law_cases_raise_where_the_product_raises(monkeypatch):
             getattr(a, op)(b)
 
 
+def _intersection_of(op: str, a: Dfa, b: Dfa) -> tuple[Dfa, Dfa]:
+    """The operands of the intersection ``a`` op ``b`` runs: a ∪ b = ¬(¬a ∩ ¬b), a ∖ b = a ∩ ¬b."""
+    return {"union": (a.complement(), b.complement()), "intersect": (a, b), "difference": (a, b.complement())}[op]
+
+
 def test_set_operations_always_go_through_the_operation_cache():
     d = from_pattern("*a??")
     cases = _law_cases(d)
-    keys = {(op, a, b) for op, a, b, _ in cases}
+    keys = {_intersection_of(op, a, b) for op, a, b, _ in cases}
     with operation_cache() as cache:
         for op, a, b, _ in cases:
             getattr(a, op)(b)
@@ -588,3 +598,12 @@ def test_set_operations_always_go_through_the_operation_cache():
         for op, a, b, want in cases:  # a second round is served from the table
             assert getattr(a, op)(b) == want
         assert cache.misses == len(keys)
+
+
+def test_every_product_key_is_an_intersection():
+    a, b = from_pattern("*a?"), from_pattern("b*")
+    calls = [("union", a, b), ("difference", a, b), ("intersect", a, b), ("union", b, a)]
+    with operation_cache() as cache:
+        for op, x, y in calls:
+            getattr(x, op)(y)
+    assert list(cache.table) == [(Dfa.intersect, *_intersection_of(*call)) for call in calls]

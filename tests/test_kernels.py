@@ -3,12 +3,14 @@ kernels kept in ``oracles.py``: Thompson NFA ε-closures, product rows that
 refine both rows' masks and look up each part's targets, and a counting walk
 that numbers its pairs level by level.
 
-The tables must be equal, rows, accepting states and state count alike, not
-only their languages: :func:`automata.similarity_counts` walks unminimized
-subset tables.  Under every state cap from 0 to one past the table's size,
-both sides must build the same table or raise the same StateBlowup message.
-Likewise both walks must give the same count or raise the same message
-under every cap from 0 to one past the number of pairs within the bound.
+The engine builds rows by intersecting masks and does not order them, so
+its states are numbered differently from the oracles'.  Both sides must
+reach the same number of states, and their tables must have the same
+canonical DFA (``oracles.moore_canonical``), at the default cap and under
+every state cap from 0 to one past that number, or raise the same
+StateBlowup message.  Both walks must give the same count or raise the same
+message under every cap from 0 to one past the number of pairs within the
+bound.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from policylens import automata, parse_policy
-from policylens.automata import _KEEP, UNIVERSE_TABLE, _count_common, _explore, _product_rows, _subset_rows, from_regex
+from policylens.automata import UNIVERSE_TABLE, Dfa, _count_common, _explore, _subset_rows, from_regex
 from policylens.errors import StateBlowup
 from policylens.providers import MockProvider
 from policylens.regex import EMPTY, EPSILON, literal, parse_regex, wildcard
@@ -30,7 +32,7 @@ from policylens.requestsets import compare_policies, compile_policy, project
 from policylens.simplifier import SimplifierConfig, generate_summarization
 
 from conftest import corpus_paths
-from oracles import reference_count_common, refine_product_rows, thompson_subset_rows
+from oracles import moore_canonical, reference_count_common, refine_product_rows, thompson_subset_rows
 from test_automata import small_regex
 from test_regex import _nested_star_unions, _nested_stars, _nested_unions, ast_strategy
 
@@ -42,12 +44,13 @@ def regexes() -> st.SearchStrategy:
 
 
 def _outcome(build):
-    """The table ``build`` returns, or the message of the StateBlowup it raises."""
+    """The state count and canonical DFA of the table ``build`` returns, or
+    the message of the StateBlowup it raises."""
     try:
         rows, accepting = build()
     except StateBlowup as e:
         return str(e)
-    return rows, set(accepting)
+    return len(rows), moore_canonical(rows, 0, set(accepting))
 
 
 def _check_kernel(build, reference, stride: int = 1) -> None:
@@ -55,7 +58,7 @@ def _check_kernel(build, reference, stride: int = 1) -> None:
     from 0 and the caps one below, at and one past the table's size."""
     want = _outcome(reference)
     assert _outcome(build) == want
-    n = len(want[0])
+    n = want[0]
     for cap in sorted({*range(0, n + 2, stride), n - 1, n, n + 1}):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
@@ -66,9 +69,24 @@ def _check_subset_kernel(r, stride: int = 1) -> None:
     _check_kernel(lambda: _subset_rows(r), lambda: thompson_subset_rows(r), stride)
 
 
-def _check_product_kernel(a, b) -> None:
-    for keep in _KEEP.values():
-        _check_kernel(lambda: _product_rows(a, b, keep), lambda: refine_product_rows(a, b, keep))
+def _product_table(a: Dfa, b: Dfa):
+    """The unminimized table ``a.intersect(b)`` builds, as it is handed to
+    ``_canonicalize``; called outside an operation-cache scope, so it is
+    built afresh."""
+    tables, canonicalize = [], automata._canonicalize
+
+    def record(rows, accepting):
+        tables.append((rows, accepting))
+        return canonicalize(rows, accepting)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_canonicalize", record)
+        a.intersect(b)
+    return tables[0]
+
+
+def _check_product_kernel(a: Dfa, b: Dfa) -> None:
+    _check_kernel(lambda: _product_table(a, b), lambda: refine_product_rows(a, b, lambda p, q: p and q))
 
 
 def _patterns(doc) -> set[str]:
@@ -90,7 +108,9 @@ def test_subset_kernel_matches_the_thompson_oracle(r):
 @settings(deadline=None)
 @given(regexes(), regexes())
 def test_product_kernel_matches_the_refining_oracle(r1, r2):
-    _check_product_kernel(from_regex(r1), from_regex(r2))
+    a, b = from_regex(r1), from_regex(r2)
+    for x, y in ((a, b), (a.complement(), b.complement()), (a, b.complement())):  # ∩, then ∪ and ∖ as ∩
+        _check_product_kernel(x, y)
 
 
 def test_subset_kernel_matches_the_thompson_oracle_on_every_corpus_and_perfbench_pattern():
@@ -111,13 +131,13 @@ def test_subset_kernel_matches_the_thompson_oracle_on_every_corpus_and_perfbench
 
 
 def test_product_kernel_matches_the_refining_oracle_on_corpus_compilation_and_comparison(monkeypatch):
-    calls = []
+    calls, intersect = [], Dfa.intersect
 
-    def record(a, b, keep):
-        calls.append((a, b, keep))
-        return _product_rows(a, b, keep)
+    def record(a, b):  # union and difference call it too
+        calls.append((a, b))
+        return intersect(a, b)
 
-    monkeypatch.setattr(automata, "_product_rows", record)
+    monkeypatch.setattr(Dfa, "intersect", record)
     docs = [parse_policy(path.read_text()) for path in corpus_paths()]
     with automata.operation_cache():
         for doc in docs:
@@ -127,9 +147,10 @@ def test_product_kernel_matches_the_refining_oracle_on_corpus_compilation_and_co
             for other in docs:
                 compare_policies(doc, other, 3, 0)
     monkeypatch.undo()
-    assert len(calls) > 100
-    for a, b, keep in calls:  # each under the operation that was run
-        _check_kernel(lambda: _product_rows(a, b, keep), lambda: refine_product_rows(a, b, keep))
+    products = dict.fromkeys(calls)
+    assert len(products) > 100
+    for a, b in products:
+        _check_product_kernel(a, b)
 
 
 def test_subset_kernel_matches_the_thompson_oracle_on_echo_mock_candidates():
@@ -173,7 +194,22 @@ def test_subset_kernel_matches_the_thompson_oracle_on_deep_trees(r):
     # deeper than the default recursion limit: building the positions needs no recursion;
     # follow sets shared between nested stars keep the work quadratic, not cubic, in the depth
     with _deadline(20):
-        assert _outcome(lambda: _subset_rows(r)) == _outcome(lambda: thompson_subset_rows(r))
+        assert _renumbered(*_subset_rows(r)) == _renumbered(*thompson_subset_rows(r))
+
+
+def _renumbered(rows, accepting):
+    """The table with its states numbered breadth-first from state 0, edges
+    ordered by lowest member: equal for two tables that differ only in state
+    numbering.  Moore's rounds would take minutes on the 3,000-state chains
+    above, one round per state."""
+    order, queue = {0: 0}, [0]
+    for s in queue:
+        for _, t in sorted(rows[s], key=lambda e: e[0] & -e[0]):
+            if t not in order:
+                order[t] = len(queue)
+                queue.append(t)
+    table = [sorted((m, order[t]) for m, t in rows[s]) for s in queue]
+    return table, {order[s] for s in accepting}
 
 
 # -- counting walk ---------------------------------------------------------------

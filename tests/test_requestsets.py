@@ -107,7 +107,7 @@ def test_cube_difference_settles_trivial_terms_without_a_product(monkeypatch):
     x, twin, y = d("a*b"), d("a*b"), d("b+")
     assert x is not twin and x == twin
     u = universe_dfa()
-    monkeypatch.setattr(automata, "_product", _no_product)
+    monkeypatch.setattr(automata, "_pair_moves", _no_product)
     # equal operands built apart, then a U on the left, then a U on the right
     assert requestsets._cube_difference((x, u, y), (twin, y, u)) == [(x, y.complement(), y)]
     assert requestsets._cube_difference((x, u, y), (twin, u, y)) == []
@@ -171,7 +171,7 @@ def test_cube_difference_matches_the_reference_on_random_policies(monkeypatch):
 def test_union_of_no_languages_is_empty_and_of_one_is_itself(monkeypatch):
     assert requestsets._union([]) == empty_dfa()
     x = d("a*b")
-    monkeypatch.setattr(automata, "_product", _no_product)
+    monkeypatch.setattr(automata, "_pair_moves", _no_product)
     assert requestsets._union([x]) is x
     assert requestsets._union(iter([x])) is x
 
