@@ -84,8 +84,16 @@ class Star(RegexAst):
 EMPTY = Empty()
 EPSILON = Epsilon()
 
-_classes: "weakref.WeakValueDictionary[int, CharClass]" = weakref.WeakValueDictionary()
-_composites: "weakref.WeakValueDictionary[tuple, RegexAst]" = weakref.WeakValueDictionary()
+_interned: "weakref.WeakValueDictionary[tuple, RegexAst]" = weakref.WeakValueDictionary()
+
+
+def _intern(cls: type, *fields: object) -> RegexAst:
+    """The one ``cls(*fields)`` node, built only when none is alive yet."""
+    key = (cls, *fields)
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = cls(*fields)
+    return node
 
 
 def char_class(mask: int) -> RegexAst:
@@ -94,22 +102,10 @@ def char_class(mask: int) -> RegexAst:
         return EMPTY
     if mask & ~FULL_MASK:
         raise AlphabetError("character class exceeds the 95-symbol alphabet")
-    node = _classes.get(mask)
-    if node is None:
-        node = CharClass(mask)
-        _classes[mask] = node
-    return node
+    return _intern(CharClass, mask)
 
 
 ANY_CHAR = char_class(FULL_MASK)
-
-
-def _intern(key: tuple, node: RegexAst) -> RegexAst:
-    existing = _composites.get(key)
-    if existing is not None:
-        return existing
-    _composites[key] = node
-    return node
 
 
 def alt(left: RegexAst, right: RegexAst) -> RegexAst:
@@ -121,7 +117,7 @@ def alt(left: RegexAst, right: RegexAst) -> RegexAst:
         return left
     if isinstance(left, CharClass) and isinstance(right, CharClass):
         return char_class(left.mask | right.mask)
-    return _intern(("|", left, right), Union(left, right))
+    return _intern(Union, left, right)
 
 
 def seq(left: RegexAst, right: RegexAst) -> RegexAst:
@@ -131,7 +127,7 @@ def seq(left: RegexAst, right: RegexAst) -> RegexAst:
         return right
     if right is EPSILON:
         return left
-    return _intern((".", left, right), Concat(left, right))
+    return _intern(Concat, left, right)
 
 
 def star(inner: RegexAst) -> RegexAst:
@@ -139,7 +135,7 @@ def star(inner: RegexAst) -> RegexAst:
         return EPSILON
     if isinstance(inner, Star):
         return inner
-    return _intern(("*", inner), Star(inner))
+    return _intern(Star, inner)
 
 
 def literal(text: str) -> RegexAst:
