@@ -12,6 +12,7 @@ behavior reads it back.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from abc import ABC, abstractmethod
@@ -102,7 +103,8 @@ class HttpProvider(LlmProvider):
 
     Connection errors, timeouts, 429 and 5xx are retried up to ``retries``
     times with exponential backoff; any other 4xx fails at once.  The
-    ``timeout`` must be finite and positive and ``retries`` non-negative.
+    ``temperature`` must be finite, the ``timeout`` finite and positive and
+    ``retries`` non-negative.
     """
 
     name = "http"
@@ -117,6 +119,8 @@ class HttpProvider(LlmProvider):
         retries: int = 2,
         session: requests.Session | None = None,
     ) -> None:
+        if not math.isfinite(temperature):  # the request body could not encode it
+            raise ProviderError(f"http provider temperature must be a finite number: {temperature!r}")
         if not 0 < timeout < float("inf"):
             raise ProviderError(f"http provider timeout must be a finite positive number of seconds: {timeout!r}")
         if retries < 0:
@@ -200,6 +204,8 @@ def load_provider(kind: str, config: Mapping[str, object] | None = None) -> LlmP
         for key, convert in (("temperature", float), ("timeout", float), ("retries", int)):
             if key in config:
                 try:
+                    if isinstance(config[key], bool):  # JSON true is not the number 1
+                        raise TypeError
                     numbers[key] = convert(config[key])  # type: ignore[arg-type]
                 except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf), float(10**400)
                     raise ProviderError(f"http provider config {key!r} is not a number: {config[key]!r}") from None

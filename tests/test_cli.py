@@ -520,11 +520,19 @@ def test_candidate_too_large_to_score_falls_back(runner, monkeypatch):
         ({"retries": 1e400}, "config 'retries' is not a number: inf"),
         ({"api_key": None}, "config 'api_key' is not a string: None"),
         ({"model": 5}, "config 'model' is not a string: 5"),
+        ({"temperature": 1e400}, "temperature must be a finite number: inf"),
+        ({"temperature": float("nan")}, "temperature must be a finite number: nan"),
+        ({"temperature": True}, "config 'temperature' is not a number: True"),
+        ({"timeout": True}, "config 'timeout' is not a number: True"),
+        ({"retries": True}, "config 'retries' is not a number: True"),
     ],
-    ids=["retries-overflow", "api-key-null", "model-number"],
+    ids=[
+        "retries-overflow", "api-key-null", "model-number",
+        "temperature-overflow", "temperature-nan", "temperature-true", "timeout-true", "retries-true",
+    ],
 )
 def test_malformed_http_provider_setting_is_an_input_error(runner, tmp_path, command, setting, message):
-    # json writes 1e400 as Infinity, which it reads back as inf.
+    # json writes 1e400 as Infinity and nan as NaN, which it reads back as inf and nan.
     cfg = provider_config(tmp_path, **{"endpoint": "http://127.0.0.1:9/", "model": "m", **setting})
     result = runner.invoke(main, COMMANDS[command] + ["--provider", "http", "--provider-config", cfg])
     assert_handled(result, 1)

@@ -197,8 +197,14 @@ def test_http_provider_response_nested_too_deep(monkeypatch):
 
 @pytest.mark.parametrize(
     "setting",
-    [{"timeout": -1.0}, {"timeout": 0}, {"timeout": float("nan")}, {"timeout": float("inf")}, {"retries": -1}],
-    ids=["timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf", "retries-negative"],
+    [
+        {"timeout": -1.0}, {"timeout": 0}, {"timeout": float("nan")}, {"timeout": float("inf")}, {"retries": -1},
+        {"temperature": float("inf")}, {"temperature": float("-inf")}, {"temperature": float("nan")},
+    ],
+    ids=[
+        "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf", "retries-negative",
+        "temperature-inf", "temperature-minus-inf", "temperature-nan",
+    ],
 )
 def test_http_provider_rejects_out_of_range_numbers(setting):
     session = FakeSession([])
@@ -298,7 +304,7 @@ def test_load_provider_keeps_well_typed_mock_settings():
 
 
 @pytest.mark.parametrize("key", ["temperature", "timeout", "retries"])
-@pytest.mark.parametrize("value", ["hot", None, [1], "2.5x"])
+@pytest.mark.parametrize("value", ["hot", None, [1], "2.5x", True, False])  # JSON true is not the number 1
 def test_load_provider_rejects_a_non_numeric_http_setting(key, value):
     with pytest.raises(ProviderError, match=f"'{key}' is not a number"):
         load_provider("http", {"endpoint": "https://e", "model": "m", key: value})
