@@ -32,7 +32,7 @@ from policylens.requestsets import compare_policies, compile_policy, project
 from policylens.simplifier import SimplifierConfig, generate_summarization
 
 from conftest import corpus_paths
-from oracles import moore_canonical, reference_count_common, refine_product_rows, thompson_subset_rows
+from oracles import KEEP, moore_canonical, reference_count_common, refine_product_rows, thompson_subset_rows
 from test_automata import small_regex
 from test_regex import _nested_star_unions, _nested_stars, _nested_unions, ast_strategy
 
@@ -86,7 +86,7 @@ def _product_table(a: Dfa, b: Dfa):
 
 
 def _check_product_kernel(a: Dfa, b: Dfa) -> None:
-    _check_kernel(lambda: _product_table(a, b), lambda: refine_product_rows(a, b, lambda p, q: p and q))
+    _check_kernel(lambda: _product_table(a, b), lambda: refine_product_rows(a, b, KEEP["intersect"]))
 
 
 def _patterns(doc) -> set[str]:
@@ -200,8 +200,8 @@ def test_subset_kernel_matches_the_thompson_oracle_on_deep_trees(r):
 def _renumbered(rows, accepting):
     """The table with its states numbered breadth-first from state 0, edges
     ordered by lowest member: equal for two tables that differ only in state
-    numbering.  Moore's rounds would take minutes on the 3,000-state chains
-    above, one round per state."""
+    numbering.  Moore's rounds, one per state, take tens of seconds on the
+    3,000-state tables above."""
     order, queue = {0: 0}, [0]
     for s in queue:
         for _, t in sorted(rows[s], key=lambda e: e[0] & -e[0]):
