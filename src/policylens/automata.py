@@ -18,8 +18,7 @@ parts.  :meth:`Dfa.intersect` is the one product: a pair's row is the
 nonzero intersections of its two rows' masks (:func:`_pair_moves`).
 Complements are free on canonical total DFAs, so :meth:`Dfa.union` is
 ``¬(¬a ∩ ¬b)`` and :meth:`Dfa.difference` is ``a ∩ ¬b``.
-:meth:`Dfa.from_parts` keeps the states reachable from its start, and
-canonicalization renumbers the blocks of the minimized table.  The tests
+Canonicalization renumbers the blocks of the minimized table.  The tests
 check both table builders, up to state numbering, against the Thompson NFA
 and mask-refining kernels they replaced.  The kernel is the one place that
 raises :class:`~policylens.errors.StateBlowup`, when more states are
@@ -160,9 +159,9 @@ def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
 
 
 class Dfa:
-    """Canonical total DFA.  Build via :func:`from_regex`, :func:`from_pattern`,
-    :meth:`from_parts`, or the set operations; the raw constructor assumes the
-    arguments are already canonical."""
+    """Canonical total DFA.  Build via :func:`from_regex`, :func:`from_pattern`
+    or the set operations; the raw constructor assumes the arguments are
+    already canonical."""
 
     __slots__ = ("transitions", "accepting")
 
@@ -186,36 +185,6 @@ class Dfa:
     @property
     def state_count(self) -> int:
         return len(self.transitions)
-
-    @classmethod
-    def from_parts(
-        cls,
-        transitions: Iterable[Iterable[tuple[int, int]]],
-        start: int,
-        accepting: Iterable[int],
-    ) -> "Dfa":
-        """Canonicalize a raw transition table.  Each row's masks must be
-        disjoint and cover the whole alphabet.  Raises StateBlowup when more
-        states than the state cap are reachable from ``start``."""
-        rows = [list(row) for row in transitions]
-        n = len(rows)
-        if not 0 <= start < n:
-            raise ValueError(f"start state {start} out of range")
-        for s, row in enumerate(rows):
-            seen = 0
-            for mask, target in row:
-                if mask <= 0 or mask & ~FULL_MASK:
-                    raise ValueError(f"state {s}: mask outside the alphabet")
-                if mask & seen:
-                    raise ValueError(f"state {s}: overlapping transition masks")
-                if not 0 <= target < n:
-                    raise ValueError(f"state {s}: target {target} out of range")
-                seen |= mask
-            if seen != FULL_MASK:
-                raise ValueError(f"state {s}: transitions do not cover the alphabet")
-        accepting = set(accepting)
-        states, reached = _explore(start, rows.__getitem__, "canonicalization")
-        return _canonicalize(reached, {i for i, s in enumerate(states) if s in accepting})
 
     # -- language predicates ------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Request sets: the semantics of a policy as a set of request tuples.
 
 A request is a tuple of strings over the dimensions (principal, action,
-resource, then any condition keys, lexicographic).  A :class:`RequestSet` is
+resource, then any condition keys, lexicographic).  The sets a command works
+on share one schema: a pair of policies is compiled over both policies'
+condition keys (:func:`policy_differences`), and a key a policy does not
+name is unconstrained in its set.  A :class:`RequestSet` is
 a union of *cubes*.  A cube is a plain tuple of languages, one :class:`Dfa`
 per dimension, and denotes their product; it is empty iff any component is.
 Unions of cubes are closed under union, intersection and difference (the
@@ -57,9 +60,6 @@ class DimensionSchema:
         except ValueError:
             raise SchemaError(f"unknown dimension {dim!r}") from None
 
-    def merge(self, other: "DimensionSchema") -> "DimensionSchema":
-        return DimensionSchema(self.condition_keys + other.condition_keys)
-
 
 # One language per dimension; ``RequestCube(dfas)`` builds one from an iterable.
 RequestCube = tuple[Dfa, ...]
@@ -95,21 +95,6 @@ def empty_set(schema: DimensionSchema) -> RequestSet:
     return RequestSet(schema, ())
 
 
-def _pad(x: RequestSet, schema: DimensionSchema) -> RequestSet:
-    """Reshape cubes onto a superset schema; new dimensions are unconstrained."""
-    if x.schema == schema:
-        return x
-    univ = universe_dfa()
-    own = {d: i for i, d in enumerate(x.schema.dimensions)}
-    cubes = tuple(tuple(cube[own[d]] if d in own else univ for d in schema.dimensions) for cube in x.cubes)
-    return RequestSet(schema, cubes)
-
-
-def _aligned(x: RequestSet, y: RequestSet) -> tuple[RequestSet, RequestSet, DimensionSchema]:
-    schema = x.schema.merge(y.schema)
-    return _pad(x, schema), _pad(y, schema), schema
-
-
 def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
     """Distribute (A₁×…×A_k) \\ (B₁×…×B_k) into per-dimension cubes.
 
@@ -139,7 +124,9 @@ def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
 
 
 def set_difference(x: RequestSet, y: RequestSet) -> RequestSet:
-    x, y, schema = _aligned(x, y)
+    """Requests in ``x`` and not in ``y``; both must share one schema."""
+    if x.schema != y.schema:
+        raise SchemaError("set difference of request sets over different dimensions")
     cubes = list(x.cubes)
     for b in y.cubes:
         nxt: list[RequestCube] = []
@@ -149,7 +136,7 @@ def set_difference(x: RequestSet, y: RequestSet) -> RequestSet:
         cubes = nxt
         if not cubes:
             break
-    return RequestSet(schema, tuple(cubes))
+    return RequestSet(x.schema, tuple(cubes))
 
 
 def _check_cubes(count: int) -> None:
@@ -173,9 +160,9 @@ def _disjunction(patterns: Iterable[WildcardPattern], negated: bool) -> Dfa:
     return d.complement() if negated else d
 
 
-def policy_schema(doc: PolicyDocument) -> DimensionSchema:
-    keys = {c.key for s in doc.statements for c in s.conditions}
-    return DimensionSchema(tuple(keys))
+def policy_schema(*docs: PolicyDocument) -> DimensionSchema:
+    """The fixed dimensions, then every condition key any of the policies names."""
+    return DimensionSchema(tuple({c.key for doc in docs for s in doc.statements for c in s.conditions}))
 
 
 @operation_cache()
@@ -187,7 +174,11 @@ def compile_policy(doc: PolicyDocument) -> RequestSet:
     condition, conditions conjoin per key, and StringNot* complements the
     value language.  Condition keys a statement does not constrain stay
     unconstrained in its cube."""
-    schema = policy_schema(doc)
+    return _compile(doc, policy_schema(doc))
+
+
+def _compile(doc: PolicyDocument, schema: DimensionSchema) -> RequestSet:
+    """:func:`compile_policy` over ``schema``, which names every condition key of ``doc``."""
     univ = universe_dfa()
     allow: list[RequestCube] = []
     deny: list[RequestCube] = []
@@ -204,6 +195,18 @@ def compile_policy(doc: PolicyDocument) -> RequestSet:
     if not deny:
         return allowed
     return set_difference(allowed, RequestSet(schema, tuple(deny)))
+
+
+@operation_cache()
+def policy_differences(
+    p1: PolicyDocument, p2: PolicyDocument
+) -> tuple[RequestSet, RequestSet, RequestSet, RequestSet]:
+    """``(s1, s2, s1 ∖ s2, s2 ∖ s1)`` for the policies' allowed sets ``s1`` and
+    ``s2``, both compiled over their joint dimensions.  A condition key one
+    policy does not name is unconstrained in its set."""
+    schema = policy_schema(p1, p2)
+    s1, s2 = _compile(p1, schema), _compile(p2, schema)
+    return s1, s2, set_difference(s1, s2), set_difference(s2, s1)
 
 
 # -- queries ------------------------------------------------------------------
@@ -313,10 +316,7 @@ def compare_policies(
     Raises ValueError when ``witness_count < 0``, whatever the verdict."""
     if witness_count < 0:
         raise ValueError("witness_count must be non-negative")
-    s1 = compile_policy(p1)
-    s2 = compile_policy(p2)
-    f1 = set_difference(s1, s2)
-    f2 = set_difference(s2, s1)
+    s1, s2, f1, f2 = policy_differences(p1, p2)
     if is_empty_set(f1) and is_empty_set(f2):
         kind = Permissiveness.EQUIVALENT
     elif is_empty_set(f2):

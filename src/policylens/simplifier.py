@@ -26,13 +26,7 @@ from .errors import PolicyLensError, ProviderError, RegexSyntaxError, StateBlowu
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
 from .regex import EMPTY_TOKEN, RegexAst, parse_regex, print_regex
-from .requestsets import (
-    RequestSet,
-    compile_policy,
-    is_empty_set,
-    project,
-    set_difference,
-)
+from .requestsets import RequestSet, compile_policy, is_empty_set, policy_differences, project
 from .sampler import sample_n
 
 
@@ -349,10 +343,7 @@ def summarize_difference(
     """Summaries of what p1 allows beyond p2 and what p2 allows beyond p1."""
     timer = _StageTimer()
     with timer.stage("compile"):
-        s1 = compile_policy(p1)
-        s2 = compile_policy(p2)
-        f1 = set_difference(s1, s2)
-        f2 = set_difference(s2, s1)
+        _, _, f1, f2 = policy_differences(p1, p2)
     first = summarize_set(f1, cfg, provider, earlier=timer.timings)
     second = summarize_set(f2, cfg, provider, earlier=timer.timings)
     return first, second

@@ -12,7 +12,12 @@ Thompson NFA, a product whose rows refine both rows' masks and look up
 each part's targets, and a counting walk that finds pairs level by level.
 The set operations minimize that product with Moore's rounds, and the cube
 difference builds every term with them, with no operation cache and no
-settled terms.
+settled terms.  Padding (:func:`reference_pad`) reshapes a request set
+onto more dimensions, each new one unconstrained: two policies compiled
+apart, padded and differenced check a pair compiled over one schema.
+
+:func:`table_dfa` only builds inputs: it canonicalizes a raw table through
+the engine's own worklist and minimizer.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from policylens.alphabet import FULL_MASK, chars_of
 from policylens.errors import EmptyLanguage, StateBlowup
 from policylens.policy import Effect, PolicyDocument
 from policylens.regex import EPSILON, CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union, union_children
+from policylens.requestsets import DimensionSchema, RequestSet
 
 
 @lru_cache(maxsize=100_000)
@@ -432,3 +438,19 @@ def reference_cube_difference(a, b) -> list[tuple]:
                 break
             prefix.append(inter)
     return out
+
+
+def table_dfa(rows, start: int, accepting) -> automata.Dfa:
+    """The canonical DFA of a total transition table read from ``start``;
+    only the states reachable from it count against the state cap."""
+    states, reached = automata._explore(start, rows.__getitem__, "canonicalization")
+    accepting = set(accepting)
+    return automata._canonicalize(reached, {i for i, s in enumerate(states) if s in accepting})
+
+
+def reference_pad(x: RequestSet, schema: DimensionSchema) -> RequestSet:
+    """``x`` reshaped onto ``schema``, a superset of its dimensions: each
+    cube keeps its languages, and a dimension it lacks is unconstrained."""
+    univ = automata.universe_dfa()
+    own = {d: i for i, d in enumerate(x.schema.dimensions)}
+    return RequestSet(schema, tuple(tuple(c[own[d]] if d in own else univ for d in schema.dimensions) for c in x.cubes))

@@ -45,7 +45,7 @@ from conftest import (
     corpus_paths,
     random_policy_text,
 )
-from oracles import glob_match, re_accepts, strings_up_to, ref_decide
+from oracles import glob_match, re_accepts, ref_decide, strings_up_to, table_dfa
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -186,7 +186,7 @@ def test_criterion_04_extraction_round_trip():
             for _ in range(n)
         ]
         accepting = [s for s in range(n) if rng.random() < 0.5]
-        corpus.append(Dfa.from_parts(table, 0, accepting))
+        corpus.append(table_dfa(table, 0, accepting))
     sizes = [d.state_count for d in corpus]
     assert max(sizes) <= 30 and max(sizes) >= 15  # the corpus spans real sizes
     for dfa in corpus:

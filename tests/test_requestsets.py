@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from policylens.requestsets import (
     decide_request,
     empty_set,
     is_empty_set,
+    policy_differences,
+    policy_schema,
     project,
     sample_from_set,
     sample_requests,
@@ -31,7 +34,7 @@ from policylens.requestsets import (
 )
 
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
-from oracles import ref_decide, reference_cube_difference
+from oracles import ref_decide, reference_cube_difference, reference_pad
 from test_automata import small_regex
 
 SCHEMA = DimensionSchema()
@@ -147,7 +150,8 @@ def _check_every_cube_difference(monkeypatch) -> list[int]:
 
 
 def _differences(docs) -> None:
-    sets = [compile_policy(doc) for doc in docs]
+    schema = policy_schema(*docs)
+    sets = [requestsets._compile(doc, schema) for doc in docs]
     for x in sets:
         set_difference(universe_set(x.schema), x)
         for y in sets:
@@ -219,23 +223,60 @@ def test_project_cases():
 def test_schema_guards():
     with pytest.raises(SchemaError):
         DimensionSchema(("action",))
-    merged = DimensionSchema(("k2", "k1")).merge(DimensionSchema(("k1", "k3")))
-    assert merged.dimensions == ("principal", "action", "resource", "k1", "k2", "k3")
+    p1 = _conditioned_allow({"k2": "x", "k1": "y"})
+    p2 = _conditioned_allow({"k1": "x", "k3": "y"})
+    assert policy_schema(p1, p2).dimensions == ("principal", "action", "resource", "k1", "k2", "k3")
+    assert policy_schema().dimensions == ("principal", "action", "resource")
+
+
+def _conditioned_allow(keys: dict[str, str]):
+    """A policy allowing everything under StringEquals on the given keys."""
+    stmt = {"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "*", "Condition": {"StringEquals": keys}}
+    return parse_policy(json.dumps({"Statement": [stmt]}))
 
 
 def test_mixed_schema_alignment():
-    gated = parse_policy(
-        '{"Statement": [{"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "*",'
-        ' "Condition": {"StringEquals": {"env": "prod"}}}]}'
-    )
+    gated = _conditioned_allow({"env": "prod"})
     plain = parse_policy(
         '{"Statement": [{"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "*"}]}'
     )
-    extra = set_difference(compile_policy(plain), compile_policy(gated))
+    s_plain, s_gated, extra, missing = policy_differences(plain, gated)
+    assert s_plain.schema == s_gated.schema == extra.schema
     assert extra.schema.condition_keys == ("env",)
     assert not contains(extra, {"env": "prod"})
     assert contains(extra, {"env": "dev"})
     assert contains(extra, {})
+    assert is_empty_set(missing)
+
+
+def test_set_difference_rejects_sets_over_different_dimensions(music_doc):
+    gated = _conditioned_allow({"env": "prod"})
+    with pytest.raises(SchemaError, match="different dimensions"):
+        set_difference(compile_policy(music_doc), compile_policy(gated))
+
+
+def _padded_differences(p1, p2) -> tuple[RequestSet, ...]:
+    """The pair step's oracle: each policy compiled over its own dimensions,
+    both padded onto the joint ones, then differenced both ways."""
+    schema = policy_schema(p1, p2)
+    s1, s2 = (reference_pad(compile_policy(p), schema) for p in (p1, p2))
+    return s1, s2, set_difference(s1, s2), set_difference(s2, s1)
+
+
+def test_policy_differences_match_padding_on_corpus_pairs(corpus):
+    for p1, p2 in itertools.product(corpus.values(), repeat=2):
+        assert policy_differences(p1, p2) == _padded_differences(p1, p2)
+
+
+def test_policy_differences_match_padding_on_random_policies_with_different_keys():
+    rng = random.Random("policy-differences")
+    pairs = 0
+    while pairs < 30:
+        p1, p2 = (parse_policy(random_policy_text(rng)) for _ in range(2))
+        if policy_schema(p1) == policy_schema(p2):
+            continue
+        assert policy_differences(p1, p2) == _padded_differences(p1, p2)
+        pairs += 1
 
 
 def test_decide_request_music(music_doc):
@@ -301,7 +342,7 @@ def test_compare_rejects_negative_witness_count_before_any_work(music_doc, deny_
     def forbidden(*args, **kwargs):
         raise AssertionError("compiled a policy before checking witness_count")
 
-    monkeypatch.setattr(requestsets, "compile_policy", forbidden)
+    monkeypatch.setattr(requestsets, "_compile", forbidden)
     for p1, p2 in pairs:
         with pytest.raises(ValueError, match="non-negative"):
             compare_policies(p1, p2, count)
