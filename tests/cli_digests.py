@@ -26,11 +26,17 @@ byte-identical CLI output on every case:
   bad option values and bad provider configs, with hostile inputs among them:
   a policy and a provider config nested past the JSON decoder's recursion
   limit, scripted candidates of 400 nested groups and of 1,200 nested
-  star-unions, and out-of-range HTTP provider settings.
+  star-unions, and out-of-range HTTP provider settings;
+- pairs of policies over different condition keys (:data:`KEYED`):
+  ``compare --witnesses 5`` and ``diff -n 200`` (plain, ``--dim a`` and
+  ``--dim b``) on the two in both orders and on each against
+  ``music_public_read.json``, and ``requests -k 3`` and ``count --dim b`` on
+  each.
 
 The files these cases read and write live in a temporary directory, written
-as ``TMP/`` in the listing and in the argument lists, so the listing does not
-depend on where it is.  The file name keeps pytest from collecting it.
+as ``TMP/`` in the listing, in the argument lists and in everything a digest
+covers, so the listing does not depend on where it is.  The file name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -69,6 +75,23 @@ TMP_FILES = {
                               ("retries-negative", {"retries": -1}))
     },
 }
+# Two policies over interleaved condition keys, so a pair is compiled over
+# keys one policy does not name: a, c and a conditioned Deny; b and a
+# StringNotEquals Deny.
+KEYED = {
+    "keys-ac.json": {"Statement": [
+        {"Effect": "Allow", "Principal": "*", "Action": "s3:*", "Resource": "files/*",
+         "Condition": {"StringLike": {"a": "x*"}}},
+        {"Effect": "Deny", "Principal": "*", "Action": "s3:PutObject", "Resource": "files/secret*",
+         "Condition": {"StringEquals": {"c": "prod"}}},
+    ]},
+    "keys-b.json": {"Statement": [
+        {"Effect": "Allow", "Principal": "*", "Action": "s3:Get*", "Resource": "*"},
+        {"Effect": "Deny", "Principal": "*", "Action": "s3:GetObject", "Resource": "files/secret*",
+         "Condition": {"StringNotEquals": {"b": ["admin", "ops*"]}}},
+    ]},
+}
+TMP_FILES.update({name: json.dumps(doc) for name, doc in KEYED.items()})
 REPORT = "TMP/report.out"
 
 
@@ -152,6 +175,12 @@ def edge_cases(policies: list[str]) -> list[list[str]]:
         ["summarize", music, "--provider-config", "TMP/nested-groups.json"],
         ["summarize", music, "--provider-config", "TMP/star-unions.json"],
     ]
+    ac, b = (f"TMP/{name}" for name in KEYED)
+    for p1, p2 in ((ac, b), (b, ac), (ac, music), (b, music)):
+        out.append(["compare", p1, p2, "--witnesses", "5"])
+        out += [["diff", p1, p2, "-n", "200", *dim] for dim in ([], ["--dim", "a"], ["--dim", "b"])]
+    for p in (ac, b):
+        out += [["requests", p, "-k", "3"], ["count", p, "--dim", "b"]]
     return [argv + ["--no-timestamp"] for argv in out]
 
 
@@ -171,6 +200,8 @@ def run(main, argv: list[str], tmp: str) -> str:
     if report.exists():
         result += f"\0{report.read_text(encoding='utf-8')}"
         report.unlink()
+    # The temporary directory's name differs on every run; a report names it as TMP/.
+    result = result.replace(f"{tmp}/", "TMP/")
     return f"{hashlib.sha256(result.encode('utf-8')).hexdigest()} {'raised' if isinstance(code, str) else code}"
 
 
