@@ -56,6 +56,22 @@ CAPS = (16, 32)
 # One accepted-at-threshold-0 candidate, one provider failure, one parse error.
 SCRIPT = [".*", "<<TIMEOUT>>", "not(a regex"]
 TRIO = ("policies/music_public_read.json", "policies/allow_all.json", "policies/deny_all.json")
+# Two policies over interleaved condition keys, so a pair is compiled over
+# keys one policy does not name: a, c and a conditioned Deny; b and a
+# StringNotEquals Deny.
+KEYED = {
+    "keys-ac.json": {"Statement": [
+        {"Effect": "Allow", "Principal": "*", "Action": "s3:*", "Resource": "files/*",
+         "Condition": {"StringLike": {"a": "x*"}}},
+        {"Effect": "Deny", "Principal": "*", "Action": "s3:PutObject", "Resource": "files/secret*",
+         "Condition": {"StringEquals": {"c": "prod"}}},
+    ]},
+    "keys-b.json": {"Statement": [
+        {"Effect": "Allow", "Principal": "*", "Action": "s3:Get*", "Resource": "*"},
+        {"Effect": "Deny", "Principal": "*", "Action": "s3:GetObject", "Resource": "files/secret*",
+         "Condition": {"StringNotEquals": {"b": ["admin", "ops*"]}}},
+    ]},
+}
 TMP_FILES = {
     "script.json": json.dumps({"script": SCRIPT}),
     "timeout.json": json.dumps({"script": ["<<TIMEOUT>>"]}),
@@ -74,24 +90,8 @@ TMP_FILES = {
         for name, setting in (("timeout-negative", {"timeout": -1}), ("timeout-zero", {"timeout": 0}),
                               ("retries-negative", {"retries": -1}))
     },
+    **{name: json.dumps(doc) for name, doc in KEYED.items()},
 }
-# Two policies over interleaved condition keys, so a pair is compiled over
-# keys one policy does not name: a, c and a conditioned Deny; b and a
-# StringNotEquals Deny.
-KEYED = {
-    "keys-ac.json": {"Statement": [
-        {"Effect": "Allow", "Principal": "*", "Action": "s3:*", "Resource": "files/*",
-         "Condition": {"StringLike": {"a": "x*"}}},
-        {"Effect": "Deny", "Principal": "*", "Action": "s3:PutObject", "Resource": "files/secret*",
-         "Condition": {"StringEquals": {"c": "prod"}}},
-    ]},
-    "keys-b.json": {"Statement": [
-        {"Effect": "Allow", "Principal": "*", "Action": "s3:Get*", "Resource": "*"},
-        {"Effect": "Deny", "Principal": "*", "Action": "s3:GetObject", "Resource": "files/secret*",
-         "Condition": {"StringNotEquals": {"b": ["admin", "ops*"]}}},
-    ]},
-}
-TMP_FILES.update({name: json.dumps(doc) for name, doc in KEYED.items()})
 REPORT = "TMP/report.out"
 
 

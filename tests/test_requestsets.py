@@ -220,6 +220,12 @@ def test_project_cases():
         project(x, "nonsense")
 
 
+def _conditioned_allow(keys: dict[str, str]):
+    """A policy allowing everything under StringEquals on the given keys."""
+    stmt = {"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "*", "Condition": {"StringEquals": keys}}
+    return parse_policy(json.dumps({"Statement": [stmt]}))
+
+
 def test_schema_guards():
     with pytest.raises(SchemaError):
         DimensionSchema(("action",))
@@ -227,12 +233,6 @@ def test_schema_guards():
     p2 = _conditioned_allow({"k1": "x", "k3": "y"})
     assert policy_schema(p1, p2).dimensions == ("principal", "action", "resource", "k1", "k2", "k3")
     assert policy_schema().dimensions == ("principal", "action", "resource")
-
-
-def _conditioned_allow(keys: dict[str, str]):
-    """A policy allowing everything under StringEquals on the given keys."""
-    stmt = {"Effect": "Allow", "Principal": "*", "Action": "*", "Resource": "*", "Condition": {"StringEquals": keys}}
-    return parse_policy(json.dumps({"Statement": [stmt]}))
 
 
 def test_mixed_schema_alignment():
