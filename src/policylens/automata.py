@@ -7,41 +7,42 @@ edges ordered by lowest class member).  Canonical form makes structural
 equality coincide with language equality and makes emptiness a check of the
 accepting set.  State 0 is always the start state.
 
-Construction paths: one worklist kernel, :func:`_explore`, numbers the
-states of every automaton the module builds, in the order it discovers them
-from state 0.  Every row is built by intersecting masks and left unordered;
-canonicalization orders the edges.  Subset construction (:func:`from_regex`,
-:func:`from_pattern`) explores sets of Glushkov positions, the
-character-class occurrences of the regex, which need no ε-closures: a state
-is the set of positions just read, and each follow mask splits its row's
-parts.  :meth:`Dfa.intersect` is the one product: a pair's row is the
-nonzero intersections of its two rows' masks (:func:`_pair_moves`).
-Complements are free on canonical total DFAs, so :meth:`Dfa.union` is
-``¬(¬a ∩ ¬b)`` and :meth:`Dfa.difference` is ``a ∩ ¬b``.
-Canonicalization renumbers the blocks of the minimized table.  The tests
-check both table builders, up to state numbering, against the Thompson NFA
-and mask-refining kernels they replaced.  The kernel is the one place that
-raises :class:`~policylens.errors.StateBlowup`, when more states are
-reachable than the state cap, :data:`DEFAULT_STATE_CAP`, whatever order it
-finds them in; it reads the cap when it runs (so a test can lower it).
-Every result is minimized by Hopcroft partition refinement.  The set
-operations always build the product or fetch it from the operation cache,
-so ``a.intersect(a)`` equals ``a`` but need not be ``a``.
+Construction paths: one worklist kernel, :func:`_explore`, numbers the states
+of every automaton built here, in the order it discovers them from state 0.
+Every row is built by intersecting masks and left unordered; canonicalization
+orders the edges.  Subset construction (:func:`from_regex`,
+:func:`from_pattern`) explores sets of Glushkov positions, the character-class
+occurrences of the regex, which need no ε-closures: a state is the set of
+positions just read, and each follow mask splits its row's parts.
+:meth:`Dfa.intersect` is the one product: a pair's row is the nonzero
+intersections of its two rows' masks (:func:`_pair_moves`).  It explores only
+pairs of live states (:func:`_live_edges`, the counting walk's rule): every
+edge into a pair with a dead side goes to one sink, and a dead start pair is ∅
+at once.  Complements are free on canonical total DFAs, so :meth:`Dfa.union` is
+``¬(¬a ∩ ¬b)`` and :meth:`Dfa.difference` is ``a ∩ ¬b``.  Canonicalization
+renumbers the blocks of the minimized table.  The tests check both table
+builders, up to state numbering, against the Thompson NFA and live-pair
+refining kernels.  The kernel is the one place that raises
+:class:`~policylens.errors.StateBlowup`, when more states are reachable than
+the state cap, :data:`DEFAULT_STATE_CAP` (the sink counts as one), whatever
+order it finds them in; it reads the cap when it runs (so a test can lower it).
+Every result is minimized by Hopcroft partition refinement.  The set operations
+always build the product or fetch it from the operation cache, so
+``a.intersect(a)`` equals ``a`` but need not be ``a``.
 
 Model counting: :func:`_count_common` counts the strings of length at most
-``bound`` that two deterministic tables both accept, by walking their
-product level by level without minimizing it.  It keeps only pairs from
-which both sides can still accept, and :func:`_explore` numbers the pairs
-within ``bound`` steps through the product's :func:`_pair_moves`, each edge
-then weighted by the size of its mask.  Pairs further away are never
-numbered, so they cannot pass the state cap.  The walk stops at the first
-empty level, so a finite language costs its longest string.
-:meth:`Dfa.count_models` is this walk against the universe.
-:func:`similarity_counts` is the one scoring function: it walks a candidate
-regex's unminimized subset table (:func:`_subset_rows`) against the exact
-language and against the universe, for the (intersection, union) counts
-behind a Jaccard similarity.  The tests check the walk against the earlier
-walk it replaced, the product-then-count path and exhaustive enumeration.
+``bound`` that two deterministic tables both accept, by walking their product
+level by level without minimizing it.  It keeps the product's live pairs, with
+no sink, and :func:`_explore` numbers those within ``bound`` steps, each edge
+then weighted by the size of its mask.  Pairs further away are never numbered,
+so they cannot pass the state cap.  The walk stops at the first empty level, so
+a finite language costs its longest string.  :meth:`Dfa.count_models` is this
+walk against the universe.  :func:`similarity_counts` is the one scoring
+function: it walks a candidate regex's unminimized subset table
+(:func:`_subset_rows`) against the exact language and against the universe, for
+the (intersection, union) counts behind a Jaccard similarity.  The tests check
+the walk against the earlier walk it replaced, the product-then-count path and
+exhaustive enumeration.
 
 Operation cache: a function decorated :func:`memoized` is memoized on
 ``(function, *arguments)`` inside an :func:`operation_cache` scope.  The
@@ -89,6 +90,7 @@ from .regex import (
 DEFAULT_STATE_CAP = 100_000
 
 _Row = tuple[tuple[int, int], ...]  # ((mask, target), ...) partitioning the alphabet
+_Pair = tuple[int, int]
 _Rows = Sequence[Sequence[tuple[int, int]]]
 # A deterministic table read from start state 0: its rows and accepting states.
 _Table = tuple[_Rows, AbstractSet[int]]
@@ -163,21 +165,22 @@ class Dfa:
     or the set operations; the raw constructor assumes the arguments are
     already canonical."""
 
-    __slots__ = ("transitions", "accepting")
+    __slots__ = ("transitions", "accepting", "_hash")
 
     def __init__(self, transitions: tuple[_Row, ...], accepting: frozenset[int]) -> None:
         self.transitions = transitions
         self.accepting = accepting
+        self._hash = hash((transitions, accepting))  # memo keys hash it again and again
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Dfa):
             return NotImplemented
-        return self.transitions == other.transitions and self.accepting == other.accepting
+        return self._hash == other._hash and self.transitions == other.transitions and self.accepting == other.accepting
 
     def __hash__(self) -> int:
-        return hash((self.transitions, self.accepting))
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Dfa states={len(self.transitions)} accepting={sorted(self.accepting)}>"
@@ -213,9 +216,12 @@ class Dfa:
 
     @memoized
     def intersect(self, other: "Dfa", /) -> "Dfa":
-        """The one product: the pairs reachable from (0, 0), accepting where
-        both sides accept."""
-        pairs, rows = _explore((0, 0), _pair_moves(self.transitions, other.transitions), "product construction")
+        """The one product: the pairs of live states reachable from (0, 0),
+        accepting where both sides accept, and one sink for every dead pair."""
+        a_edges, b_edges = _live_edges(self.table), _live_edges(other.table)
+        if a_edges is None or b_edges is None:
+            return _EMPTY_DFA
+        pairs, rows = _explore((0, 0), _pair_moves(a_edges, b_edges, True), "product construction")
         accepting = {i for i, (p, q) in enumerate(pairs) if p in self.accepting and q in other.accepting}
         return _canonicalize(rows, accepting)
 
@@ -414,14 +420,18 @@ def _coarsest_partition(trans: _Rows, accepting: AbstractSet[int]) -> list[int]:
     return block
 
 
-def _pair_moves(a_rows: _Rows, b_rows: _Rows) -> Callable[[tuple[int, int]], list[tuple[int, tuple[int, int]]]]:
+def _pair_moves(a_rows: _Rows, b_rows: _Rows, total: bool = False) -> Callable[[_Pair], list[tuple[int, _Pair]]]:
     """The moves of pairs of states of two tables.  Each row of a total
     table partitions the alphabet, so the nonzero intersections of two rows'
-    masks are their common refinement: a pair's edges."""
+    masks are their common refinement: a pair's edges.  When ``total``, the
+    characters left over lead to (-1, -1), the two live-edge tables' sinks."""
 
-    def moves(pair: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
+    def moves(pair: _Pair) -> list[tuple[int, _Pair]]:
         row_b = b_rows[pair[1]]
-        return [(m, (ta, tb)) for ma, ta in a_rows[pair[0]] for mb, tb in row_b if (m := ma & mb)]
+        edges = [(m, (ta, tb)) for ma, ta in a_rows[pair[0]] for mb, tb in row_b if (m := ma & mb)]
+        if total and (rest := FULL_MASK - sum(m for m, _ in edges)):  # the masks are disjoint
+            edges.append((rest, (-1, -1)))
+        return edges
 
     return moves
 
@@ -439,15 +449,12 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
     leading to it."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    (a_rows, a_acc), (b_rows, b_acc) = a, b
-    a_live, b_live = _live_states(a_rows, a_acc), _live_states(b_rows, b_acc)
-    if not (a_live[0] and b_live[0]):
+    a_edges, b_edges = _live_edges(a), _live_edges(b)
+    if a_edges is None or b_edges is None:
         return 0
-    a_edges = [[(m, t) for m, t in row if a_live[t]] for row in a_rows]
-    b_edges = [[(m, t) for m, t in row if b_live[t]] for row in b_rows]
     pairs, rows = _explore((0, 0), _pair_moves(a_edges, b_edges), "counting walk", bound)
     steps = [[(m.bit_count(), q) for m, q in row] for row in rows]
-    accepts = [pa in a_acc and pb in b_acc for pa, pb in pairs]
+    accepts = [pa in a[1] and pb in b[1] for pa, pb in pairs]
     level = {0: 1}
     total = 0
     for _ in range(bound):
@@ -469,6 +476,14 @@ def similarity_counts(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int,
     table = _subset_rows(candidate)
     inter = _count_common(exact.table, table, bound)
     return inter, exact.count_models(bound) + _count_common(table, UNIVERSE_TABLE, bound) - inter
+
+
+def _live_edges(table: _Table) -> list[list[tuple[int, int]]] | None:
+    """Each row's edges into live states, then the row of a sink, state -1,
+    that loops on every character; None when the start state is dead.  The
+    one liveness rule of the product and the counting walk."""
+    live = _live_states(*table)
+    return [[(m, t) for m, t in row if live[t]] for row in table[0]] + [[(FULL_MASK, -1)]] if live[0] else None
 
 
 def _live_states(rows: _Rows, accepting: AbstractSet[int]) -> list[bool]:

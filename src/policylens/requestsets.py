@@ -103,7 +103,9 @@ def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
     is empty every later term is empty too.  No term is empty: a request set
     drops empty cubes, so a's components are not.  Trivial dimensions take
     no product: where Bᵢ is U or equals Aᵢ the difference is ∅ and the
-    intersection Aᵢ, and where Aᵢ is U they are Bᵢ's complement and Bᵢ."""
+    intersection Aᵢ, and where Aᵢ is U they are Bᵢ's complement and Bᵢ.
+    Otherwise a dimension before the last builds the intersection first, and
+    the difference only when that is neither ∅ (it is Aᵢ) nor Aᵢ (it is ∅)."""
     out: list[RequestCube] = []
     prefix: list[Dfa] = []
     univ, k = universe_dfa(), len(a)
@@ -113,8 +115,11 @@ def _cube_difference(a: RequestCube, b: RequestCube) -> list[RequestCube]:
             diff, inter = empty_dfa(), x
         elif x == univ:
             diff, inter = y.complement(), y
+        elif last:
+            diff, inter = x.difference(y), None
         else:
-            diff, inter = x.difference(y), None if last else x.intersect(y)
+            inter = x.intersect(y)
+            diff = x if inter.is_empty() else empty_dfa() if inter == x else x.difference(y)
         if not diff.is_empty():
             out.append((*prefix, diff, *a[i + 1 :]))
         if last or inter.is_empty():

@@ -10,11 +10,14 @@ with ``rng.choice``.  The table builders are the engine's earlier kernels,
 each with its own worklist: subset construction over the ε-closures of a
 Thompson NFA, a product whose rows refine both rows' masks and look up
 each part's targets, and a counting walk that finds pairs level by level.
-The set operations minimize that product with Moore's rounds, and the cube
-difference builds every term with them, with no operation cache and no
-settled terms.  Padding (:func:`reference_pad`) reshapes a request set
-onto more dimensions, each new one unconstrained: two policies compiled
-apart, padded and differenced check a pair compiled over one schema.
+The product is built over every pair, and over the pairs of live states
+alone, with dead states found by a forward search from each state.  The
+set operations minimize the full product with Moore's rounds, and raise
+where the live-pair product passes the state cap; the cube difference
+builds every term with them, with no operation cache and no settled terms.
+Padding (:func:`reference_pad`) reshapes a request set onto more
+dimensions, each new one unconstrained: two policies compiled apart, padded
+and differenced check a pair compiled over one schema.
 
 :func:`table_dfa` only builds inputs: it canonicalizes a raw table through
 the engine's own worklist and minimizer.
@@ -240,10 +243,11 @@ def _refine(masks) -> list[int]:
     return sorted(parts, key=lambda p: p & -p)
 
 
-def _explore(start, moves, what: str):
+def _explore(start, moves, what: str, cap: float | None = None):
     """The keys reachable from ``start`` in discovery order, and their rows.
-    Raises StateBlowup when a new key would pass ``automata.DEFAULT_STATE_CAP``."""
-    cap = automata.DEFAULT_STATE_CAP
+    Raises StateBlowup when a new key would pass ``cap``, by default
+    ``automata.DEFAULT_STATE_CAP``."""
+    cap = automata.DEFAULT_STATE_CAP if cap is None else cap
     index, keys, rows = {start: 0}, [start], []
     for key in keys:
         row = []
@@ -337,19 +341,70 @@ def thompson_subset_rows(r: RegexAst):
     return rows, {i for i, cur in enumerate(sets) if accept in cur}
 
 
-def refine_product_rows(a, b, keep):
-    """(rows, accepting) of the product of two DFAs whose rows refine both
-    operand rows' masks, finding each part's targets by lookup."""
+def _refined_moves(a_rows, b_rows, key):
+    """The moves of pairs of states of two tables: rows that refine both
+    operand rows' masks, each part's targets found by lookup and keyed by
+    ``key(ta, tb)``."""
 
     def moves(pair):
-        row_a, row_b = a.transitions[pair[0]], b.transitions[pair[1]]
+        row_a, row_b = a_rows[pair[0]], b_rows[pair[1]]
         for part in _refine([mask for mask, _ in row_a] + [mask for mask, _ in row_b]):
             ta = next(t for mask, t in row_a if mask & part)
             tb = next(t for mask, t in row_b if mask & part)
-            yield part, (ta, tb)
+            yield part, key(ta, tb)
 
-    pairs, rows = _explore((0, 0), moves, "product construction")
+    return moves
+
+
+def refine_product_rows(a, b, keep, cap: float | None = None):
+    """(rows, accepting) of the product of two DFAs over every pair of
+    states reachable from (0, 0), whose rows refine both operand rows'
+    masks, finding each part's targets by lookup; ``cap`` as in :func:`_explore`."""
+    moves = _refined_moves(a.transitions, b.transitions, lambda *pair: pair)
+    pairs, rows = _explore((0, 0), moves, "product construction", cap)
     return rows, {i for i, (pa, pb) in enumerate(pairs) if keep(pa in a.accepting, pb in b.accepting)}
+
+
+def _live(rows, accepting) -> set[int]:
+    """The states from which a forward search reaches an accepting state."""
+
+    def reaches(s: int) -> bool:
+        seen, stack = {s}, [s]
+        while stack:
+            t = stack.pop()
+            if t in accepting:
+                return True
+            for _, u in rows[t]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return False
+
+    return {s for s in range(len(rows)) if reaches(s)}
+
+
+_SINK = "sink"
+
+
+def live_product_rows(a, b):
+    """(rows, accepting) of the intersection of two total tables ``(rows,
+    accepting)`` over their pairs of live states (:func:`_live`), whose rows
+    refine both operand rows' masks.  Every part leading to a pair with a
+    dead side leads to one sink, which loops on every character; a start
+    pair with a dead side is the sink alone."""
+    (a_rows, a_acc), (b_rows, b_acc) = a, b
+    a_live, b_live = _live(a_rows, a_acc), _live(b_rows, b_acc)
+
+    def key(p, q):
+        return (p, q) if p in a_live and q in b_live else _SINK
+
+    pair_moves = _refined_moves(a_rows, b_rows, key)
+
+    def moves(pair):
+        return [(FULL_MASK, _SINK)] if pair == _SINK else pair_moves(pair)
+
+    pairs, rows = _explore(key(0, 0), moves, "product construction")
+    return rows, {i for i, pair in enumerate(pairs) if pair != _SINK and pair[0] in a_acc and pair[1] in b_acc}
 
 
 KEEP = {
@@ -359,11 +414,23 @@ KEEP = {
 }
 
 
+def _complement(d):
+    """The table of ``d`` with its accepting states flipped."""
+    return d.transitions, frozenset(range(len(d.transitions))) - d.accepting
+
+
 def reference_product(op: str, a, b):
     """The canonical DFA of ``a`` op ``b`` for an op of :data:`KEEP`: the
-    refining product, minimized by Moore's rounds.  Raises StateBlowup
-    where the product construction would."""
-    rows, accepting = refine_product_rows(a, b, KEEP[op])
+    refining product over every pair, minimized by Moore's rounds.  Raises
+    StateBlowup where the engine's product would: where the live-pair
+    product of the intersection the op runs, ``¬(¬a ∩ ¬b)`` for a union and
+    ``a ∩ ¬b`` for a difference, passes ``automata.DEFAULT_STATE_CAP``."""
+    live_product_rows(*{
+        "union": (_complement(a), _complement(b)),
+        "intersect": ((a.transitions, a.accepting), (b.transitions, b.accepting)),
+        "difference": ((a.transitions, a.accepting), _complement(b)),
+    }[op])
+    rows, accepting = refine_product_rows(a, b, KEEP[op], cap=float("inf"))
     return automata.Dfa(*moore_canonical(rows, 0, accepting))
 
 

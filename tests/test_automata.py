@@ -568,10 +568,14 @@ def test_former_law_cases_raise_where_the_product_raises(monkeypatch):
     assert n > 2
     for cap in range(n + 2):
         _check_law_cases_against_the_product(d, cap)
+    # One state short, a case raises exactly where the oracle's live pairs
+    # need all n states; a product with an ∅ operand, ¬U included, is ∅ at
+    # once and raises nowhere.
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", n - 1)
-    for op, a, b, _ in _law_cases(d):  # one state short, every product raises
-        with pytest.raises(StateBlowup):
-            getattr(a, op)(b)
+    cases = _law_cases(d)
+    raised = [_outcome(lambda: getattr(a, op)(b)) is StateBlowup for op, a, b, _ in cases]
+    assert raised == [_outcome(lambda: reference_product(op, a, b)) is StateBlowup for op, a, b, _ in cases]
+    assert 0 < sum(raised) < len(cases)
 
 
 def _intersection_of(op: str, a: Dfa, b: Dfa) -> tuple[Dfa, Dfa]:

@@ -8,9 +8,11 @@ its states are numbered differently from the oracles'.  Both sides must
 reach the same number of states, and their tables must have the same
 canonical DFA (``oracles.moore_canonical``), at the default cap and under
 every state cap from 0 to one past that number, or raise the same
-StateBlowup message.  Both walks must give the same count or raise the same
-message under every cap from 0 to one past the number of pairs within the
-bound.
+StateBlowup message.  The product explores only pairs of live states, so
+its oracle is the live-pair product, whose canonical DFA must also be that
+of the product over every pair.  Both walks must give the same count or
+raise the same message under every cap from 0 to one past the number of
+pairs within the bound.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from policylens import automata, parse_policy
+from policylens.alphabet import FULL_MASK
 from policylens.automata import UNIVERSE_TABLE, Dfa, _count_common, _explore, _subset_rows, from_regex
 from policylens.errors import StateBlowup
 from policylens.providers import MockProvider
@@ -32,7 +35,14 @@ from policylens.requestsets import compare_policies, compile_policy, project
 from policylens.simplifier import SimplifierConfig, generate_summarization
 
 from conftest import corpus_paths
-from oracles import KEEP, moore_canonical, reference_count_common, refine_product_rows, thompson_subset_rows
+from oracles import (
+    KEEP,
+    live_product_rows,
+    moore_canonical,
+    reference_count_common,
+    refine_product_rows,
+    thompson_subset_rows,
+)
 from test_automata import small_regex
 from test_regex import _nested_star_unions, _nested_stars, _nested_unions, ast_strategy
 
@@ -72,7 +82,8 @@ def _check_subset_kernel(r, stride: int = 1) -> None:
 def _product_table(a: Dfa, b: Dfa):
     """The unminimized table ``a.intersect(b)`` builds, as it is handed to
     ``_canonicalize``; called outside an operation-cache scope, so it is
-    built afresh."""
+    built afresh.  A start pair with a dead side is ∅ at once: the one
+    rejecting state."""
     tables, canonicalize = [], automata._canonicalize
 
     def record(rows, accepting):
@@ -82,11 +93,15 @@ def _product_table(a: Dfa, b: Dfa):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automata, "_canonicalize", record)
         a.intersect(b)
-    return tables[0]
+    return tables[0] if tables else ([[(FULL_MASK, 0)]], set())
 
 
 def _check_product_kernel(a: Dfa, b: Dfa) -> None:
-    _check_kernel(lambda: _product_table(a, b), lambda: refine_product_rows(a, b, KEEP["intersect"]))
+    def live():
+        return live_product_rows(a.table, b.table)
+
+    _check_kernel(lambda: _product_table(a, b), live)
+    assert _outcome(live)[1] == _outcome(lambda: refine_product_rows(a, b, KEEP["intersect"]))[1]
 
 
 def _patterns(doc) -> set[str]:

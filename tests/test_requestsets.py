@@ -116,6 +116,25 @@ def test_cube_difference_settles_trivial_terms_without_a_product(monkeypatch):
     assert requestsets._cube_difference((x, u, y), (twin, u, y)) == []
 
 
+def test_cube_difference_builds_a_difference_only_where_the_intersection_leaves_one():
+    # Operation-cache misses count the products a cube difference builds.
+    a, a_star, b_plus, c, c_star = d("a"), d("a*"), d("b+"), d("c"), d("c*")
+    c_rest, a_rest = c_star.difference(c), a_star.difference(a)
+    with operation_cache() as cache:
+        # disjoint on the first dimension: one product, and the left cube comes back whole
+        assert requestsets._cube_difference((a_star, c_star), (b_plus, c)) == [(a_star, c_star)]
+        assert list(cache.table) == [(Dfa.intersect, a_star, b_plus)]
+    with operation_cache() as cache:
+        # x ⊆ y on a dimension before the last: its intersection is x, and no difference is
+        # built; the last dimension builds only its difference
+        assert requestsets._cube_difference((a, c_star), (a_star, c)) == [(a, c_rest)]
+        assert list(cache.table) == [(Dfa.intersect, a, a_star), (Dfa.intersect, c_star, c.complement())]
+    with operation_cache() as cache:
+        # a partial overlap builds the intersection, then the difference
+        assert requestsets._cube_difference((a_star, c_star), (a, c)) == [(a_rest, c_star), (a, c_rest)]
+        assert cache.misses == 3
+
+
 @st.composite
 def cube_pairs(draw) -> tuple[RequestCube, RequestCube]:
     """Two cubes of one arity whose components repeat, include U, and
