@@ -13,22 +13,22 @@ Every row is built by intersecting masks and left unordered; canonicalization
 orders the edges.  Subset construction (:func:`from_regex`,
 :func:`from_pattern`) explores sets of Glushkov positions, the character-class
 occurrences of the regex, which need no ε-closures: a state is the set of
-positions just read, and each follow mask splits its row's parts.
+positions just read, and each follow mask splits its row's parts.  A policy
+clause's patterns are one alternation, so one subset construction.
 :meth:`Dfa.intersect` is the one product: a pair's row is the nonzero
 intersections of its two rows' masks (:func:`_pair_moves`).  It explores only
 pairs of live states (:func:`_live_edges`, the counting walk's rule): every
 edge into a pair with a dead side goes to one sink, and a dead start pair is ∅
 at once.  Complements are free on canonical total DFAs, so :meth:`Dfa.union` is
-``¬(¬a ∩ ¬b)`` and :meth:`Dfa.difference` is ``a ∩ ¬b``.  Canonicalization
-renumbers the blocks of the minimized table.  The tests check both table
-builders, up to state numbering, against the Thompson NFA and live-pair
-refining kernels.  The kernel is the one place that raises
-:class:`~policylens.errors.StateBlowup`, when more states are reachable than
-the state cap, :data:`DEFAULT_STATE_CAP` (the sink counts as one), whatever
-order it finds them in; it reads the cap when it runs (so a test can lower it).
-Every result is minimized by Hopcroft partition refinement.  The set operations
-always build the product or fetch it from the operation cache, so
-``a.intersect(a)`` equals ``a`` but need not be ``a``.
+``¬(¬a ∩ ¬b)`` and :meth:`Dfa.difference` is ``a ∩ ¬b``.  A product that is a
+copy of an operand (:func:`_copies`) is that operand, so ``a.intersect(a)`` is
+``a``; any other is minimized by Hopcroft partition refinement and its blocks
+renumbered.  The tests check the table builders and every product against the
+oracles' kernels.  The kernel is the one place that raises
+:class:`~policylens.errors.StateBlowup` on states, when more are reachable than
+:data:`DEFAULT_STATE_CAP` (the sink counts as one), in whatever order;
+:func:`_positions` raises it past :data:`DEFAULT_POSITION_CAP` positions.  Each
+cap is read when it is checked (so a test can lower it).
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their product
@@ -46,19 +46,21 @@ exhaustive enumeration.
 
 Operation cache: a function decorated :func:`memoized` is memoized on
 ``(function, *arguments)`` inside an :func:`operation_cache` scope.  The
-memoized functions are the one product, :meth:`Dfa.intersect` (so a union
-or difference is stored as the intersection it runs), :meth:`Dfa.count_models`,
+memoized functions are the one product, :meth:`Dfa.intersect` (so a union or
+difference is stored as the intersection it runs), :meth:`Dfa.count_models`,
 :meth:`Dfa.extract_regex`, pattern compilation (:func:`from_pattern`), the
-sampler's draw programs, and the summarizer's candidate parses and scores.
-The policy-level entry points (compilation, comparison, sampling,
-summarization) each enter a scope, and the CLI runs every command in one.
-The scope is re-entrant: nested scopes share the outermost one's table,
-which is dropped when the outermost scope exits.  A scope spans one command,
-so memory is bounded by that command's work and there is no size setting; it
-is not meant to be held open across commands.  Cached values are the ones a
+sampler's draw programs, and the summarizer's candidate parses and scores.  The
+policy-level entry points (compilation, comparison, sampling, summarization)
+each enter a scope, and the CLI runs every command in one.  Nested scopes share
+the outermost one's table, dropped when it exits, so memory is bounded by one
+command's work and there is no size setting.  Cached values are the ones a
 fresh call returns, and a call that raises stores nothing.  No key holds the
-state cap: one command runs under one cap.  Outside a scope every call is
-computed afresh.
+state cap: one command runs under one cap.  Canonicalization and
+:meth:`Dfa.complement` pass each DFA through the scope's intern table
+(:func:`_intern`): the first object built for a language is the one every later
+build returns.  A DFA keeps its live-edge table, and its complement both ways
+(``¬¬a is a``), unlinked when the scope exits.  Outside a scope every call is
+computed afresh and nothing is interned.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ from .regex import (
 )
 
 DEFAULT_STATE_CAP = 100_000
+DEFAULT_POSITION_CAP = 100_000  # the corpus, benchmark inputs and CLI cases reach 2,401
 
 _Row = tuple[tuple[int, int], ...]  # ((mask, target), ...) partitioning the alphabet
 _Pair = tuple[int, int]
@@ -104,12 +107,13 @@ _MISSING = object()
 
 
 class OperationCache:
-    """Memo table of one :func:`operation_cache` scope, with hit and miss counts."""
+    """Memo and intern (:func:`_intern`) tables of one :func:`operation_cache` scope, with hit and miss counts."""
 
-    __slots__ = ("table", "hits", "misses")
+    __slots__ = ("table", "hits", "misses", "interned")
 
     def __init__(self) -> None:
         self.table: dict[Hashable, object] = {}
+        self.interned: dict[Dfa, Dfa] = {d: d for d in (_EMPTY_DFA, _UNIVERSE_DFA)}
         self.hits = 0
         self.misses = 0
 
@@ -143,6 +147,8 @@ def operation_cache() -> Iterator[OperationCache]:
         yield cache
     finally:
         _ACTIVE.reset(token)
+        for d in cache.interned:  # a complement link is a reference cycle: unlink it with the scope
+            d._complement = None
 
 
 def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
@@ -160,17 +166,24 @@ def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
     return call
 
 
+def _intern(d: Dfa) -> Dfa:
+    """The first object built for ``d``'s language in the active scope; ``d`` outside one."""
+    cache = _ACTIVE.get()
+    return d if cache is None else cache.interned.setdefault(d, d)
+
+
 class Dfa:
     """Canonical total DFA.  Build via :func:`from_regex`, :func:`from_pattern`
     or the set operations; the raw constructor assumes the arguments are
     already canonical."""
 
-    __slots__ = ("transitions", "accepting", "_hash")
+    __slots__ = ("transitions", "accepting", "_hash", "_complement", "_live")
 
     def __init__(self, transitions: tuple[_Row, ...], accepting: frozenset[int]) -> None:
         self.transitions = transitions
         self.accepting = accepting
         self._hash = hash((transitions, accepting))  # memo keys hash it again and again
+        self._complement, self._live = None, _MISSING  # each built on first use
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -188,6 +201,13 @@ class Dfa:
     @property
     def state_count(self) -> int:
         return len(self.transitions)
+
+    @property
+    def live_edges(self) -> list[list[tuple[int, int]]] | None:
+        """The live-edge table (:func:`_live_edges`), built on first use."""
+        if self._live is _MISSING:
+            self._live = _live_edges(self.table)
+        return self._live  # type: ignore[return-value]
 
     # -- language predicates ------------------------------------------------
 
@@ -209,7 +229,10 @@ class Dfa:
 
     def complement(self) -> "Dfa":
         # A minimal, total, BFS-numbered DFA stays canonical when flipped.
-        return Dfa(self.transitions, frozenset(range(self.state_count)) - self.accepting)
+        if self._complement is None:
+            self._complement = c = _intern(Dfa(self.transitions, frozenset(range(self.state_count)) - self.accepting))
+            c._complement = c._complement or self
+        return self._complement
 
     def union(self, other: "Dfa") -> "Dfa":
         return self.complement().intersect(other.complement()).complement()
@@ -218,11 +241,14 @@ class Dfa:
     def intersect(self, other: "Dfa", /) -> "Dfa":
         """The one product: the pairs of live states reachable from (0, 0),
         accepting where both sides accept, and one sink for every dead pair."""
-        a_edges, b_edges = _live_edges(self.table), _live_edges(other.table)
+        a_edges, b_edges = self.live_edges, other.live_edges
         if a_edges is None or b_edges is None:
             return _EMPTY_DFA
         pairs, rows = _explore((0, 0), _pair_moves(a_edges, b_edges, True), "product construction")
         accepting = {i for i, (p, q) in enumerate(pairs) if p in self.accepting and q in other.accepting}
+        for side, operand in enumerate((self, other)):
+            if _copies(operand, side, pairs, rows, accepting):
+                return operand
         return _canonicalize(rows, accepting)
 
     def difference(self, other: "Dfa") -> "Dfa":
@@ -233,7 +259,7 @@ class Dfa:
     @memoized
     def count_models(self, bound: int, /) -> int:
         """Exact number of accepted strings of length 0 through ``bound``."""
-        return _count_common(self.table, UNIVERSE_TABLE, bound)
+        return _count_common(self, _UNIVERSE_DFA, bound)
 
     @property
     def table(self) -> _Table:
@@ -252,7 +278,7 @@ class Dfa:
         if not self.accepting:
             return EMPTY
         n = len(self.transitions)
-        live = _live_states(self.transitions, self.accepting)
+        edges = self.live_edges  # a state accepts, so the start is live
 
         init, final = n, n + 1
         out: dict[int, dict[int, RegexAst]] = defaultdict(dict)
@@ -265,14 +291,11 @@ class Dfa:
         add(init, 0, EPSILON)
         for s in self.accepting:
             add(s, final, EPSILON)
-        for s, row in enumerate(self.transitions):
-            if not live[s]:
-                continue
+        for s, row in enumerate(edges[:n]):  # type: ignore[index]
             for mask, t in row:
-                if live[t]:
-                    add(s, t, char_class(mask))
+                add(s, t, char_class(mask))
 
-        remaining = [s for s in range(n) if live[s]]
+        remaining = [s for s in range(n) if edges[s] or s in self.accepting]  # type: ignore[index]
         while remaining:
             q = min(
                 remaining,
@@ -299,7 +322,6 @@ class Dfa:
 
 _EMPTY_DFA = Dfa((((FULL_MASK, 0),),), frozenset())
 _UNIVERSE_DFA = Dfa((((FULL_MASK, 0),),), frozenset({0}))
-UNIVERSE_TABLE: _Table = _UNIVERSE_DFA.table
 
 
 def empty_dfa() -> Dfa:
@@ -367,7 +389,7 @@ def _canonicalize(trans: _Rows, accepting: AbstractSet[int]) -> Dfa:
 
     blocks, rows = _explore(block[0], edges, "canonicalization")
     order = {b: i for i, b in enumerate(blocks)}
-    return Dfa(tuple(map(tuple, rows)), frozenset(order[block[s]] for s in accepting))
+    return _intern(Dfa(tuple(map(tuple, rows)), frozenset(order[block[s]] for s in accepting)))
 
 
 def _coarsest_partition(trans: _Rows, accepting: AbstractSet[int]) -> list[int]:
@@ -420,6 +442,21 @@ def _coarsest_partition(trans: _Rows, accepting: AbstractSet[int]) -> list[int]:
     return block
 
 
+def _copies(d: Dfa, side: int, pairs: list[_Pair], rows: _Rows, accepting: AbstractSet[int]) -> bool:
+    """Whether a product is its operand ``d`` under the projection on ``side``,
+    the sink onto ``d``'s dead state: one pair per state, accepting where it
+    does, and each live pair leading to live pairs on exactly its live edges."""
+    if len(pairs) != d.state_count or len({pair[side] for pair in pairs}) != len(pairs):
+        return False
+    edges = d.live_edges
+    return all(
+        (i in accepting) == (s in d.accepting)
+        and sum(m for m, j in row if pairs[j][0] >= 0) == sum(m for m, _ in edges[s])  # type: ignore[index]
+        for i, (s, row) in enumerate(zip((pair[side] for pair in pairs), rows))
+        if s >= 0
+    )
+
+
 def _pair_moves(a_rows: _Rows, b_rows: _Rows, total: bool = False) -> Callable[[_Pair], list[tuple[int, _Pair]]]:
     """The moves of pairs of states of two tables.  Each row of a total
     table partitions the alphabet, so the nonzero intersections of two rows'
@@ -439,9 +476,9 @@ def _pair_moves(a_rows: _Rows, b_rows: _Rows, total: bool = False) -> Callable[[
 # -- model counting ------------------------------------------------------------
 
 
-def _count_common(a: _Table, b: _Table, bound: int) -> int:
+def _count_common(a: Dfa | _Table, b: Dfa | _Table, bound: int) -> int:
     """Exact number of strings of length 0 through ``bound`` accepted by both
-    deterministic tables, by the counting walk the module docstring describes.
+    deterministic tables or DFAs, by the counting walk the module docstring describes.
 
     The pairs within ``bound`` steps are explored once, and each edge
     becomes a ``(weight, pair)`` step, its weight the size of its mask; a
@@ -449,12 +486,13 @@ def _count_common(a: _Table, b: _Table, bound: int) -> int:
     leading to it."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    a_edges, b_edges = _live_edges(a), _live_edges(b)
+    live = [(x.live_edges, x.accepting) if isinstance(x, Dfa) else (_live_edges(x), x[1]) for x in (a, b)]
+    (a_edges, a_acc), (b_edges, b_acc) = live
     if a_edges is None or b_edges is None:
         return 0
     pairs, rows = _explore((0, 0), _pair_moves(a_edges, b_edges), "counting walk", bound)
     steps = [[(m.bit_count(), q) for m, q in row] for row in rows]
-    accepts = [pa in a[1] and pb in b[1] for pa, pb in pairs]
+    accepts = [pa in a_acc and pb in b_acc for pa, pb in pairs]
     level = {0: 1}
     total = 0
     for _ in range(bound):
@@ -474,8 +512,8 @@ def similarity_counts(exact: Dfa, candidate: RegexAst, bound: int) -> tuple[int,
     """The (intersection, union) counts, within ``bound``, of the languages
     of ``exact`` and ``candidate``, by the walks described above."""
     table = _subset_rows(candidate)
-    inter = _count_common(exact.table, table, bound)
-    return inter, exact.count_models(bound) + _count_common(table, UNIVERSE_TABLE, bound) - inter
+    inter = _count_common(exact, table, bound)
+    return inter, exact.count_models(bound) + _count_common(table, _UNIVERSE_DFA, bound) - inter
 
 
 def _live_edges(table: _Table) -> list[list[tuple[int, int]]] | None:
@@ -522,6 +560,8 @@ def _positions(r: RegexAst) -> tuple[list[int], list[list[frozenset[int]]], froz
         node, done = work.pop()
         if not done:
             if isinstance(node, CharClass):
+                if len(masks) > DEFAULT_POSITION_CAP:
+                    raise StateBlowup(f"regex exceeded the position cap of {DEFAULT_POSITION_CAP}")
                 p = frozenset([len(masks)])
                 masks.append(node.mask)
                 follow.append([])
@@ -579,14 +619,14 @@ def _subset_rows(r: RegexAst) -> _Table:
     return rows, {i for i, state in enumerate(states) if state & last}
 
 
-def from_pattern(pattern: object) -> Dfa:
-    """Compile a wildcard pattern (``*`` any run, ``?`` any one symbol)."""
-    text = getattr(pattern, "text", pattern)
-    if not isinstance(text, str):
-        raise TypeError(f"expected a pattern string, got {type(text).__name__}")
-    return _compile_pattern(text)
+def from_pattern(*patterns: object) -> Dfa:
+    """The DFA of the union of wildcard patterns (``*`` any run, ``?`` any one symbol), as one alternation."""
+    texts = tuple(getattr(p, "text", p) for p in patterns)
+    if wrong := [type(text).__name__ for text in texts if not isinstance(text, str)]:
+        raise TypeError(f"expected pattern strings, got {', '.join(wrong)}")
+    return _compile_pattern(*texts)
 
 
 @memoized
-def _compile_pattern(text: str) -> Dfa:
-    return from_regex(wildcard(text))
+def _compile_pattern(*texts: str) -> Dfa:
+    return from_regex(functools.reduce(alt, map(wildcard, texts), EMPTY))

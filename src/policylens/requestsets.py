@@ -9,9 +9,9 @@ a union of *cubes*.  A cube is a plain tuple of languages, one :class:`Dfa`
 per dimension, and denotes their product; it is empty iff any component is.
 Unions of cubes are closed under union, intersection and difference (the
 difference of two cubes distributes into at most one cube per dimension), so
-policy compilation and the permissiveness comparison stay exact.  Unions of
-languages, and a condition key's conjunction, fold from the first language,
-not from ∅ or U; :func:`_cube_difference` settles its trivial terms itself.
+policy compilation and the permissiveness comparison stay exact.  A clause
+compiles as one alternation; a union of languages and a condition key's
+conjunction fold from the first; :func:`_cube_difference` settles trivial terms.
 
 Deny-overrides semantics: a policy's set is (union of allow-statement cubes)
 minus (union of deny-statement cubes).
@@ -160,8 +160,8 @@ def _union(languages: Iterable[Dfa]) -> Dfa:
 
 
 def _disjunction(patterns: Iterable[WildcardPattern], negated: bool) -> Dfa:
-    """Union of the patterns' languages, complemented when ``negated``."""
-    d = _union(from_pattern(p) for p in patterns)
+    """Union of the patterns' languages, as one alternation, complemented when ``negated``."""
+    d = from_pattern(*patterns)
     return d.complement() if negated else d
 
 

@@ -15,9 +15,11 @@ alone, with dead states found by a forward search from each state.  The
 set operations minimize the full product with Moore's rounds, and raise
 where the live-pair product passes the state cap; the cube difference
 builds every term with them, with no operation cache and no settled terms.
-Padding (:func:`reference_pad`) reshapes a request set onto more
-dimensions, each new one unconstrained: two policies compiled apart, padded
-and differenced check a pair compiled over one schema.
+A clause's language is also built the way the engine built it before it
+compiled a clause as one alternation: one DFA per pattern, folded by union
+(:func:`reference_disjunction`).  Padding (:func:`reference_pad`) reshapes a
+request set onto more dimensions, each new one unconstrained: two policies
+compiled apart, padded and differenced check a pair compiled over one schema.
 
 :func:`table_dfa` only builds inputs: it canonicalizes a raw table through
 the engine's own worklist and minimizer.
@@ -35,7 +37,10 @@ from policylens.alphabet import FULL_MASK, chars_of
 from policylens.errors import EmptyLanguage, StateBlowup
 from policylens.policy import Effect, PolicyDocument
 from policylens.regex import EPSILON, CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union, union_children
-from policylens.requestsets import DimensionSchema, RequestSet
+from policylens.requestsets import DimensionSchema, RequestSet, _union
+
+# The universe as a table, the counting walk's other side for a count of models.
+UNIVERSE_TABLE = automata.universe_dfa().table
 
 
 @lru_cache(maxsize=100_000)
@@ -513,6 +518,12 @@ def table_dfa(rows, start: int, accepting) -> automata.Dfa:
     states, reached = automata._explore(start, rows.__getitem__, "canonicalization")
     accepting = set(accepting)
     return automata._canonicalize(reached, {i for i, s in enumerate(states) if s in accepting})
+
+
+def reference_disjunction(patterns) -> automata.Dfa:
+    """The union of the patterns' languages, each compiled on its own and
+    folded left to right by the engine's union."""
+    return _union(automata.from_pattern(p) for p in patterns)
 
 
 def reference_pad(x: RequestSet, schema: DimensionSchema) -> RequestSet:

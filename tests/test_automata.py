@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from policylens import automata, parse_policy, sampler, simplifier
 from policylens.alphabet import FULL_MASK, mask_of
 from policylens.automata import (
-    UNIVERSE_TABLE,
     Dfa,
     _count_common,
     _subset_rows,
@@ -26,8 +25,9 @@ from policylens.regex import EMPTY, char_class, literal, parse_regex, print_rege
 from policylens.requestsets import compare_policies, compile_policy, project, sample_requests
 from policylens.simplifier import SimplifierConfig, generate_summarization
 
-from conftest import ALLOW_ALL_POLICY, corpus_paths
+from conftest import ALLOW_ALL_POLICY, POLICY_DIR, corpus_paths
 from oracles import (
+    UNIVERSE_TABLE,
     glob_match,
     moore_canonical,
     re_accepts,
@@ -263,7 +263,7 @@ def test_count_models_is_memoized_per_scope(monkeypatch):
         assert d.count_models(5) == d.count_models(5) == reference_count_models(*d.table, 5)
         assert d.count_models(4) == reference_count_models(*d.table, 4)
         assert cache.hits == 1
-    assert walks == [(d.table, UNIVERSE_TABLE, 5), (d.table, UNIVERSE_TABLE, 4)]
+    assert walks == [(d, universe_dfa(), 5), (d, universe_dfa(), 4)]
     d.count_models(5)  # outside a scope every count is computed afresh
     assert len(walks) == 3
 
@@ -359,11 +359,49 @@ def test_a_call_that_raises_stores_nothing(monkeypatch, name):
 
 def test_every_cache_key_starts_with_a_memoized_function(music_doc):
     allow_all = parse_policy(ALLOW_ALL_POLICY.read_text())
+    # music's clauses each compile as one alternation, so comparing it with
+    # allow-all runs no product; against media_split_read the set differences do
+    media = parse_policy((POLICY_DIR / "media_split_read.json").read_text())
     with operation_cache() as cache:
         compare_policies(music_doc, allow_all)
+        compare_policies(music_doc, media)
         sample_requests(music_doc, 3)
         generate_summarization(music_doc, SimplifierConfig(samples=50, bound=6), MockProvider())
     assert {key[0] for key in cache.table} == {memo.fn for memo in MEMOIZED.values()}
+
+
+def test_a_scope_interns_one_object_per_language():
+    with operation_cache():
+        a = from_regex(parse_regex("(a|b)*"))
+        assert from_regex(parse_regex("(a*b*)*")) is a
+        assert a.complement().complement() is a
+        assert from_pattern("a*").intersect(from_pattern("*b")) is from_pattern("a*b")
+        assert a.union(a.complement()) is universe_dfa()
+        assert a.complement().complement().complement() is a.complement()
+        b = a.complement()
+    # the scope unlinks each complement pair, a reference cycle, when it exits
+    assert a._complement is None and b._complement is None
+
+
+def test_nothing_is_interned_outside_a_scope():
+    with operation_cache():
+        inside = from_regex(parse_regex("(a|b)*"))
+    a, b = from_regex(parse_regex("(a|b)*")), from_regex(parse_regex("(a*b*)*"))
+    assert a == b == inside and a is not b and a is not inside
+    assert a.complement() == b.complement() and a.complement() is not b.complement()
+    assert a.complement().complement() is a  # the complement is kept on the object
+
+
+def test_a_construction_that_raises_interns_nothing(monkeypatch):
+    a, b = from_pattern("*a?"), from_pattern("*b?")
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
+    with operation_cache() as cache:
+        interned = dict(cache.interned)
+        with pytest.raises(StateBlowup, match="product construction exceeded"):
+            a.intersect(b)
+        with pytest.raises(StateBlowup, match="subset construction exceeded"):
+            from_pattern("*a??")
+        assert cache.interned == interned == {empty_dfa(): empty_dfa(), universe_dfa(): universe_dfa()}
 
 
 def test_state_blowup_repeats_and_is_never_cached(monkeypatch):

@@ -10,7 +10,10 @@ canonical DFA (``oracles.moore_canonical``), at the default cap and under
 every state cap from 0 to one past that number, or raise the same
 StateBlowup message.  The product explores only pairs of live states, so
 its oracle is the live-pair product, whose canonical DFA must also be that
-of the product over every pair.  Both walks must give the same count or
+of the product over every pair.  Every product's result, whether it is
+minimized or found to be a copy of an operand and returned as that operand,
+must be the DFA of ``oracles.reference_product`` under every cap, or raise
+where it raises.  Both walks must give the same count or
 raise the same message under every cap from 0 to one past the number of
 pairs within the bound.
 """
@@ -23,11 +26,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from policylens import automata, parse_policy
 from policylens.alphabet import FULL_MASK
-from policylens.automata import UNIVERSE_TABLE, Dfa, _count_common, _explore, _subset_rows, from_regex
+from policylens.automata import Dfa, _count_common, _explore, _subset_rows, from_pattern, from_regex
 from policylens.errors import StateBlowup
 from policylens.providers import MockProvider
 from policylens.regex import EMPTY, EPSILON, literal, parse_regex, wildcard
@@ -37,9 +40,12 @@ from policylens.simplifier import SimplifierConfig, generate_summarization
 from conftest import corpus_paths
 from oracles import (
     KEEP,
+    UNIVERSE_TABLE,
     live_product_rows,
     moore_canonical,
     reference_count_common,
+    reference_disjunction,
+    reference_product,
     refine_product_rows,
     thompson_subset_rows,
 )
@@ -47,10 +53,19 @@ from test_automata import small_regex
 from test_regex import _nested_star_unions, _nested_stars, _nested_unions, ast_strategy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+NESTED_REPEATS = "((((a{64}){64}){64}){64})"
 
 
 def regexes() -> st.SearchStrategy:
     return st.one_of(ast_strategy(EMPTY, EPSILON), small_regex())
+
+
+def _result(run):
+    """What ``run`` returns, or the message of the StateBlowup it raises."""
+    try:
+        return run()
+    except StateBlowup as e:
+        return str(e)
 
 
 def _outcome(build):
@@ -80,18 +95,20 @@ def _check_subset_kernel(r, stride: int = 1) -> None:
 
 
 def _product_table(a: Dfa, b: Dfa):
-    """The unminimized table ``a.intersect(b)`` builds, as it is handed to
-    ``_canonicalize``; called outside an operation-cache scope, so it is
+    """The unminimized table ``a.intersect(b)`` explores, accepting where
+    both sides accept; called outside an operation-cache scope, so it is
     built afresh.  A start pair with a dead side is ∅ at once: the one
     rejecting state."""
-    tables, canonicalize = [], automata._canonicalize
+    tables, explore = [], automata._explore
 
-    def record(rows, accepting):
-        tables.append((rows, accepting))
-        return canonicalize(rows, accepting)
+    def record(start, moves, what, depth=None):
+        pairs, rows = explore(start, moves, what, depth)
+        if what == "product construction":
+            tables.append((rows, {i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting}))
+        return pairs, rows
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automata, "_canonicalize", record)
+        mp.setattr(automata, "_explore", record)
         a.intersect(b)
     return tables[0] if tables else ([[(FULL_MASK, 0)]], set())
 
@@ -101,7 +118,12 @@ def _check_product_kernel(a: Dfa, b: Dfa) -> None:
         return live_product_rows(a.table, b.table)
 
     _check_kernel(lambda: _product_table(a, b), live)
-    assert _outcome(live)[1] == _outcome(lambda: refine_product_rows(a, b, KEEP["intersect"]))[1]
+    n, canonical = _outcome(live)
+    assert canonical == _outcome(lambda: refine_product_rows(a, b, KEEP["intersect"]))[1]
+    for cap in sorted({automata.DEFAULT_STATE_CAP, *range(0, n + 2)}):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
+            assert _result(lambda: a.intersect(b)) == _result(lambda: reference_product("intersect", a, b)), cap
 
 
 def _patterns(doc) -> set[str]:
@@ -126,6 +148,19 @@ def test_product_kernel_matches_the_refining_oracle(r1, r2):
     a, b = from_regex(r1), from_regex(r2)
     for x, y in ((a, b), (a.complement(), b.complement()), (a, b.complement())):  # ∩, then ∪ and ∖ as ∩
         _check_product_kernel(x, y)
+
+
+@settings(deadline=None)
+@given(regexes(), regexes())
+# ε ∩ a*: one live pair and the sink, as many as a*'s states, each accepting
+# where a*'s state does; only the live pair's empty edge mask tells it from a*
+@example(EPSILON, parse_regex("a*"))
+def test_a_product_with_a_superset_is_the_operand_itself(r1, r2):
+    with automata.operation_cache():
+        x = from_regex(r1)
+        y = x.union(from_regex(r2))
+        assert x.intersect(y) is x
+        assert y.intersect(x) is x
 
 
 def test_subset_kernel_matches_the_thompson_oracle_on_every_corpus_and_perfbench_pattern():
@@ -200,6 +235,21 @@ def _deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_a_regex_past_the_position_cap_raises_at_once():
+    # 64⁴ positions; the regex's tree shares each repeated subtree
+    with _deadline(5):
+        with pytest.raises(StateBlowup, match=f"^regex exceeded the position cap of {automata.DEFAULT_POSITION_CAP}$"):
+            from_regex(parse_regex(NESTED_REPEATS))
+
+
+def test_the_position_cap_counts_a_clause_and_is_read_when_checked(monkeypatch):
+    monkeypatch.setattr(automata, "DEFAULT_POSITION_CAP", 4)
+    assert from_pattern("ab", "cd") == reference_disjunction(["ab", "cd"])
+    for build in (lambda: from_pattern("ab", "c?e"), lambda: _subset_rows(wildcard("a*cde"))):
+        with pytest.raises(StateBlowup, match="^regex exceeded the position cap of 4$"):
+            build()
+
+
 @pytest.mark.parametrize(
     "r",
     [literal("a" * 3000), _nested_unions(1500), _nested_stars(300), _nested_star_unions(300), _nested_star_unions(2000)],
@@ -234,10 +284,7 @@ BOUNDS = (0, 1, 3, 8, 100)
 
 def _count_outcome(walk, a, b, bound):
     """The count ``walk`` returns, or the message of the StateBlowup it raises."""
-    try:
-        return walk(a, b, bound)
-    except StateBlowup as e:
-        return str(e)
+    return _result(lambda: walk(a, b, bound))
 
 
 def _pairs_numbered(a, b, bound) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from policylens import automata, requestsets
-from policylens.automata import Dfa, OperationCache, empty_dfa, from_regex, operation_cache, universe_dfa
+from policylens.automata import Dfa, OperationCache, empty_dfa, from_pattern, from_regex, operation_cache, universe_dfa
 from policylens.errors import CubeBlowup, InsufficientLanguage, SchemaError
 from policylens.policy import Effect, parse_policy
 from policylens.regex import parse_regex
@@ -34,7 +34,7 @@ from policylens.requestsets import (
 )
 
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
-from oracles import ref_decide, reference_cube_difference, reference_pad
+from oracles import ref_decide, reference_cube_difference, reference_disjunction, reference_pad
 from test_automata import small_regex
 
 SCHEMA = DimensionSchema()
@@ -189,6 +189,24 @@ def test_cube_difference_matches_the_reference_on_random_policies(monkeypatch):
         rng = random.Random(f"cube-difference/{seed}")
         _differences([parse_policy(random_policy_text(rng)) for _ in range(2)])
     assert len(checked) > 500
+
+
+def _clauses(doc):
+    """The pattern texts of every clause and condition of ``doc``."""
+    for s in doc.statements:
+        for patterns in (*(c.patterns for c in (s.principal, s.action, s.resource)), *(c.values for c in s.conditions)):
+            yield tuple(p.text for p in patterns)
+
+
+def test_a_clause_compiles_to_the_union_of_its_patterns():
+    docs = [parse_policy(p.read_text()) for p in corpus_paths()]
+    rng = random.Random("clauses")
+    docs += [parse_policy(random_policy_text(rng)) for _ in range(100)]
+    clauses = {texts for doc in docs for texts in _clauses(doc)}
+    assert sum(len(texts) > 1 for texts in clauses) > 50
+    for texts in clauses:
+        assert from_pattern(*texts) == reference_disjunction(texts), texts
+    assert from_pattern() == reference_disjunction(()) == empty_dfa()
 
 
 def test_union_of_no_languages_is_empty_and_of_one_is_itself(monkeypatch):

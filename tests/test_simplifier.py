@@ -191,6 +191,16 @@ def test_candidate_too_large_to_score_is_built_once_and_rejected(music_doc, monk
     assert report.fallback and report.chosen == report.extracted_regex
 
 
+def test_a_candidate_past_the_position_cap_is_too_large_to_score(music_doc):
+    from policylens import automata
+
+    cfg = SimplifierConfig(samples=20, bound=6, attempts=1)
+    report = summarize_set(compile_policy(music_doc), cfg, MockProvider(script=["((((a{64}){64}){64}){64})"]))
+    message = f"too large to score: regex exceeded the position cap of {automata.DEFAULT_POSITION_CAP}"
+    assert [(c.error, c.similarity) for c in report.candidates] == [(message, None)]
+    assert report.fallback and report.chosen == report.extracted_regex
+
+
 def test_each_distinct_candidate_is_scored_once(music_doc, monkeypatch):
     from policylens import simplifier
 
@@ -247,7 +257,7 @@ def test_summarize_parses_each_line_once_and_prompts_once(music_doc, monkeypatch
 
 def test_summarize_counts_the_projection_once(music_doc, monkeypatch):
     from policylens import automata
-    from policylens.automata import UNIVERSE_TABLE
+    from policylens.automata import universe_dfa
 
     request_set = compile_policy(music_doc)
     counted = []
@@ -258,11 +268,11 @@ def test_summarize_counts_the_projection_once(music_doc, monkeypatch):
     # the projection once, and each of three candidates' tables twice: its
     # intersection with the projection and its own count
     assert len(counted) == 1 + 3 * 2
-    exact = project(compile_policy(music_doc), "resource").table
-    assert counted.count((exact, UNIVERSE_TABLE)) == 1
-    walks = [w for w in counted if w != (exact, UNIVERSE_TABLE)]
+    exact = project(compile_policy(music_doc), "resource")
+    assert counted.count((exact, universe_dfa())) == 1
+    walks = [w for w in counted if w != (exact, universe_dfa())]
     against_exact = [b for a, b in walks if a == exact]
-    against_universe = [a for a, b in walks if b == UNIVERSE_TABLE]
+    against_universe = [a for a, b in walks if b == universe_dfa()]
     assert len(against_exact) == len(against_universe) == 3
     assert all(any(t is u for u in against_universe) for t in against_exact)
     for cand in report.candidates:
