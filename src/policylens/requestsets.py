@@ -14,7 +14,16 @@ compiles as one alternation; a union of languages and a condition key's
 conjunction fold from the first; :func:`_cube_difference` settles trivial terms.
 
 Deny-overrides semantics: a policy's set is (union of allow-statement cubes)
-minus (union of deny-statement cubes).
+minus (union of deny-statement cubes): ``s = ⋃A ∖ ⋃D``, one fold of
+:func:`set_difference` over the statement cubes.
+
+The pair step, :func:`policy_differences`, computes ``s1 ∖ s2`` from the
+statements that differ.  Its cancellation set is
+``⋃_{c∈A1∖A2} (c ∖ ⋃D1 ∖ ⋃A2) ∪ ⋃_{d∈D2∖D1} ((⋃A1 ∩ d) ∖ ⋃D1)``, which equals
+``s1 ∖ s2``.  A cube of ``s1`` that meets no cube of it folds to nothing, so
+the step folds only the cubes that meet it, and returns the full fold's cubes
+in the full fold's order (:func:`_cancelled_difference`).  Where that raises
+a blowup, it runs the full fold instead.
 
 A condition key a request does not supply is evaluated as the empty string.
 """
@@ -28,7 +37,7 @@ from functools import reduce
 from typing import Iterable, Mapping
 
 from .automata import Dfa, empty_dfa, from_pattern, operation_cache, universe_dfa
-from .errors import CubeBlowup, InsufficientLanguage, SchemaError, VerificationError
+from .errors import CubeBlowup, InsufficientLanguage, SchemaError, StateBlowup, VerificationError
 from .policy import Effect, PolicyDocument, WildcardPattern
 from .sampler import sample
 
@@ -179,11 +188,13 @@ def compile_policy(doc: PolicyDocument) -> RequestSet:
     condition, conditions conjoin per key, and StringNot* complements the
     value language.  Condition keys a statement does not constrain stay
     unconstrained in its cube."""
-    return _compile(doc, policy_schema(doc))
+    return set_difference(*_statement_cubes(doc, policy_schema(doc)))
 
 
-def _compile(doc: PolicyDocument, schema: DimensionSchema) -> RequestSet:
-    """:func:`compile_policy` over ``schema``, which names every condition key of ``doc``."""
+def _statement_cubes(doc: PolicyDocument, schema: DimensionSchema) -> tuple[RequestSet, RequestSet]:
+    """The policy's allow and deny statement cubes over ``schema``, which
+    names every condition key of ``doc``: one cube per statement, each side
+    without empty or repeated cubes.  The policy's set is their difference."""
     univ = universe_dfa()
     allow: list[RequestCube] = []
     deny: list[RequestCube] = []
@@ -196,10 +207,33 @@ def _compile(doc: PolicyDocument, schema: DimensionSchema) -> RequestSet:
         cube = tuple(_disjunction(c.patterns, c.negated) for c in clauses)
         cube += tuple(per_key.get(k, univ) for k in schema.condition_keys)
         (allow if stmt.effect == Effect.ALLOW else deny).append(cube)
-    allowed = RequestSet(schema, tuple(allow))
-    if not deny:
-        return allowed
-    return set_difference(allowed, RequestSet(schema, tuple(deny)))
+    return RequestSet(schema, tuple(allow)), RequestSet(schema, tuple(deny))
+
+
+def _meets(a: RequestCube, b: RequestCube) -> bool:
+    """Whether two cubes share a request: no dimension's intersection is empty."""
+    return all(not x.intersect(y).is_empty() for x, y in zip(a, b))
+
+
+def _cancelled_difference(
+    s1: RequestSet, s2: RequestSet, statements1: tuple[RequestSet, RequestSet], statements2: tuple[RequestSet, RequestSet]
+) -> RequestSet:
+    """``set_difference(s1, s2)``, folding only the cubes of ``s1`` that meet
+    the cancellation set (:func:`policy_differences`).  ``statementsN`` are
+    policy N's allow and deny statement cubes ``(AN, DN)``.
+
+    A cube ``a`` of ``s1`` lies in ``⋃A1 ∖ ⋃D1``, so it meets the
+    cancellation set iff it meets some ``c ∖ ⋃A2`` (``c ∈ A1∖A2``) or some
+    ``d ∈ D2∖D1``: those cubes are all this builds.  Since ``a ∖ s2 = a ∩
+    (s1 ∖ s2)``, a cube that meets none of them folds to nothing, and the
+    fold's result is each cube's own fold, concatenated in order.  So the
+    cubes that meet fold to the same cubes, in the same order."""
+    (a1, d1), (a2, d2) = statements1, statements2
+    common_allow, common_deny = set(a2.cubes), set(d1.cubes)
+    allow_only = RequestSet(s1.schema, tuple(c for c in a1.cubes if c not in common_allow))
+    reach = set_difference(allow_only, a2).cubes + tuple(d for d in d2.cubes if d not in common_deny)
+    kept = tuple(a for a in s1.cubes if any(_meets(a, r) for r in reach))
+    return set_difference(RequestSet(s1.schema, kept), s2)
 
 
 @operation_cache()
@@ -208,10 +242,25 @@ def policy_differences(
 ) -> tuple[RequestSet, RequestSet, RequestSet, RequestSet]:
     """``(s1, s2, s1 ∖ s2, s2 ∖ s1)`` for the policies' allowed sets ``s1`` and
     ``s2``, both compiled over their joint dimensions.  A condition key one
-    policy does not name is unconstrained in its set."""
+    policy does not name is unconstrained in its set.
+
+    With each policy's allow cubes A and deny cubes D, ``s1 ∖ s2`` equals the
+    cancellation set ``⋃_{c∈A1∖A2} (c ∖ ⋃D1 ∖ ⋃A2) ∪ ⋃_{d∈D2∖D1} ((⋃A1 ∩ d) ∖
+    ⋃D1)``, written from the statements that differ: an allow cube both
+    policies have lies in ``⋃A2``, and a deny cube both have removes nothing
+    new; ``s2 ∖ s1`` is alike.  Each difference folds only the cubes of its left set that meet its
+    cancellation set (:func:`_cancelled_difference`), and returns the cubes
+    ``set_difference`` returns, in order.  Where that step raises
+    :class:`~policylens.errors.StateBlowup` or :class:`CubeBlowup`, both
+    differences are the full ``set_difference`` folds, so the step raises
+    only what they raise."""
     schema = policy_schema(p1, p2)
-    s1, s2 = _compile(p1, schema), _compile(p2, schema)
-    return s1, s2, set_difference(s1, s2), set_difference(s2, s1)
+    st1, st2 = _statement_cubes(p1, schema), _statement_cubes(p2, schema)
+    s1, s2 = set_difference(*st1), set_difference(*st2)
+    try:
+        return s1, s2, _cancelled_difference(s1, s2, st1, st2), _cancelled_difference(s2, s1, st2, st1)
+    except (StateBlowup, CubeBlowup):
+        return s1, s2, set_difference(s1, s2), set_difference(s2, s1)
 
 
 # -- queries ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from policylens import automata, requestsets
 from policylens.automata import Dfa, OperationCache, empty_dfa, from_pattern, from_regex, operation_cache, universe_dfa
-from policylens.errors import CubeBlowup, InsufficientLanguage, SchemaError
+from policylens.errors import CubeBlowup, InsufficientLanguage, SchemaError, StateBlowup
 from policylens.policy import Effect, parse_policy
 from policylens.regex import parse_regex
 from policylens.requestsets import (
@@ -170,7 +170,7 @@ def _check_every_cube_difference(monkeypatch) -> list[int]:
 
 def _differences(docs) -> None:
     schema = policy_schema(*docs)
-    sets = [requestsets._compile(doc, schema) for doc in docs]
+    sets = [set_difference(*requestsets._statement_cubes(doc, schema)) for doc in docs]
     for x in sets:
         set_difference(universe_set(x.schema), x)
         for y in sets:
@@ -316,6 +316,152 @@ def test_policy_differences_match_padding_on_random_policies_with_different_keys
         pairs += 1
 
 
+def _random_statements(rng: random.Random) -> list[dict]:
+    return json.loads(random_policy_text(rng))["Statement"]
+
+
+def _edits(rng: random.Random, stmts: list[dict]) -> list[list[dict]]:
+    """One-statement edits of a policy's statements (two or more): an added
+    Allow, an added Deny, a removed statement, one clause replaced, and an
+    unchanged copy."""
+    i = rng.randrange(len(stmts))
+    allow, deny, fresh = ({**rng.choice(_random_statements(rng)), "Effect": e} for e in ("Allow", "Deny", "Allow"))
+    clause = rng.choice([k for k in stmts[i] if k.removeprefix("Not") in ("Principal", "Action", "Resource")])
+    patterns = next(v for k, v in fresh.items() if k.removeprefix("Not") == clause.removeprefix("Not"))
+    replaced = {**stmts[i], clause: patterns}
+    return [
+        stmts[:i] + [allow] + stmts[i:],
+        stmts[:i] + [deny] + stmts[i:],
+        stmts[:i] + stmts[i + 1 :],
+        stmts[:i] + [replaced] + stmts[i + 1 :],
+        stmts,
+    ]
+
+
+def test_policy_differences_match_padding_on_one_statement_edits():
+    """The pair step folds only the cubes an edit can reach; the padded full
+    fold must still give the same four sets, cubes in order, both ways."""
+    rng = random.Random("policy-differences/edits")
+    for _ in range(40):
+        stmts = _random_statements(rng) + _random_statements(rng)
+        for edited in _edits(rng, stmts):
+            docs = [parse_policy(json.dumps({"Statement": s})) for s in (stmts, edited)]
+            for p1, p2 in itertools.permutations(docs):
+                assert policy_differences(p1, p2) == _padded_differences(p1, p2)
+
+
+def _statement(effect: str, principal: str, action: str, resource: str) -> dict:
+    field = "NotPrincipal" if principal.startswith("!") else "Principal"
+    return {"Effect": effect, field: principal.removeprefix("!"), "Action": action, "Resource": resource}
+
+
+# Six allows and four denies, as in a bucket policy with exceptions.
+_BUCKET = [
+    _statement("Allow", "*", "s3:GetObject", "public/*"),
+    _statement("Allow", "*", "s3:ListBucket", "*"),
+    _statement("Allow", "team/*", "s3:*", "projects/*"),
+    _statement("Allow", "admin", "*", "*"),
+    _statement("Allow", "*", "s3:GetObject", "media/*.mp3"),
+    _statement("Allow", "ci-*", "s3:PutObject", "builds/*"),
+    _statement("Deny", "*", "s3:DeleteObject", "*"),
+    _statement("Deny", "guest*", "*", "projects/*"),
+    _statement("Deny", "*", "s3:PutObject", "builds/release/*"),
+    _statement("Deny", "!admin", "*", "secrets/*"),
+]
+
+
+@pytest.mark.parametrize(
+    "added",
+    [
+        _statement("Allow", "auditor", "s3:GetObject", "logs/*"),
+        _statement("Allow", "*", "s3:GetObject", "logs/*"),
+        _statement("Allow", "auditor", "s3:*", "*"),
+    ],
+)
+def test_an_added_allow_folds_only_what_it_reaches(monkeypatch, added):
+    """With an Allow added, ``s1 ∖ s2`` has an empty cancellation set and
+    folds nothing, and ``s2 ∖ s1`` folds only the cubes the new statement
+    reaches: the two differences make no more cube differences than the two
+    compiles.  The full folds make four to five times as many."""
+    p1, p2 = (parse_policy(json.dumps({"Statement": s})) for s in (_BUCKET, _BUCKET + [added]))
+    calls = []
+    real = requestsets._cube_difference
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(requestsets, "_cube_difference", counting)
+    compile_policy(p1), compile_policy(p2)
+    compiling = len(calls)
+    calls.clear()
+    _, _, first_only, second_only = policy_differences(p1, p2)
+    assert is_empty_set(first_only) and not is_empty_set(second_only)
+    assert len(calls) - compiling <= compiling
+
+
+def _outcome(step, p1, p2):
+    """The step's four sets, or the message of the blowup it raises."""
+    try:
+        return step(p1, p2)
+    except (StateBlowup, CubeBlowup) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _spy_on_cancellation(monkeypatch) -> list[str]:
+    """Record each blowup the cancellation step raises; the pair step then
+    falls back to the full fold."""
+    real, raised = requestsets._cancelled_difference, []
+
+    def cancelled(*args):
+        try:
+            return real(*args)
+        except (StateBlowup, CubeBlowup) as e:
+            raised.append(str(e))
+            raise
+
+    monkeypatch.setattr(requestsets, "_cancelled_difference", cancelled)
+    return raised
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("deny_all.json", "notaction_readonly.json"),
+        ("notaction_readonly.json", "deny_all.json"),
+        ("media_split_read.json", "notprincipal_secret.json"),
+        ("notprincipal_secret.json", "media_split_read.json"),
+    ],
+)
+def test_policy_differences_under_a_lowered_cap_equal_the_full_fold(monkeypatch, corpus, first, second):
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 16)
+    p1, p2 = corpus[first], corpus[second]
+    assert policy_differences(p1, p2) == _padded_differences(p1, p2)
+
+
+def test_policy_differences_fall_back_where_the_cancellation_step_blows_up(monkeypatch, corpus):
+    """At a state cap of 16, ``deny_all`` against ``notaction_readonly``
+    needs a product past the cap to build its cancellation set, and the full
+    fold does not: the pair step returns the full fold's sets."""
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 16)
+    raised = _spy_on_cancellation(monkeypatch)
+    p1, p2 = corpus["deny_all.json"], corpus["notaction_readonly.json"]
+    assert policy_differences(p1, p2) == _padded_differences(p1, p2)
+    assert raised == ["product construction exceeded the state cap of 16"]
+
+
+def test_policy_differences_raise_only_what_the_full_fold_raises(monkeypatch, corpus):
+    raised = _spy_on_cancellation(monkeypatch)
+    outcomes = []
+    for cap in (6, 16, 24):
+        monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
+        for p1, p2 in itertools.product(corpus.values(), repeat=2):
+            got = _outcome(policy_differences, p1, p2)
+            assert got == _outcome(_padded_differences, p1, p2)
+            outcomes.append(isinstance(got, str))
+    assert 0 < sum(outcomes) < len(outcomes) and raised
+
+
 def test_decide_request_music(music_doc):
     req = {"principal": "alice", "action": "s3:GetObject", "resource": "mp3s/A1/song.mp3"}
     assert decide_request(music_doc, req) == Effect.ALLOW
@@ -379,7 +525,7 @@ def test_compare_rejects_negative_witness_count_before_any_work(music_doc, deny_
     def forbidden(*args, **kwargs):
         raise AssertionError("compiled a policy before checking witness_count")
 
-    monkeypatch.setattr(requestsets, "_compile", forbidden)
+    monkeypatch.setattr(requestsets, "_statement_cubes", forbidden)
     for p1, p2 in pairs:
         with pytest.raises(ValueError, match="non-negative"):
             compare_policies(p1, p2, count)
