@@ -45,28 +45,30 @@ the walk against the earlier walk it replaced, the product-then-count path and
 exhaustive enumeration.
 
 Operation cache: a function decorated :func:`memoized` is memoized on
-``(function, *arguments)`` inside an :func:`operation_cache` scope.  The
-memoized functions are the one product, :meth:`Dfa.intersect` (so a union or
-difference is stored as the intersection it runs), :meth:`Dfa.count_models`,
-:meth:`Dfa.extract_regex`, pattern compilation (:func:`from_pattern`), the
-sampler's draw programs, and the summarizer's candidate parses and scores.  The
+``(function, *arguments)`` inside an :func:`operation_cache` scope, whose one
+table holds everything derived.  The memoized functions are the one product,
+:meth:`Dfa.intersect` (so a union or difference is stored as the intersection
+it runs), :meth:`Dfa.complement`, a DFA's live-edge table
+(:attr:`Dfa.live_edges`), :meth:`Dfa.count_models`, :meth:`Dfa.extract_regex`,
+pattern compilation (:func:`from_pattern`), :func:`_intern`, the sampler's
+draw programs, and the summarizer's candidate parses and scores.  The
 policy-level entry points (compilation, comparison, sampling, summarization)
 each enter a scope, and the CLI runs every command in one.  Nested scopes share
 the outermost one's table, dropped when it exits, so memory is bounded by one
 command's work and there is no size setting.  Cached values are the ones a
 fresh call returns, and a call that raises stores nothing.  No key holds the
 state cap: one command runs under one cap.  Canonicalization and
-:meth:`Dfa.complement` pass each DFA through the scope's intern table
-(:func:`_intern`): the first object built for a language is the one every later
-build returns.  A DFA keeps its live-edge table, and its complement both ways
-(``¬¬a is a``), unlinked when the scope exits.  Outside a scope every call is
-computed afresh and nothing is interned.
+:meth:`Dfa.complement` pass each DFA through :func:`_intern`, a memoized
+identity: the first object built for a language is the one every later build
+returns, so ``¬¬a is a`` for a DFA built in the scope.  Outside a scope every
+call is computed afresh and no object stands for its language: there
+``¬¬a`` only equals ``a``.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
@@ -107,23 +109,24 @@ _MISSING = object()
 
 
 class OperationCache:
-    """Memo and intern (:func:`_intern`) tables of one :func:`operation_cache` scope, with hit and miss counts."""
+    """Memo table of one :func:`operation_cache` scope, with hit and miss
+    counts per memoized function (the first element of every key)."""
 
-    __slots__ = ("table", "hits", "misses", "interned")
+    __slots__ = ("table", "hits", "misses")
 
     def __init__(self) -> None:
-        self.table: dict[Hashable, object] = {}
-        self.interned: dict[Dfa, Dfa] = {d: d for d in (_EMPTY_DFA, _UNIVERSE_DFA)}
-        self.hits = 0
-        self.misses = 0
+        # ∅ and U stay the module's objects
+        self.table: dict[Hashable, object] = {(_intern, d): d for d in (_EMPTY_DFA, _UNIVERSE_DFA)}
+        self.hits: Counter[Callable[..., object]] = Counter()
+        self.misses: Counter[Callable[..., object]] = Counter()
 
-    def get(self, key: Hashable, compute: Callable[..., _T], *args: object) -> _T:
+    def get(self, key: tuple[Hashable, ...], compute: Callable[..., _T], *args: object) -> _T:
         value = self.table.get(key, _MISSING)
         if value is _MISSING:
-            self.misses += 1
+            self.misses[key[0]] += 1
             value = self.table[key] = compute(*args)
         else:
-            self.hits += 1
+            self.hits[key[0]] += 1
         return value  # type: ignore[return-value]
 
 
@@ -147,8 +150,6 @@ def operation_cache() -> Iterator[OperationCache]:
         yield cache
     finally:
         _ACTIVE.reset(token)
-        for d in cache.interned:  # a complement link is a reference cycle: unlink it with the scope
-            d._complement = None
 
 
 def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
@@ -166,10 +167,10 @@ def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
     return call
 
 
+@memoized
 def _intern(d: Dfa) -> Dfa:
     """The first object built for ``d``'s language in the active scope; ``d`` outside one."""
-    cache = _ACTIVE.get()
-    return d if cache is None else cache.interned.setdefault(d, d)
+    return d
 
 
 class Dfa:
@@ -177,13 +178,12 @@ class Dfa:
     or the set operations; the raw constructor assumes the arguments are
     already canonical."""
 
-    __slots__ = ("transitions", "accepting", "_hash", "_complement", "_live")
+    __slots__ = ("transitions", "accepting", "_hash")
 
     def __init__(self, transitions: tuple[_Row, ...], accepting: frozenset[int]) -> None:
         self.transitions = transitions
         self.accepting = accepting
         self._hash = hash((transitions, accepting))  # memo keys hash it again and again
-        self._complement, self._live = None, _MISSING  # each built on first use
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -203,11 +203,10 @@ class Dfa:
         return len(self.transitions)
 
     @property
+    @memoized
     def live_edges(self) -> list[list[tuple[int, int]]] | None:
-        """The live-edge table (:func:`_live_edges`), built on first use."""
-        if self._live is _MISSING:
-            self._live = _live_edges(self.table)
-        return self._live  # type: ignore[return-value]
+        """The live-edge table (:func:`_live_edges`)."""
+        return _live_edges(self.table)
 
     # -- language predicates ------------------------------------------------
 
@@ -227,12 +226,10 @@ class Dfa:
 
     # -- boolean algebra ------------------------------------------------------
 
+    @memoized
     def complement(self) -> "Dfa":
         # A minimal, total, BFS-numbered DFA stays canonical when flipped.
-        if self._complement is None:
-            self._complement = c = _intern(Dfa(self.transitions, frozenset(range(self.state_count)) - self.accepting))
-            c._complement = c._complement or self
-        return self._complement
+        return _intern(Dfa(self.transitions, frozenset(range(self.state_count)) - self.accepting))
 
     def union(self, other: "Dfa") -> "Dfa":
         return self.complement().intersect(other.complement()).complement()

@@ -31,7 +31,7 @@ MAX_REPEAT = 64
 
 
 class RegexAst:
-    """Base class for regex nodes.  Instances are immutable and interned."""
+    """Base class for regex nodes.  Instances are immutable, one object per tree (:func:`_intern`)."""
 
     __slots__ = ("__weakref__",)
 
@@ -84,15 +84,15 @@ class Star(RegexAst):
 EMPTY = Empty()
 EPSILON = Epsilon()
 
-_interned: "weakref.WeakValueDictionary[tuple, RegexAst]" = weakref.WeakValueDictionary()
+_nodes: "weakref.WeakValueDictionary[tuple, RegexAst]" = weakref.WeakValueDictionary()
 
 
 def _intern(cls: type, *fields: object) -> RegexAst:
     """The one ``cls(*fields)`` node, built only when none is alive yet."""
     key = (cls, *fields)
-    node = _interned.get(key)
+    node = _nodes.get(key)
     if node is None:
-        node = _interned[key] = cls(*fields)
+        node = _nodes[key] = cls(*fields)
     return node
 
 
@@ -549,31 +549,21 @@ def print_regex(r: RegexAst) -> str:
             out.append("()")
         elif isinstance(node, CharClass):
             out.append(_class_text(node.mask))
-        elif isinstance(node, Star):
-            wrap = level > _LEVEL_REP
-            parts: list[str | tuple[RegexAst, int]] = [(node.inner, _LEVEL_ATOM), "*"]
-            if wrap:
-                parts = ["(", *parts, ")"]
-            stack.extend(reversed(parts))
-        elif isinstance(node, Union):
-            if node.right is EPSILON or node.left is EPSILON:
+        else:
+            # each operator's parts and its own level, wrapped when it sits below its parent's
+            parts: list[str | tuple[RegexAst, int]]
+            if isinstance(node, Star):
+                own, parts = _LEVEL_REP, [(node.inner, _LEVEL_ATOM), "*"]
+            elif isinstance(node, Union) and (node.right is EPSILON or node.left is EPSILON):
                 body = node.left if node.right is EPSILON else node.right
-                wrap = level > _LEVEL_REP
-                parts = [(body, _LEVEL_ATOM), "?"]
-                if wrap:
-                    parts = ["(", *parts, ")"]
-            else:
-                wrap = level > _LEVEL_ALT
-                parts = [(node.left, _LEVEL_ALT), "|", (node.right, _LEVEL_ALT)]
-                if wrap:
-                    parts = ["(", *parts, ")"]
-            stack.extend(reversed(parts))
-        elif isinstance(node, Concat):
-            wrap = level > _LEVEL_SEQ
-            parts = [(node.left, _LEVEL_SEQ), (node.right, _LEVEL_SEQ)]
-            if wrap:
+                own, parts = _LEVEL_REP, [(body, _LEVEL_ATOM), "?"]
+            elif isinstance(node, Union):
+                own, parts = _LEVEL_ALT, [(node.left, _LEVEL_ALT), "|", (node.right, _LEVEL_ALT)]
+            elif isinstance(node, Concat):
+                own, parts = _LEVEL_SEQ, [(node.left, _LEVEL_SEQ), (node.right, _LEVEL_SEQ)]
+            else:  # pragma: no cover - exhaustive over node kinds
+                raise TypeError(f"not a regex node: {node!r}")
+            if level > own:
                 parts = ["(", *parts, ")"]
             stack.extend(reversed(parts))
-        else:  # pragma: no cover - exhaustive over node kinds
-            raise TypeError(f"not a regex node: {node!r}")
     return "".join(out)

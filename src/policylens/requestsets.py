@@ -17,13 +17,10 @@ Deny-overrides semantics: a policy's set is (union of allow-statement cubes)
 minus (union of deny-statement cubes): ``s = ⋃A ∖ ⋃D``, one fold of
 :func:`set_difference` over the statement cubes.
 
-The pair step, :func:`policy_differences`, computes ``s1 ∖ s2`` from the
-statements that differ.  Its cancellation set is
-``⋃_{c∈A1∖A2} (c ∖ ⋃D1 ∖ ⋃A2) ∪ ⋃_{d∈D2∖D1} ((⋃A1 ∩ d) ∖ ⋃D1)``, which equals
-``s1 ∖ s2``.  A cube of ``s1`` that meets no cube of it folds to nothing, so
-the step folds only the cubes that meet it, and returns the full fold's cubes
-in the full fold's order (:func:`_cancelled_difference`).  Where that raises
-a blowup, it runs the full fold instead.
+The pair step, :func:`policy_differences` (whose docstring states its
+identity), computes ``s1 ∖ s2`` from the statements that differ, so a
+one-statement edit folds a few cubes of ``s1``, not every cube against every
+cube, into the full fold's cubes.
 
 A condition key a request does not supply is evaluated as the empty string.
 """
@@ -219,15 +216,13 @@ def _cancelled_difference(
     s1: RequestSet, s2: RequestSet, statements1: tuple[RequestSet, RequestSet], statements2: tuple[RequestSet, RequestSet]
 ) -> RequestSet:
     """``set_difference(s1, s2)``, folding only the cubes of ``s1`` that meet
-    the cancellation set (:func:`policy_differences`).  ``statementsN`` are
+    the cancellation set of :func:`policy_differences`.  ``statementsN`` are
     policy N's allow and deny statement cubes ``(AN, DN)``.
 
-    A cube ``a`` of ``s1`` lies in ``⋃A1 ∖ ⋃D1``, so it meets the
-    cancellation set iff it meets some ``c ∖ ⋃A2`` (``c ∈ A1∖A2``) or some
-    ``d ∈ D2∖D1``: those cubes are all this builds.  Since ``a ∖ s2 = a ∩
-    (s1 ∖ s2)``, a cube that meets none of them folds to nothing, and the
-    fold's result is each cube's own fold, concatenated in order.  So the
-    cubes that meet fold to the same cubes, in the same order."""
+    The meet test reduces that set: a cube ``a`` of ``s1`` lies in ``⋃A1 ∖
+    ⋃D1``, so intersecting with ``⋃A1`` and removing ``⋃D1`` cannot change
+    whether it meets a term.  It meets the set iff it meets some ``c ∖ ⋃A2``
+    (``c ∈ A1∖A2``) or some ``d ∈ D2∖D1``: those cubes are all this builds."""
     (a1, d1), (a2, d2) = statements1, statements2
     common_allow, common_deny = set(a2.cubes), set(d1.cubes)
     allow_only = RequestSet(s1.schema, tuple(c for c in a1.cubes if c not in common_allow))
@@ -248,9 +243,12 @@ def policy_differences(
     cancellation set ``⋃_{c∈A1∖A2} (c ∖ ⋃D1 ∖ ⋃A2) ∪ ⋃_{d∈D2∖D1} ((⋃A1 ∩ d) ∖
     ⋃D1)``, written from the statements that differ: an allow cube both
     policies have lies in ``⋃A2``, and a deny cube both have removes nothing
-    new; ``s2 ∖ s1`` is alike.  Each difference folds only the cubes of its left set that meet its
-    cancellation set (:func:`_cancelled_difference`), and returns the cubes
-    ``set_difference`` returns, in order.  Where that step raises
+    new; ``s2 ∖ s1`` is alike.  Since ``a ∖ s2 = a ∩ (s1 ∖ s2)`` for a cube
+    ``a`` of ``s1``, a cube that meets no cube of the cancellation set folds
+    to nothing, and the fold's result is each cube's own fold, concatenated
+    in order.  So each difference folds only the cubes of its left set that
+    meet its cancellation set (:func:`_cancelled_difference`), and returns
+    the cubes ``set_difference`` returns, in order.  Where that step raises
     :class:`~policylens.errors.StateBlowup` or :class:`CubeBlowup`, both
     differences are the full ``set_difference`` folds, so the step raises
     only what they raise."""

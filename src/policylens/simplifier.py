@@ -287,7 +287,7 @@ def summarize_set(
         raise ProviderError("all provider attempts failed and fallback is disabled")
 
     with timer.stage("similarity"):
-        # Attempts often return the same regex; ASTs are interned, so the
+        # Attempts often return the same regex; an AST is one object per tree, so the
         # operation cache scores each distinct candidate once, a failure
         # included, and counts the projection once for all of them.
         for cand in candidates:

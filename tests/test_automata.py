@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import gc
 import random
 import signal
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from policylens import automata, parse_policy, sampler, simplifier
+from policylens import automata, cli, parse_policy, sampler, simplifier
 from policylens.alphabet import FULL_MASK, mask_of
 from policylens.automata import (
     Dfa,
+    OperationCache,
     _count_common,
     _subset_rows,
     empty_dfa,
@@ -25,7 +29,7 @@ from policylens.regex import EMPTY, char_class, literal, parse_regex, print_rege
 from policylens.requestsets import compare_policies, compile_policy, project, sample_requests
 from policylens.simplifier import SimplifierConfig, generate_summarization
 
-from conftest import ALLOW_ALL_POLICY, POLICY_DIR, corpus_paths
+from conftest import ALLOW_ALL_POLICY, MUSIC_POLICY, POLICY_DIR, corpus_paths
 from oracles import (
     UNIVERSE_TABLE,
     glob_match,
@@ -262,7 +266,7 @@ def test_count_models_is_memoized_per_scope(monkeypatch):
     with operation_cache() as cache:
         assert d.count_models(5) == d.count_models(5) == reference_count_models(*d.table, 5)
         assert d.count_models(4) == reference_count_models(*d.table, 4)
-        assert cache.hits == 1
+        assert cache.hits[Dfa.count_models] == 1
     assert walks == [(d, universe_dfa(), 5), (d, universe_dfa(), 4)]
     d.count_models(5)  # outside a scope every count is computed afresh
     assert len(walks) == 3
@@ -283,9 +287,15 @@ class Memo(NamedTuple):
 
 
 _A, _B, _R = from_pattern("*a?"), from_pattern("b*"), parse_regex("a(b|c)*")
+MEDIA_POLICY = POLICY_DIR / "media_split_read.json"
 
 MEMOIZED = {
     "product": Memo(Dfa.intersect, (_A, _B), (_B, _A), StateBlowup, (_A, _B)),
+    "complement": Memo(Dfa.complement, (_A,), (_B,), AttributeError, (5,)),
+    # a malformed table makes the liveness walk raise
+    "live_edges": Memo(Dfa.live_edges.fget, (_A,), (_B,), IndexError, (Dfa((), frozenset({0})),)),
+    # the identity raises only on an argument that cannot be a key
+    "intern": Memo(automata._intern, (_A,), (_B,), TypeError, ([],)),
     "count_models": Memo(Dfa.count_models, (_A, 5), (_A, 4), StateBlowup, (_A, 5)),
     # state elimination has no cap; a malformed table makes it raise
     "extract_regex": Memo(Dfa.extract_regex, (_A,), (_B,), IndexError, (Dfa((), frozenset({0})),)),
@@ -296,8 +306,13 @@ MEMOIZED = {
 }
 
 
+# Every scope's table starts with ∅ and U interned.
+SEEDED = OperationCache().table
+
+
 def _keys_of(cache, fn) -> list:
-    return [key for key in cache.table if key[0] is fn]
+    """The keys ``fn``'s calls stored in the scope's table, in order."""
+    return [key for key in cache.table if key[0] is fn and key not in SEEDED]
 
 
 @pytest.mark.parametrize("name", MEMOIZED)
@@ -306,11 +321,11 @@ def test_operation_cache_counts_hits_and_returns_the_stored_value(name):
     with operation_cache() as cache:
         first = fn(*args)
         assert _keys_of(cache, fn) == [(fn, *args)]
-        hits, misses = cache.hits, cache.misses
+        hits, misses = cache.hits[fn], cache.misses[fn]
         assert fn(*args) is first
-        assert (cache.hits, cache.misses) == (hits + 1, misses)
+        assert (cache.hits[fn], cache.misses[fn]) == (hits + 1, misses)
         fn(*other)  # other arguments: a miss
-        assert cache.misses > misses
+        assert cache.misses[fn] == misses + 1
         assert _keys_of(cache, fn) == [(fn, *args), (fn, *other)]
     assert fn(*args) == first
 
@@ -322,9 +337,9 @@ def test_nested_operation_scopes_share_one_cache(name):
         with operation_cache() as inner:
             assert inner is outer
             first = fn(*args)
-        hits = outer.hits
+        hits = outer.hits[fn]
         assert fn(*args) is first
-        assert outer.hits == hits + 1
+        assert outer.hits[fn] == hits + 1
         assert _keys_of(outer, fn) == [(fn, *args)]
 
 
@@ -338,12 +353,12 @@ def test_no_cache_is_active_after_the_outermost_scope_exits(name):
             with operation_cache():
                 fn(*args)
                 raise RuntimeError("boom")
-    counts = [(c.hits, c.misses, len(c.table)) for c in (done, failed)]
+    counts = [(Counter(c.hits), Counter(c.misses), len(c.table)) for c in (done, failed)]
     assert fn(*args) == first  # outside a scope: computed afresh, no table touched
     assert [(c.hits, c.misses, len(c.table)) for c in (done, failed)] == counts
     with operation_cache() as fresh:
         assert fresh is not done and fresh is not failed
-        assert (fresh.hits, fresh.misses) == (0, 0)
+        assert (fresh.hits, fresh.misses, fresh.table) == (Counter(), Counter(), SEEDED)
 
 
 @pytest.mark.parametrize("name", MEMOIZED)
@@ -354,14 +369,14 @@ def test_a_call_that_raises_stores_nothing(monkeypatch, name):
         for _ in range(2):  # nothing was stored, so the call raises again
             with pytest.raises(raises):
                 fn(*bad)
-        assert (cache.hits, cache.table) == (0, {})
+        assert (cache.hits[fn], _keys_of(cache, fn)) == (0, [])
 
 
 def test_every_cache_key_starts_with_a_memoized_function(music_doc):
     allow_all = parse_policy(ALLOW_ALL_POLICY.read_text())
     # music's clauses each compile as one alternation, so comparing it with
     # allow-all runs no product; against media_split_read the set differences do
-    media = parse_policy((POLICY_DIR / "media_split_read.json").read_text())
+    media = parse_policy(MEDIA_POLICY.read_text())
     with operation_cache() as cache:
         compare_policies(music_doc, allow_all)
         compare_policies(music_doc, media)
@@ -378,9 +393,7 @@ def test_a_scope_interns_one_object_per_language():
         assert from_pattern("a*").intersect(from_pattern("*b")) is from_pattern("a*b")
         assert a.union(a.complement()) is universe_dfa()
         assert a.complement().complement().complement() is a.complement()
-        b = a.complement()
-    # the scope unlinks each complement pair, a reference cycle, when it exits
-    assert a._complement is None and b._complement is None
+        assert from_pattern("*") is universe_dfa() and a.difference(a) is empty_dfa()
 
 
 def test_nothing_is_interned_outside_a_scope():
@@ -389,19 +402,43 @@ def test_nothing_is_interned_outside_a_scope():
     a, b = from_regex(parse_regex("(a|b)*")), from_regex(parse_regex("(a*b*)*"))
     assert a == b == inside and a is not b and a is not inside
     assert a.complement() == b.complement() and a.complement() is not b.complement()
-    assert a.complement().complement() is a  # the complement is kept on the object
+    assert a.complement().complement() == a
 
 
 def test_a_construction_that_raises_interns_nothing(monkeypatch):
     a, b = from_pattern("*a?"), from_pattern("*b?")
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
     with operation_cache() as cache:
-        interned = dict(cache.interned)
         with pytest.raises(StateBlowup, match="product construction exceeded"):
             a.intersect(b)
         with pytest.raises(StateBlowup, match="subset construction exceeded"):
             from_pattern("*a??")
-        assert cache.interned == interned == {empty_dfa(): empty_dfa(), universe_dfa(): universe_dfa()}
+        assert (cache.misses[automata._intern], _keys_of(cache, automata._intern)) == (0, [])
+
+
+def _command_work(doc, other) -> None:
+    """A command's work, in a frame of its own: its locals are gone when it returns."""
+    with operation_cache():
+        compare_policies(doc, other)
+        sample_requests(doc, 3)
+        generate_summarization(doc, SimplifierConfig(samples=50, bound=6), MockProvider())
+    result = CliRunner().invoke(cli.main, ["diff", "-n", "200", "--no-timestamp", str(MUSIC_POLICY), str(MEDIA_POLICY)])
+    assert result.exit_code == 0, result.output
+
+
+def test_a_command_leaves_no_reference_cycle(music_doc):
+    # With the cyclic collector off, an automaton in a reference cycle outlives
+    # the command; reference counting alone must free everything it built.
+    media = parse_policy(MEDIA_POLICY.read_text())
+    before = [o for o in gc.get_objects() if isinstance(o, Dfa)]  # held, so no id is reused
+    known = {id(o) for o in before}
+    gc.disable()
+    try:
+        _command_work(music_doc, media)
+        left = [o for o in gc.get_objects() if isinstance(o, Dfa) and id(o) not in known]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def test_state_blowup_repeats_and_is_never_cached(monkeypatch):
@@ -415,11 +452,13 @@ def test_state_blowup_repeats_and_is_never_cached(monkeypatch):
                 a.union(b)
             with pytest.raises(StateBlowup, match="subset construction exceeded"):
                 from_pattern("*a??")
-        assert (cache.hits, cache.misses, cache.table) == (0, 4, {})
+        for fn in (Dfa.intersect, automata._compile_pattern):
+            assert (cache.hits[fn], cache.misses[fn], _keys_of(cache, fn)) == (0, 2, [])
         monkeypatch.undo()  # back to the default cap, in the same scope
         assert a.union(b) == expected
         from_pattern("*a??")
-        assert len(cache.table) == 2
+        for fn in (Dfa.intersect, automata._compile_pattern):
+            assert len(_keys_of(cache, fn)) == 1
 
 
 def test_canonicalization_collapses_equivalent_states():
@@ -628,10 +667,11 @@ def test_set_operations_always_go_through_the_operation_cache():
     with operation_cache() as cache:
         for op, a, b, _ in cases:
             getattr(a, op)(b)
-        assert (cache.hits + cache.misses, cache.misses, len(cache.table)) == (len(cases), len(keys), len(keys))
+        hits, misses = cache.hits[Dfa.intersect], cache.misses[Dfa.intersect]
+        assert (hits + misses, misses, len(_keys_of(cache, Dfa.intersect))) == (len(cases), len(keys), len(keys))
         for op, a, b, want in cases:  # a second round is served from the table
             assert getattr(a, op)(b) == want
-        assert cache.misses == len(keys)
+        assert cache.misses[Dfa.intersect] == len(keys)
 
 
 def test_every_product_key_is_an_intersection():
@@ -640,4 +680,4 @@ def test_every_product_key_is_an_intersection():
     with operation_cache() as cache:
         for op, x, y in calls:
             getattr(x, op)(y)
-    assert list(cache.table) == [(Dfa.intersect, *_intersection_of(*call)) for call in calls]
+    assert _keys_of(cache, Dfa.intersect) == [(Dfa.intersect, *_intersection_of(*call)) for call in calls]

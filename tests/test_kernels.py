@@ -163,6 +163,13 @@ def test_a_product_with_a_superset_is_the_operand_itself(r1, r2):
         assert y.intersect(x) is x
 
 
+@pytest.mark.parametrize("text", ["a*b", "*a?", "logs/*", "abc"])
+def test_a_product_with_itself_or_the_universe_is_the_operand_outside_a_scope(text):
+    a = from_pattern(text)
+    assert a.intersect(a) is a
+    assert a.intersect(automata.universe_dfa()) is a
+
+
 def test_subset_kernel_matches_the_thompson_oracle_on_every_corpus_and_perfbench_pattern():
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))

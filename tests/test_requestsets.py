@@ -35,7 +35,7 @@ from policylens.requestsets import (
 
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
 from oracles import ref_decide, reference_cube_difference, reference_disjunction, reference_pad
-from test_automata import small_regex
+from test_automata import _keys_of, small_regex
 
 SCHEMA = DimensionSchema()
 
@@ -123,16 +123,16 @@ def test_cube_difference_builds_a_difference_only_where_the_intersection_leaves_
     with operation_cache() as cache:
         # disjoint on the first dimension: one product, and the left cube comes back whole
         assert requestsets._cube_difference((a_star, c_star), (b_plus, c)) == [(a_star, c_star)]
-        assert list(cache.table) == [(Dfa.intersect, a_star, b_plus)]
+        assert _keys_of(cache, Dfa.intersect) == [(Dfa.intersect, a_star, b_plus)]
     with operation_cache() as cache:
         # x ⊆ y on a dimension before the last: its intersection is x, and no difference is
         # built; the last dimension builds only its difference
         assert requestsets._cube_difference((a, c_star), (a_star, c)) == [(a, c_rest)]
-        assert list(cache.table) == [(Dfa.intersect, a, a_star), (Dfa.intersect, c_star, c.complement())]
+        assert _keys_of(cache, Dfa.intersect) == [(Dfa.intersect, a, a_star), (Dfa.intersect, c_star, c.complement())]
     with operation_cache() as cache:
         # a partial overlap builds the intersection, then the difference
         assert requestsets._cube_difference((a_star, c_star), (a, c)) == [(a_rest, c_star), (a, c_rest)]
-        assert cache.misses == 3
+        assert cache.misses[Dfa.intersect] == 3
 
 
 @st.composite
@@ -669,7 +669,7 @@ def test_operation_cache_matches_uncached_path(monkeypatch):
     # One scope over everything, so entries are shared across policies too.
     with operation_cache() as cache:
         cached = _cache_workload(docs)
-    assert cache.hits > 0
+    assert cache.hits[Dfa.intersect] > 0
     # The oracle: every operation computed afresh, even inside a scope.
     monkeypatch.setattr(OperationCache, "get", lambda self, key, compute, *args: compute(*args))
     assert _cache_workload(docs) == cached
@@ -683,7 +683,7 @@ def test_repeated_clause_hits_the_cache():
     )
     with operation_cache() as cache:
         compile_policy(doc)
-    assert cache.hits >= 1
+    assert cache.hits[automata._compile_pattern] >= 1
 
 
 def test_sample_requests_compiles_once(music_doc, monkeypatch):

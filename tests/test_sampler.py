@@ -258,7 +258,7 @@ def test_sample_in_one_scope_compiles_once():
         draws = [sample(r, rng) for _ in range(100)]
     # compared by identity: printing this regex for a failure report takes minutes
     assert [c is r for c in _compiled(cache)] == [True]
-    assert (cache.hits, cache.misses) == (99, 1)
+    assert (cache.hits[sampler._compile], cache.misses[sampler._compile]) == (99, 1)
     assert draws == [reference_sample(r, ref_rng) for _ in range(100)]
     assert rng.getstate() == ref_rng.getstate()
     # outside a scope each call compiles afresh, with the same draws
