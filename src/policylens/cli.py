@@ -96,25 +96,17 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _text_render(value: object, indent: int = 0) -> list[str]:
+def _text_render(value: dict | list, indent: int = 0) -> list[str]:
+    """Lines of a dict or list report; a non-empty container nests one level deeper."""
     pad = "  " * indent
+    items = ((f"{k}:", v) for k, v in value.items()) if isinstance(value, dict) else (("-", v) for v in value)
     lines: list[str] = []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(_text_render(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_scalar(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}-")
-                lines.extend(_text_render(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(v)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v:
+            lines.append(f"{pad}{head}")
+            lines.extend(_text_render(v, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_scalar(v)}")
     return lines
 
 

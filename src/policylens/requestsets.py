@@ -18,9 +18,9 @@ minus (union of deny-statement cubes): ``s = ⋃A ∖ ⋃D``, one fold of
 :func:`set_difference` over the statement cubes.
 
 The pair step, :func:`policy_differences` (whose docstring states its
-identity), computes ``s1 ∖ s2`` from the statements that differ, so a
-one-statement edit folds a few cubes of ``s1``, not every cube against every
-cube, into the full fold's cubes.
+identity), computes ``s1 ∖ s2`` on one path: it folds only the cubes of
+``s1`` that meet a changed statement's cube, so a one-statement edit folds a
+few cubes, not every cube against every cube, into the full fold's cubes.
 
 A condition key a request does not supply is evaluated as the empty string.
 """
@@ -208,25 +208,30 @@ def _statement_cubes(doc: PolicyDocument, schema: DimensionSchema) -> tuple[Requ
 
 
 def _meets(a: RequestCube, b: RequestCube) -> bool:
-    """Whether two cubes share a request: no dimension's intersection is empty."""
-    return all(not x.intersect(y).is_empty() for x, y in zip(a, b))
+    """Whether two cubes may share a request: no dimension's intersection is
+    empty.  An intersection past the state cap counts as a meet."""
+    for x, y in zip(a, b):
+        try:
+            if x.intersect(y).is_empty():
+                return False
+        except StateBlowup:
+            pass
+    return True
 
 
 def _cancelled_difference(
     s1: RequestSet, s2: RequestSet, statements1: tuple[RequestSet, RequestSet], statements2: tuple[RequestSet, RequestSet]
 ) -> RequestSet:
     """``set_difference(s1, s2)``, folding only the cubes of ``s1`` that meet
-    the cancellation set of :func:`policy_differences`.  ``statementsN`` are
-    policy N's allow and deny statement cubes ``(AN, DN)``.
-
-    The meet test reduces that set: a cube ``a`` of ``s1`` lies in ``⋃A1 ∖
-    ⋃D1``, so intersecting with ``⋃A1`` and removing ``⋃D1`` cannot change
-    whether it meets a term.  It meets the set iff it meets some ``c ∖ ⋃A2``
-    (``c ∈ A1∖A2``) or some ``d ∈ D2∖D1``: those cubes are all this builds."""
+    a changed statement's cube ``c ∈ A1∖A2`` or ``d ∈ D2∖D1``; ``statementsN``
+    are policy N's allow and deny cubes ``(AN, DN)``.  Each term of the
+    cancellation set of :func:`policy_differences` lies in one such cube.
+    The kept cubes fold through the full fold's products, and a meet test
+    past the state cap keeps its cube, so this raises only where the full
+    fold raises."""
     (a1, d1), (a2, d2) = statements1, statements2
-    common_allow, common_deny = set(a2.cubes), set(d1.cubes)
-    allow_only = RequestSet(s1.schema, tuple(c for c in a1.cubes if c not in common_allow))
-    reach = set_difference(allow_only, a2).cubes + tuple(d for d in d2.cubes if d not in common_deny)
+    allow2, deny1 = set(a2.cubes), set(d1.cubes)
+    reach = [c for c in a1.cubes if c not in allow2] + [d for d in d2.cubes if d not in deny1]
     kept = tuple(a for a in s1.cubes if any(_meets(a, r) for r in reach))
     return set_difference(RequestSet(s1.schema, kept), s2)
 
@@ -247,18 +252,13 @@ def policy_differences(
     ``a`` of ``s1``, a cube that meets no cube of the cancellation set folds
     to nothing, and the fold's result is each cube's own fold, concatenated
     in order.  So each difference folds only the cubes of its left set that
-    meet its cancellation set (:func:`_cancelled_difference`), and returns
-    the cubes ``set_difference`` returns, in order.  Where that step raises
-    :class:`~policylens.errors.StateBlowup` or :class:`CubeBlowup`, both
-    differences are the full ``set_difference`` folds, so the step raises
-    only what they raise."""
+    meet a changed statement's cube (:func:`_cancelled_difference`), and
+    returns the cubes ``set_difference`` returns, in order, raising only
+    where it raises."""
     schema = policy_schema(p1, p2)
     st1, st2 = _statement_cubes(p1, schema), _statement_cubes(p2, schema)
     s1, s2 = set_difference(*st1), set_difference(*st2)
-    try:
-        return s1, s2, _cancelled_difference(s1, s2, st1, st2), _cancelled_difference(s2, s1, st2, st1)
-    except (StateBlowup, CubeBlowup):
-        return s1, s2, set_difference(s1, s2), set_difference(s2, s1)
+    return s1, s2, _cancelled_difference(s1, s2, st1, st2), _cancelled_difference(s2, s1, st2, st1)
 
 
 # -- queries ------------------------------------------------------------------

@@ -14,13 +14,20 @@ byte-identical CLI output on every case:
 - all of the above at seeds 0 and 5, and ``count`` (unseeded) once per policy;
 - at seed 0 under each lowered state cap in ``CAPS``, where commands run into
   the cap: ``count`` (unseeded), ``requests -k 3`` and ``summarize -n 200``
-  on every policy and ``compare`` on every ordered pair.  These cases are
-  listed as ``cap=N`` followed by the command;
+  on every policy, ``compare`` on every ordered pair and ``diff -n 200`` on
+  every ordered pair of two different policies.  These cases are listed as
+  ``cap=N`` followed by the command;
+- at seed 0 under the lowered cube cap ``CUBE_CAP``: ``compare`` on every
+  ordered pair of two different policies and ``requests -k 3`` on every
+  policy, listed as ``cube-cap=N`` followed by the command;
 - the provider, report-file and input-error paths (:func:`edge_cases`):
   ``summarize`` on every policy with the mock provider scripted to
   ``SCRIPT`` at the default threshold and at ``--threshold 0``, and with a
   timeout-only script under ``--no-fallback``; ``diff -n 200`` with
-  ``SCRIPT`` at both thresholds on every ordered pair of ``TRIO``; every
+  ``SCRIPT`` at both thresholds on every ordered pair of ``TRIO``;
+  ``summarize -n 200`` on every policy of ``TRIO`` with
+  ``--include-extracted-regex-in-prompt`` and with the mock scripted to
+  ``FENCED`` responses; every
   command writing ``--out`` to a file (whose content the digest also
   covers) and into a missing directory; and missing or malformed policies,
   bad option values and bad provider configs, with hostile inputs among them:
@@ -49,12 +56,16 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 SEEDS = (0, 5)
 CAPS = (16, 32)
+CUBE_CAP = 2
 
 # One accepted-at-threshold-0 candidate, one provider failure, one parse error.
 SCRIPT = [".*", "<<TIMEOUT>>", "not(a regex"]
+# A fenced block, a prose lead-in and a bare fence: the candidates .*, .* and none.
+FENCED = ["```regex\n.*\n```", "Here is the regex:\n.*", "```\n```"]
 TRIO = ("policies/music_public_read.json", "policies/allow_all.json", "policies/deny_all.json")
 # Two policies over interleaved condition keys, so a pair is compiled over
 # keys one policy does not name: a, c and a conditioned Deny; b and a
@@ -75,6 +86,7 @@ KEYED = {
 TMP_FILES = {
     "script.json": json.dumps({"script": SCRIPT}),
     "timeout.json": json.dumps({"script": ["<<TIMEOUT>>"]}),
+    "fenced.json": json.dumps({"script": FENCED}),
     "not-json.json": "{not json",
     "list.json": json.dumps(["not", "an", "object"]),
     "http-model-only.json": json.dumps({"model": "m"}),
@@ -113,6 +125,14 @@ def capped_cases(policies: list[str]) -> list[list[str]]:
     for p in policies:
         out += [["count", p], ["requests", p, "-k", "3", *s], ["summarize", p, "-n", "200", *s]]
     out += [["compare", p1, p2, *s] for p1 in policies for p2 in policies]
+    out += [["diff", p1, p2, "-n", "200", *s] for p1 in policies for p2 in policies if p1 != p2]
+    return [argv + ["--no-timestamp"] for argv in out]
+
+
+def cube_capped_cases(policies: list[str]) -> list[list[str]]:
+    s = ["--seed", "0"]
+    out = [["compare", p1, p2, *s] for p1 in policies for p2 in policies if p1 != p2]
+    out += [["requests", p, "-k", "3", *s] for p in policies]
     return [argv + ["--no-timestamp"] for argv in out]
 
 
@@ -128,6 +148,11 @@ def edge_cases(policies: list[str]) -> list[list[str]]:
     for p1 in TRIO:
         for p2 in TRIO:
             out += [["diff", p1, p2, "-n", "200", *script], ["diff", p1, p2, "-n", "200", *script, "--threshold", "0"]]
+    for p in TRIO:
+        out += [
+            ["summarize", p, "-n", "200", "--include-extracted-regex-in-prompt"],
+            ["summarize", p, "-n", "200", "--provider-config", "TMP/fenced.json"],
+        ]
     music, deny = TRIO[0], TRIO[2]
     small = ["-n", "50", "-b", "8"]
     commands = [
@@ -211,7 +236,7 @@ def main() -> None:
     root = Path(sys.argv[1]).resolve()
     sys.path.insert(0, str(root / "src"))
     os.chdir(root)
-    from policylens import automata
+    from policylens import automata, requestsets
     from policylens.cli import main as cli
 
     policies = sorted(f"policies/{p.name}" for p in Path("policies").glob("*.json"))
@@ -220,14 +245,13 @@ def main() -> None:
             Path(tmp, name).write_text(text, encoding="utf-8")
         for argv in cases(policies):
             print(run(cli, argv, tmp), " ".join(argv))
-        default_cap = automata.DEFAULT_STATE_CAP
-        try:
-            for cap in CAPS:
-                automata.DEFAULT_STATE_CAP = cap
+        for cap in CAPS:
+            with mock.patch.object(automata, "DEFAULT_STATE_CAP", cap):
                 for argv in capped_cases(policies):
                     print(run(cli, argv, tmp), f"cap={cap}", " ".join(argv))
-        finally:
-            automata.DEFAULT_STATE_CAP = default_cap
+        with mock.patch.object(requestsets, "DEFAULT_CUBE_CAP", CUBE_CAP):
+            for argv in cube_capped_cases(policies):
+                print(run(cli, argv, tmp), f"cube-cap={CUBE_CAP}", " ".join(argv))
         for argv in edge_cases(policies):
             print(run(cli, argv, tmp), " ".join(argv))
 

@@ -370,6 +370,27 @@ _BUCKET = [
 ]
 
 
+def _pair_step_folds(monkeypatch, added) -> tuple[int, int, int, RequestSet, RequestSet]:
+    """With ``added`` appended to ``_BUCKET``: the cube differences of the two
+    compiles, of the two full folds and of the pair step's two differences
+    (compiles excluded), then those differences."""
+    p1, p2 = (parse_policy(json.dumps({"Statement": s})) for s in (_BUCKET, _BUCKET + [added]))
+    calls, real = [], requestsets._cube_difference
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(requestsets, "_cube_difference", counting)
+    s1, s2 = compile_policy(p1), compile_policy(p2)
+    compiling = len(calls)
+    set_difference(s1, s2), set_difference(s2, s1)
+    full = len(calls) - compiling
+    calls.clear()
+    _, _, first_only, second_only = policy_differences(p1, p2)
+    return compiling, full, len(calls) - compiling, first_only, second_only
+
+
 @pytest.mark.parametrize(
     "added",
     [
@@ -383,21 +404,27 @@ def test_an_added_allow_folds_only_what_it_reaches(monkeypatch, added):
     folds nothing, and ``s2 ∖ s1`` folds only the cubes the new statement
     reaches: the two differences make no more cube differences than the two
     compiles.  The full folds make four to five times as many."""
-    p1, p2 = (parse_policy(json.dumps({"Statement": s})) for s in (_BUCKET, _BUCKET + [added]))
-    calls = []
-    real = requestsets._cube_difference
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(requestsets, "_cube_difference", counting)
-    compile_policy(p1), compile_policy(p2)
-    compiling = len(calls)
-    calls.clear()
-    _, _, first_only, second_only = policy_differences(p1, p2)
+    compiling, _, folding, first_only, second_only = _pair_step_folds(monkeypatch, added)
     assert is_empty_set(first_only) and not is_empty_set(second_only)
-    assert len(calls) - compiling <= compiling
+    assert folding <= compiling
+
+
+@pytest.mark.parametrize(
+    "added",
+    [
+        _statement("Deny", "*", "s3:GetObject", "logs/*"),
+        _statement("Deny", "guest*", "s3:*", "public/*"),
+        _statement("Deny", "*", "*", "media/*"),
+    ],
+)
+def test_an_added_deny_folds_only_what_it_reaches(monkeypatch, added):
+    """With a Deny added, ``s2 ∖ s1`` has an empty cancellation set and
+    folds nothing, and ``s1 ∖ s2`` folds only the cubes of ``s1`` the new
+    statement meets: the two differences make fewer cube differences than
+    the two full folds."""
+    _, full, folding, first_only, second_only = _pair_step_folds(monkeypatch, added)
+    assert not is_empty_set(first_only) and is_empty_set(second_only)
+    assert folding < full
 
 
 def _outcome(step, p1, p2):
@@ -409,8 +436,7 @@ def _outcome(step, p1, p2):
 
 
 def _spy_on_cancellation(monkeypatch) -> list[str]:
-    """Record each blowup the cancellation step raises; the pair step then
-    falls back to the full fold."""
+    """Record each blowup the cancellation step raises, then raise it on."""
     real, raised = requestsets._cancelled_difference, []
 
     def cancelled(*args):
@@ -439,15 +465,28 @@ def test_policy_differences_under_a_lowered_cap_equal_the_full_fold(monkeypatch,
     assert policy_differences(p1, p2) == _padded_differences(p1, p2)
 
 
-def test_policy_differences_fall_back_where_the_cancellation_step_blows_up(monkeypatch, corpus):
-    """At a state cap of 16, ``deny_all`` against ``notaction_readonly``
-    needs a product past the cap to build its cancellation set, and the full
-    fold does not: the pair step returns the full fold's sets."""
+def test_the_cancellation_step_blows_up_nowhere_the_full_fold_does_not(monkeypatch, corpus):
+    """At a state cap of 16, ``deny_all`` against ``notaction_readonly`` folds
+    within the cap: the step builds only products the full fold builds, so
+    it returns the full fold's sets and raises nothing."""
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 16)
     raised = _spy_on_cancellation(monkeypatch)
     p1, p2 = corpus["deny_all.json"], corpus["notaction_readonly.json"]
     assert policy_differences(p1, p2) == _padded_differences(p1, p2)
-    assert raised == ["product construction exceeded the state cap of 16"]
+    assert raised == []
+
+
+def test_a_meet_test_past_the_state_cap_counts_as_a_meet(monkeypatch):
+    """The two resource languages are disjoint, but their product passes a
+    state cap of 16; the meet test then keeps the cube for the fold, which
+    raises only where the full fold raises."""
+    univ = universe_dfa()
+    a, b = ((univ, univ, from_pattern(p)) for p in ("*a??", "*b??"))
+    assert not requestsets._meets(a, b)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 16)
+    with pytest.raises(StateBlowup):
+        from_pattern("*a??").intersect(from_pattern("*b??"))
+    assert requestsets._meets(a, b)
 
 
 def test_policy_differences_raise_only_what_the_full_fold_raises(monkeypatch, corpus):
@@ -698,3 +737,28 @@ def test_sample_requests_compiles_once(music_doc, monkeypatch):
     allowed, denied = sample_requests(music_doc, 3, seed=5)
     assert len(allowed) == 3 and len(denied) == 3
     assert len(calls) == 1
+
+
+def test_policy_differences_under_lowered_caps_on_one_statement_edits(monkeypatch):
+    """Under state caps 16 and 32 and cube caps 4 and 8, on one-statement
+    edits in both orders, the pair step never raises where the full fold
+    returns, and wherever it returns it gives the uncapped full fold's sets."""
+    rng = random.Random("policy-differences/capped-edits")
+    pairs = []
+    for _ in range(8):
+        stmts = _random_statements(rng) + _random_statements(rng)
+        for edited in _edits(rng, stmts):
+            docs = [parse_policy(json.dumps({"Statement": s})) for s in (stmts, edited)]
+            pairs += [(p1, p2, _padded_differences(p1, p2)) for p1, p2 in itertools.permutations(docs)]
+    outcomes = []
+    for state_cap, cube_cap in itertools.product((16, 32), (4, 8)):
+        monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", state_cap)
+        monkeypatch.setattr(requestsets, "DEFAULT_CUBE_CAP", cube_cap)
+        for p1, p2, uncapped in pairs:
+            got, full = (_outcome(step, p1, p2) for step in (policy_differences, _padded_differences))
+            if not isinstance(full, str):
+                assert got == full == uncapped
+            elif not isinstance(got, str):
+                assert got == uncapped
+            outcomes.append((isinstance(got, str), isinstance(full, str)))
+    assert {(False, False), (False, True), (True, True)} <= set(outcomes)
