@@ -10,25 +10,24 @@ accepting set.  State 0 is always the start state.
 Construction paths: one worklist kernel, :func:`_explore`, numbers the states
 of every automaton built here, in the order it discovers them from state 0.
 Every row is built by intersecting masks and left unordered; canonicalization
-orders the edges.  Subset construction (:func:`from_regex`,
-:func:`from_pattern`) explores sets of Glushkov positions, the character-class
-occurrences of the regex, which need no ε-closures: a state is the set of
-positions just read, and each follow mask splits its row's parts.  A policy
-clause's patterns are one alternation, so one subset construction.
+orders the edges.  One subset construction (:func:`_subsets`) builds a regex's
+table and a union's: a state is a set of keys, and each mask of the keys that
+can follow splits its row's parts.  For a regex (:func:`from_regex`; a policy
+clause is one alternation) the keys are its Glushkov positions, which need no
+ε-closures; for :func:`union` they are (operand, live state) pairs.
 :meth:`Dfa.intersect` is the one product: a pair's row is the nonzero
 intersections of its two rows' masks (:func:`_pair_moves`).  It explores only
-pairs of live states (:func:`_live_edges`, the counting walk's rule): every
-edge into a pair with a dead side goes to one sink, and a dead start pair is ∅
-at once.  Complements are free on canonical total DFAs, so :meth:`Dfa.union` is
-``¬(¬a ∩ ¬b)`` and :meth:`Dfa.difference` is ``a ∩ ¬b``.  A product that is a
-copy of an operand (:func:`_copies`) is that operand, so ``a.intersect(a)`` is
-``a``; any other is minimized by Hopcroft partition refinement and its blocks
-renumbered.  The tests check the table builders and every product against the
-oracles' kernels.  The kernel is the one place that raises
+pairs of live states (:func:`_live_edges`): every edge into a pair with a dead
+side goes to one sink, and a dead start pair is ∅ at once.  As complements are
+free on canonical total DFAs, :meth:`Dfa.difference` is ``a ∩ ¬b``.  A product
+that copies an operand (:func:`_copies`) is that operand, so ``a.intersect(a)``
+is ``a``; any other table is minimized by Hopcroft refinement and renumbered.
+The tests check the table builders and every product against the oracles'
+kernels.  The kernel is the one place that raises
 :class:`~policylens.errors.StateBlowup` on states, when more are reachable than
 :data:`DEFAULT_STATE_CAP` (the sink counts as one), in whatever order;
 :func:`_positions` raises it past :data:`DEFAULT_POSITION_CAP` positions.  Each
-cap is read when it is checked (so a test can lower it).
+cap is read when checked, so a test can lower it.
 
 Model counting: :func:`_count_common` counts the strings of length at most
 ``bound`` that two deterministic tables both accept, by walking their product
@@ -47,8 +46,8 @@ exhaustive enumeration.
 Operation cache: a function decorated :func:`memoized` is memoized on
 ``(function, *arguments)`` inside an :func:`operation_cache` scope, whose one
 table holds everything derived.  The memoized functions are the one product,
-:meth:`Dfa.intersect` (so a union or difference is stored as the intersection
-it runs), :meth:`Dfa.complement`, a DFA's live-edge table
+:meth:`Dfa.intersect` (so a difference is stored as the intersection it
+runs), :meth:`Dfa.complement`, a DFA's live-edge table
 (:attr:`Dfa.live_edges`), :meth:`Dfa.count_models`, :meth:`Dfa.extract_regex`,
 pattern compilation (:func:`from_pattern`), :func:`_intern`, the sampler's
 draw programs, and the summarizer's candidate parses and scores.  The
@@ -230,9 +229,6 @@ class Dfa:
     def complement(self) -> "Dfa":
         # A minimal, total, BFS-numbered DFA stays canonical when flipped.
         return _intern(Dfa(self.transitions, frozenset(range(self.state_count)) - self.accepting))
-
-    def union(self, other: "Dfa") -> "Dfa":
-        return self.complement().intersect(other.complement()).complement()
 
     @memoized
     def intersect(self, other: "Dfa", /) -> "Dfa":
@@ -594,26 +590,45 @@ def from_regex(r: RegexAst) -> Dfa:
 
 
 def _subset_rows(r: RegexAst) -> _Table:
-    """Subset construction over the Glushkov positions of ``r``: a total,
-    deterministic, unminimized table with start state 0.
-
-    A state is the set of positions just read; the start state is position 0
-    alone.  Its row starts as the whole alphabet leading nowhere; each mask
-    of the positions that can follow splits every part into the characters
-    inside and outside it, and a part inside carries that mask's positions."""
+    """The subset table of ``r``, whose keys are Glushkov positions: position 0
+    alone at the start, and the positions that can follow, each with its mask."""
     masks, follow, last = _positions(r)
 
-    def moves(state: frozenset[int]) -> list[tuple[int, frozenset[int]]]:
-        by_mask: dict[int, list[int]] = {}
-        for q in set().union(*{f for p in state for f in follow[p]}):
-            by_mask.setdefault(masks[q], []).append(q)
-        row: list[tuple[int, list[int]]] = [(FULL_MASK, [])]
-        for mask, qs in by_mask.items():
-            row = [(m, to + qs if m & mask else to) for part, to in row for m in (part & mask, part & ~mask) if m]
+    def items(state: frozenset[int]) -> list[tuple[int, int]]:
+        return [(masks[q], q) for q in set().union(*{f for p in state for f in follow[p]})]
+
+    return _subsets(frozenset([0]), items, last)
+
+
+def union(*dfas: Dfa) -> Dfa:
+    """The union of the languages, by one subset construction over (operand,
+    live state) pairs: ∅ for none, the operand itself for one distinct one."""
+    operands = list(dict.fromkeys(dfas))
+    if len(operands) < 2:
+        return operands[0] if operands else _EMPTY_DFA
+    edges = [d.live_edges for d in operands]
+    start = frozenset((i, 0) for i, e in enumerate(edges) if e is not None)
+    last = {(i, s) for i, d in enumerate(operands) for s in d.accepting}
+    return _canonicalize(*_subsets(start, lambda state: [(m, (i, t)) for i, s in state for m, t in edges[i][s]], last))
+
+
+def _subsets(start: frozenset[_K], items: Callable[[frozenset[_K]], list[tuple[int, _K]]], last: AbstractSet[_K]) -> _Table:
+    """The total, unminimized table of the sets of keys reachable from
+    ``start``, accepting where one meets ``last``.  A row starts as the
+    alphabet leading to the empty set, and each mask of the state's ``(mask,
+    key)`` items splits every part, the part inside gaining that mask's keys."""
+
+    def moves(state: frozenset[_K]) -> list[tuple[int, frozenset[_K]]]:
+        by_mask: dict[int, list[_K]] = {}
+        for mask, key in items(state):
+            by_mask.setdefault(mask, []).append(key)
+        row: list[tuple[int, list[_K]]] = [(FULL_MASK, [])]
+        for mask, keys in by_mask.items():
+            row = [(m, to + keys if m & mask else to) for part, to in row for m in (part & mask, part & ~mask) if m]
         return [(m, frozenset(to)) for m, to in row]
 
-    states, rows = _explore(frozenset([0]), moves, "subset construction")
-    return rows, {i for i, state in enumerate(states) if state & last}
+    states, rows = _explore(start, moves, "subset construction")
+    return rows, {i for i, state in enumerate(states) if not state.isdisjoint(last)}
 
 
 def from_pattern(*patterns: object) -> Dfa:

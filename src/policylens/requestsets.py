@@ -10,8 +10,8 @@ per dimension, and denotes their product; it is empty iff any component is.
 Unions of cubes are closed under union, intersection and difference (the
 difference of two cubes distributes into at most one cube per dimension), so
 policy compilation and the permissiveness comparison stay exact.  A clause
-compiles as one alternation; a union of languages and a condition key's
-conjunction fold from the first; :func:`_cube_difference` settles trivial terms.
+compiles as one alternation and a projection as one union; a condition key's
+conjunction folds from the first; :func:`_cube_difference` settles trivial terms.
 
 Deny-overrides semantics: a policy's set is (union of allow-statement cubes)
 minus (union of deny-statement cubes): ``s = ⋃A ∖ ⋃D``, one fold of
@@ -30,10 +30,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Mapping
 
-from .automata import Dfa, empty_dfa, from_pattern, operation_cache, universe_dfa
+from .automata import Dfa, empty_dfa, from_pattern, operation_cache, union, universe_dfa
 from .errors import CubeBlowup, InsufficientLanguage, SchemaError, StateBlowup, VerificationError
 from .policy import Effect, PolicyDocument, WildcardPattern
 from .sampler import sample
@@ -159,12 +158,6 @@ def _check_cubes(count: int) -> None:
 # -- policy compilation -------------------------------------------------------
 
 
-def _union(languages: Iterable[Dfa]) -> Dfa:
-    """Union of the languages, folded left to right from the first; ∅ for none."""
-    langs = list(languages)
-    return reduce(Dfa.union, langs) if langs else empty_dfa()
-
-
 def _disjunction(patterns: Iterable[WildcardPattern], negated: bool) -> Dfa:
     """Union of the patterns' languages, as one alternation, complemented when ``negated``."""
     d = from_pattern(*patterns)
@@ -267,7 +260,7 @@ def policy_differences(
 def project(x: RequestSet, dim: str) -> Dfa:
     """Language of one dimension across all (non-empty) cubes."""
     i = x.schema.index(dim)
-    return _union(cube[i] for cube in x.cubes)
+    return union(*(cube[i] for cube in x.cubes))
 
 
 def contains(x: RequestSet, request: Mapping[str, str]) -> bool:

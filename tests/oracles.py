@@ -15,9 +15,13 @@ alone, with dead states found by a forward search from each state.  The
 set operations minimize the full product with Moore's rounds, and raise
 where the live-pair product passes the state cap; the cube difference
 builds every term with them, with no operation cache and no settled terms.
-A clause's language is also built the way the engine built it before it
-compiled a clause as one alternation: one DFA per pattern, folded by union
-(:func:`reference_disjunction`).  Padding (:func:`reference_pad`) reshapes a
+A union is the left fold the engine ran before it built one subset
+construction: ``¬(¬a ∩ ¬b)`` by :func:`reference_product`, operand by
+operand (:func:`reference_union`); :func:`union_subsets` walks the subsets
+that construction explores, to check where it passes the state cap.  A
+clause's language is also built the way the engine built it before it
+compiled a clause as one alternation: one DFA per pattern, folded by that
+union (:func:`reference_disjunction`).  Padding (:func:`reference_pad`) reshapes a
 request set onto more dimensions, each new one unconstrained: two policies
 compiled apart, padded and differenced check a pair compiled over one schema.
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from policylens import automata, sampler
@@ -37,7 +41,7 @@ from policylens.alphabet import FULL_MASK, chars_of
 from policylens.errors import EmptyLanguage, StateBlowup
 from policylens.policy import Effect, PolicyDocument
 from policylens.regex import EPSILON, CharClass, Concat, Empty, Epsilon, RegexAst, Star, Union, union_children
-from policylens.requestsets import DimensionSchema, RequestSet, _union
+from policylens.requestsets import DimensionSchema, RequestSet
 
 # The universe as a table, the counting walk's other side for a count of models.
 UNIVERSE_TABLE = automata.universe_dfa().table
@@ -520,10 +524,34 @@ def table_dfa(rows, start: int, accepting) -> automata.Dfa:
     return automata._canonicalize(reached, {i for i, s in enumerate(states) if s in accepting})
 
 
+def reference_union(*dfas) -> automata.Dfa:
+    """The union of the languages, folded left to right from the first by
+    :func:`reference_product`; ∅ for none."""
+    return reduce(lambda a, b: reference_product("union", a, b), dfas) if dfas else automata.empty_dfa()
+
+
+def union_subsets(dfas, cap: float | None = None) -> list[frozenset]:
+    """The sets of (operand, live state) pairs the subset construction of the
+    union of the distinct ``dfas`` reaches from each operand's start, the
+    empty set standing for the sink; ``cap`` as in :func:`_explore`.  A
+    state's parts refine its members' masks, each part leading to the pairs
+    of the live states it reaches."""
+    operands = list(dict.fromkeys(dfas))
+    live = [_live(d.transitions, d.accepting) for d in operands]
+
+    def moves(cur):
+        rows = [(i, operands[i].transitions[s]) for i, s in cur]
+        for part in _refine(mask for _, row in rows for mask, _ in row):
+            yield part, frozenset((i, t) for i, row in rows for mask, t in row if mask & part and t in live[i])
+
+    start = frozenset((i, 0) for i in range(len(operands)) if 0 in live[i])
+    return _explore(start, moves, "subset construction", cap)[0]
+
+
 def reference_disjunction(patterns) -> automata.Dfa:
     """The union of the patterns' languages, each compiled on its own and
-    folded left to right by the engine's union."""
-    return _union(automata.from_pattern(p) for p in patterns)
+    folded left to right by :func:`reference_union`."""
+    return reference_union(*(automata.from_pattern(p) for p in patterns))
 
 
 def reference_pad(x: RequestSet, schema: DimensionSchema) -> RequestSet:

@@ -1,5 +1,6 @@
 """Print the scale table: CLI wall time and peak RSS of ``compare``,
-``diff`` and ``requests -k 3`` on seeded random policies of n statements.
+``diff``, ``requests -k 3``, ``summarize`` and ``count -b 100`` on seeded
+random policies of n statements.
 
 Usage: ``python tests/scale_table.py [CHECKOUT]``
 
@@ -9,7 +10,8 @@ a time includes interpreter start.  For each n in ``SIZES`` the first policy
 is ``perfbench/inputs.random_policy(random.Random(f"scale/{n}/0"), n)``; the
 second replaces one clause of one statement drawn from the same stream
 (``rng.randrange(n)``, then ``inputs._edit_statement``).  ``compare`` and
-``diff`` run on the pair, ``requests -k 3`` on the first policy.  Each cell
+``diff`` run on the pair; ``requests -k 3``, ``summarize`` (its defaults,
+so the mock provider) and ``count -b 100`` on the first policy.  Each cell
 is the child's wall time and peak RSS.  The table reports; it checks
 nothing, since times depend on the machine and its load.  The file name
 keeps pytest from collecting it.
@@ -57,8 +59,8 @@ def run(checkout: Path, *args: str) -> tuple[float, float, int]:
 def main(argv: list[str]) -> int:
     checkout = Path(argv[1] if len(argv) > 1 else ROOT).resolve()
     print(f"scale table of {checkout} (CLI wall time and peak RSS; exit code when not 0)")
-    print("| n | `compare` | `diff` | `requests -k 3` |")
-    print("|---|---|---|---|")
+    print("| n | `compare` | `diff` | `requests -k 3` | `summarize` | `count -b 100` |")
+    print("|---|---|---|---|---|---|")
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:
             paths = [Path(tmp, f"scale-{n}-{side}.json") for side in (1, 2)]
@@ -66,7 +68,14 @@ def main(argv: list[str]) -> int:
                 path.write_text(text)
             first, second = map(str, paths)
             cells = []
-            for args in (("compare", first, second), ("diff", first, second), ("requests", "-k", "3", first)):
+            commands = (
+                ("compare", first, second),
+                ("diff", first, second),
+                ("requests", "-k", "3", first),
+                ("summarize", first),
+                ("count", "-b", "100", first),
+            )
+            for args in commands:
                 seconds, rss, code = run(checkout, *args)
                 cells.append(f"{seconds:.2f} s, {rss:.0f} MB" + (f" (exit {code})" if code else ""))
             print(f"| {n} | {' | '.join(cells)} |", flush=True)

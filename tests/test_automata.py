@@ -4,7 +4,7 @@ import gc
 import random
 import signal
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +21,7 @@ from policylens.automata import (
     from_pattern,
     from_regex,
     operation_cache,
+    union,
     universe_dfa,
 )
 from policylens.errors import AlphabetError, EmptyLanguage, StateBlowup
@@ -37,8 +38,10 @@ from oracles import (
     re_accepts,
     reference_count_models,
     reference_product,
+    reference_union,
     strings_up_to,
     table_dfa,
+    union_subsets,
 )
 from test_regex import SMALL as ABC, ast_strategy
 
@@ -73,7 +76,7 @@ def test_boolean_algebra_examples():
     for s in strings_up_to("ab", 3):
         assert inter.accepts(s) == (glob_match("a*", s) and glob_match("*b", s))
 
-    assert a_star.union(empty_dfa()) == a_star
+    assert union(a_star, empty_dfa()) == a_star
     assert a_star.difference(a_star).is_empty()
     assert a_star.difference(universe_dfa()).is_empty()
 
@@ -146,7 +149,7 @@ def test_count_models_monotone_and_inclusion_exclusion():
     b = from_pattern("*b").intersect(sub_star("ab"))
     for bound in range(5):
         assert a.count_models(bound) <= a.count_models(bound + 1)
-        lhs = a.union(b).count_models(bound) + a.intersect(b).count_models(bound)
+        lhs = union(a, b).count_models(bound) + a.intersect(b).count_models(bound)
         assert lhs == a.count_models(bound) + b.count_models(bound)
 
 
@@ -391,7 +394,7 @@ def test_a_scope_interns_one_object_per_language():
         assert from_regex(parse_regex("(a*b*)*")) is a
         assert a.complement().complement() is a
         assert from_pattern("a*").intersect(from_pattern("*b")) is from_pattern("a*b")
-        assert a.union(a.complement()) is universe_dfa()
+        assert union(a, a.complement()) is universe_dfa()
         assert a.complement().complement().complement() is a.complement()
         assert from_pattern("*") is universe_dfa() and a.difference(a) is empty_dfa()
 
@@ -443,22 +446,24 @@ def test_a_command_leaves_no_reference_cycle(music_doc):
 
 def test_state_blowup_repeats_and_is_never_cached(monkeypatch):
     a, b = from_pattern("*a?"), from_pattern("*b?")
-    expected = a.union(b)
+    expected = union(a, b)
     assert min(a.state_count, b.state_count) > 2
     with operation_cache() as cache:
         monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
         for _ in range(2):  # a blowup is never stored, so it repeats
-            with pytest.raises(StateBlowup, match="product construction exceeded"):
-                a.union(b)
+            with pytest.raises(StateBlowup, match="subset construction exceeded"):
+                union(a, b)
             with pytest.raises(StateBlowup, match="subset construction exceeded"):
                 from_pattern("*a??")
-        for fn in (Dfa.intersect, automata._compile_pattern):
-            assert (cache.hits[fn], cache.misses[fn], _keys_of(cache, fn)) == (0, 2, [])
+        fn = automata._compile_pattern
+        assert (cache.hits[fn], cache.misses[fn], _keys_of(cache, fn)) == (0, 2, [])
         monkeypatch.undo()  # back to the default cap, in the same scope
-        assert a.union(b) == expected
+        assert union(a, b) == expected
         from_pattern("*a??")
-        for fn in (Dfa.intersect, automata._compile_pattern):
-            assert len(_keys_of(cache, fn)) == 1
+        assert len(_keys_of(cache, fn)) == 1
+        # a union builds no product and has no memo entry of its own
+        assert (cache.misses[Dfa.intersect], _keys_of(cache, Dfa.intersect)) == (0, [])
+        assert not any(key[0] is union for key in cache.table)
 
 
 def test_canonicalization_collapses_equivalent_states():
@@ -573,10 +578,10 @@ def test_extraction_round_trip_property(r):
 @given(small_regex(), small_regex())
 def test_product_ops_match_set_semantics(r1, r2):
     d1, d2 = from_regex(r1), from_regex(r2)
-    union, inter, diff = d1.union(d2), d1.intersect(d2), d1.difference(d2)
+    either, inter, diff = union(d1, d2), d1.intersect(d2), d1.difference(d2)
     for s in strings_up_to(SMALL, 3):
         a, b = d1.accepts(s), d2.accepts(s)
-        assert union.accepts(s) == (a or b)
+        assert either.accepts(s) == (a or b)
         assert inter.accepts(s) == (a and b)
         assert diff.accepts(s) == (a and not b)
 
@@ -584,20 +589,27 @@ def test_product_ops_match_set_semantics(r1, r2):
 # -- former identity-law cases -----------------------------------------------------
 
 _OPS = ("union", "intersect", "difference")
+_PRODUCTS = ("intersect", "difference")  # the operations that run the product
 
 
-def _law_cases(d: Dfa) -> list[tuple[str, Dfa, Dfa, Dfa]]:
-    """Every product of ``d`` against U, ∅, itself and an equal but distinct
-    copy, ``U∖d`` (the complement) included, with the DFA each must equal."""
+def _apply(op: str, a: Dfa, b: Dfa) -> Dfa:
+    return union(a, b) if op == "union" else getattr(a, op)(b)
+
+
+def _law_cases(d: Dfa, ops: tuple[str, ...] = _OPS) -> list[tuple[str, Dfa, Dfa, Dfa]]:
+    """Every operation of ``ops`` on ``d`` against U, ∅, itself and an equal
+    but distinct copy, ``U∖d`` (the complement) included, with the DFA each
+    must equal."""
     twin = Dfa(d.transitions, d.accepting)
     u, e = universe_dfa(), empty_dfa()
-    return [
+    cases = [
         *[(op, d, other, want) for other in (d, twin) for op, want in zip(_OPS, (d, d, e))],
         ("union", d, u, u), ("intersect", d, u, d), ("difference", d, u, e),
         ("union", u, d, u), ("intersect", u, d, d), ("difference", u, d, d.complement()),
         ("union", d, e, d), ("intersect", d, e, e), ("difference", d, e, d),
         ("union", e, d, d), ("intersect", e, d, e), ("difference", e, d, e),
     ]
+    return [case for case in cases if case[0] in ops]
 
 
 def _outcome(run):
@@ -607,14 +619,16 @@ def _outcome(run):
         return StateBlowup
 
 
-def _check_law_cases_against_the_product(d: Dfa, cap: int = automata.DEFAULT_STATE_CAP) -> None:
+def _check_law_cases_against_the_product(
+    d: Dfa, cap: int = automata.DEFAULT_STATE_CAP, ops: tuple[str, ...] = _OPS
+) -> None:
     """Under the state cap ``cap``, each former law case of ``d`` gives what
     the oracle product gives, result or StateBlowup, and a result is the DFA
     the law named."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
-        for op, a, b, want in _law_cases(d):
-            got = _outcome(lambda: getattr(a, op)(b))
+        for op, a, b, want in _law_cases(d, ops):
+            got = _outcome(lambda: _apply(op, a, b))
             assert got == _outcome(lambda: reference_product(op, a, b)), (op, a, b)
             assert got in (want, StateBlowup), (op, a, b)
 
@@ -626,7 +640,7 @@ def test_former_law_cases_match_the_product(r1, r2):
     _check_law_cases_against_the_product(d1)
     _check_law_cases_against_the_product(d2)
     for op in _OPS:
-        assert getattr(d1, op)(d2) == reference_product(op, d1, d2)
+        assert _apply(op, d1, d2) == reference_product(op, d1, d2)
 
 
 def test_former_law_cases_match_the_product_on_corpus_projections():
@@ -644,25 +658,25 @@ def test_former_law_cases_raise_where_the_product_raises(monkeypatch):
     n = d.state_count
     assert n > 2
     for cap in range(n + 2):
-        _check_law_cases_against_the_product(d, cap)
+        _check_law_cases_against_the_product(d, cap, _PRODUCTS)
     # One state short, a case raises exactly where the oracle's live pairs
     # need all n states; a product with an ∅ operand, ¬U included, is ∅ at
-    # once and raises nowhere.
+    # once and raises nowhere.  A union's cap is its own subsets' (below).
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", n - 1)
-    cases = _law_cases(d)
+    cases = _law_cases(d, _PRODUCTS)
     raised = [_outcome(lambda: getattr(a, op)(b)) is StateBlowup for op, a, b, _ in cases]
     assert raised == [_outcome(lambda: reference_product(op, a, b)) is StateBlowup for op, a, b, _ in cases]
     assert 0 < sum(raised) < len(cases)
 
 
 def _intersection_of(op: str, a: Dfa, b: Dfa) -> tuple[Dfa, Dfa]:
-    """The operands of the intersection ``a`` op ``b`` runs: a ∪ b = ¬(¬a ∩ ¬b), a ∖ b = a ∩ ¬b."""
-    return {"union": (a.complement(), b.complement()), "intersect": (a, b), "difference": (a, b.complement())}[op]
+    """The operands of the intersection ``a`` op ``b`` runs: a ∖ b = a ∩ ¬b."""
+    return {"intersect": (a, b), "difference": (a, b.complement())}[op]
 
 
 def test_set_operations_always_go_through_the_operation_cache():
     d = from_pattern("*a??")
-    cases = _law_cases(d)
+    cases = _law_cases(d, _PRODUCTS)
     keys = {_intersection_of(op, a, b) for op, a, b, _ in cases}
     with operation_cache() as cache:
         for op, a, b, _ in cases:
@@ -676,8 +690,58 @@ def test_set_operations_always_go_through_the_operation_cache():
 
 def test_every_product_key_is_an_intersection():
     a, b = from_pattern("*a?"), from_pattern("b*")
-    calls = [("union", a, b), ("difference", a, b), ("intersect", a, b), ("union", b, a)]
+    calls = [("difference", a, b), ("intersect", a, b), ("difference", b, a)]
     with operation_cache() as cache:
         for op, x, y in calls:
             getattr(x, op)(y)
     assert _keys_of(cache, Dfa.intersect) == [(Dfa.intersect, *_intersection_of(*call)) for call in calls]
+
+
+# -- the union -------------------------------------------------------------------
+
+
+@st.composite
+def _dfa_lists(draw) -> list[Dfa]:
+    """Lists of regex DFAs, with repeats, ∅ and U among them."""
+    pool = draw(st.lists(small_regex().map(from_regex), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from([*pool, empty_dfa(), universe_dfa()]), max_size=6))
+
+
+def _check_union(dfas: list[Dfa], caps: Iterable[int] = ()) -> int:
+    """``union(*dfas)`` equals the fold oracle; under each state cap of
+    ``caps`` it raises exactly where the oracle's walk over its subsets
+    passes the cap, and returns the fold's language where it does not.  ∅
+    for no operand, and one distinct operand as it is, under any cap.
+    Returns how many of ``caps`` raised."""
+    want, raised = reference_union(*dfas), 0
+    assert union(*dfas) == want
+    for cap in caps:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
+            if len(set(dfas)) < 2:
+                assert union(*dfas) is (dfas[0] if dfas else empty_dfa())
+            elif _outcome(lambda: union_subsets(dfas, cap)) is StateBlowup:
+                with pytest.raises(StateBlowup, match="subset construction exceeded"):
+                    union(*dfas)
+                raised += 1
+            else:
+                assert union(*dfas) == want
+    return raised
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dfa_lists())
+def test_union_matches_the_fold_and_raises_where_its_subsets_pass_the_cap(dfas):
+    n = len(union_subsets(dfas))
+    _check_union(dfas, {0, 1, n // 2, n - 1, n})
+
+
+def test_union_law_cases_raise_where_their_subsets_pass_the_cap():
+    d = from_pattern("*a??")
+    twin, u, e = Dfa(d.transitions, d.accepting), universe_dfa(), empty_dfa()
+    caps = raised = 0
+    for dfas in ([d, d], [d, twin], [d, u], [u, d], [d, e], [e, d], [d, d.complement()], [d, twin, u, e]):
+        n = len(union_subsets(dfas))
+        raised += _check_union(dfas, range(n + 2))
+        caps += n + 2
+    assert 0 < raised < caps

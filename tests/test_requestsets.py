@@ -34,7 +34,8 @@ from policylens.requestsets import (
 )
 
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
-from oracles import ref_decide, reference_cube_difference, reference_disjunction, reference_pad
+import scale_table
+from oracles import ref_decide, reference_cube_difference, reference_disjunction, reference_pad, reference_union
 from test_automata import _keys_of, small_regex
 
 SCHEMA = DimensionSchema()
@@ -104,6 +105,10 @@ def test_cube_difference_distribution_shape():
 
 def _no_product(*_):
     raise AssertionError("a product was built for a settled term")
+
+
+def _no_construction(*_):
+    raise AssertionError("an automaton was built")
 
 
 def test_cube_difference_settles_trivial_terms_without_a_product(monkeypatch):
@@ -210,11 +215,25 @@ def test_a_clause_compiles_to_the_union_of_its_patterns():
 
 
 def test_union_of_no_languages_is_empty_and_of_one_is_itself(monkeypatch):
-    assert requestsets._union([]) == empty_dfa()
-    x = d("a*b")
-    monkeypatch.setattr(automata, "_pair_moves", _no_product)
-    assert requestsets._union([x]) is x
-    assert requestsets._union(iter([x])) is x
+    assert automata.union() is empty_dfa()
+    x, twin = d("a*b"), d("a*b")
+    assert x is not twin and x == twin
+    monkeypatch.setattr(automata, "_explore", _no_construction)
+    assert automata.union(x) is x
+    assert automata.union(x, x) is x and automata.union(x, twin) is x
+
+
+def test_a_projection_is_the_fold_of_its_components_on_the_corpus_and_scale_policies():
+    docs = [parse_policy(p.read_text()) for p in corpus_paths()]
+    docs += [parse_policy(text) for n in scale_table.SIZES for text in scale_table.scale_pair(n)]
+    checked = 0
+    for doc in docs:
+        x = compile_policy(doc)
+        for i, dim in enumerate(x.schema.dimensions):
+            # the fold runs over each distinct component once: a repeat adds nothing
+            assert project(x, dim) == reference_union(*dict.fromkeys(cube[i] for cube in x.cubes)), dim
+            checked += len(x.cubes) > 1
+    assert checked > 30
 
 
 def test_cube_operations_match_brute_force():
