@@ -14,7 +14,7 @@ orders the edges.  One subset construction (:func:`_subsets`) builds a regex's
 table and a union's: a state is a set of keys, and each mask of the keys that
 can follow splits its row's parts.  For a regex (:func:`from_regex`; a policy
 clause is one alternation) the keys are its Glushkov positions, which need no
-ε-closures; for :func:`union` they are (operand, live state) pairs.
+ε-closures; for each step of :func:`union` they are (operand, live state) pairs.
 :meth:`Dfa.intersect` is the one product: a pair's row is the nonzero
 intersections of its two rows' masks (:func:`_pair_moves`).  It explores only
 pairs of live states (:func:`_live_edges`): every edge into a pair with a dead
@@ -92,6 +92,7 @@ from .regex import (
 
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_POSITION_CAP = 100_000  # the corpus, benchmark inputs and CLI cases reach 2,401
+UNION_STEP = 4  # operands per subset construction of a union, the running union among them
 
 _Row = tuple[tuple[int, int], ...]  # ((mask, target), ...) partitioning the alphabet
 _Pair = tuple[int, int]
@@ -601,15 +602,27 @@ def _subset_rows(r: RegexAst) -> _Table:
 
 
 def union(*dfas: Dfa) -> Dfa:
-    """The union of the languages, by one subset construction over (operand,
-    live state) pairs: ∅ for none, the operand itself for one distinct one."""
+    """The union of the languages: ∅ for none, the operand itself for one
+    distinct one, U when one is U.  A left fold: each step is one subset
+    construction over the (operand, live state) pairs of the running union
+    and the next operands, :data:`UNION_STEP` in all, then minimized, since
+    the sets of many operands' states can number the product of their sizes.
+    A set holding an operand's accept-all state moves to that state alone."""
     operands = list(dict.fromkeys(dfas))
-    if len(operands) < 2:
-        return operands[0] if operands else _EMPTY_DFA
-    edges = [d.live_edges for d in operands]
-    start = frozenset((i, 0) for i, e in enumerate(edges) if e is not None)
-    last = {(i, s) for i, d in enumerate(operands) for s in d.accepting}
-    return _canonicalize(*_subsets(start, lambda state: [(m, (i, t)) for i, s in state for m, t in edges[i][s]], last))
+    while len(operands) > 1 and _UNIVERSE_DFA not in operands:
+        step, operands = operands[:UNION_STEP], operands[UNION_STEP:]
+        edges = [d.live_edges for d in step]
+        full = {(i, s) for i, d in enumerate(step) for s in d.accepting if d.transitions[s] == ((FULL_MASK, s),)}
+
+        def items(state: frozenset[_Pair]) -> list[tuple[int, _Pair]]:
+            if top := full & state:  # an accept-all state decides the set
+                return [(FULL_MASK, min(top))]
+            return [(m, (i, t)) for i, s in state for m, t in edges[i][s]]
+
+        start = frozenset((i, 0) for i, e in enumerate(edges) if e is not None)
+        table = _subsets(start, items, {(i, s) for i, d in enumerate(step) for s in d.accepting})
+        operands.insert(0, _canonicalize(*table))
+    return _UNIVERSE_DFA if _UNIVERSE_DFA in operands else operands[0] if operands else _EMPTY_DFA
 
 
 def _subsets(start: frozenset[_K], items: Callable[[frozenset[_K]], list[tuple[int, _K]]], last: AbstractSet[_K]) -> _Table:

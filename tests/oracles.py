@@ -530,16 +530,34 @@ def reference_union(*dfas) -> automata.Dfa:
     return reduce(lambda a, b: reference_product("union", a, b), dfas) if dfas else automata.empty_dfa()
 
 
-def union_subsets(dfas, cap: float | None = None) -> list[frozenset]:
-    """The sets of (operand, live state) pairs the subset construction of the
-    union of the distinct ``dfas`` reaches from each operand's start, the
-    empty set standing for the sink; ``cap`` as in :func:`_explore`.  A
-    state's parts refine its members' masks, each part leading to the pairs
-    of the live states it reaches."""
-    operands = list(dict.fromkeys(dfas))
+def union_subsets(dfas, cap: float | None = None) -> list[list[frozenset]]:
+    """The sets of (operand, live state) pairs each subset construction of
+    the union of the distinct ``dfas`` reaches, in the order
+    :func:`automata.union` folds them: ``automata.UNION_STEP`` operands a
+    step, the step's union (:func:`reference_union`) then first among the
+    rest, until one operand is left or one is U.  ``cap`` as in
+    :func:`_explore`."""
+    operands, walks = list(dict.fromkeys(dfas)), []
+    while len(operands) > 1 and automata.universe_dfa() not in operands:
+        step, operands = operands[: automata.UNION_STEP], operands[automata.UNION_STEP :]
+        walks.append(_union_walk(step, cap))
+        operands.insert(0, reference_union(*step))
+    return walks
+
+
+def _union_walk(operands, cap: float | None) -> list[frozenset]:
+    """The sets of (operand, live state) pairs reachable from the operands'
+    starts, the empty set standing for the sink.  A set's parts refine its
+    members' masks, each part leading to the pairs of the live states it
+    reaches; but a set holding an accepting state that loops on every
+    character moves on every character to the least such pair alone."""
     live = [_live(d.transitions, d.accepting) for d in operands]
+    loops = {(i, s) for i, d in enumerate(operands) for s in d.accepting if all(t == s for _, t in d.transitions[s])}
 
     def moves(cur):
+        if cur & loops:
+            yield FULL_MASK, frozenset([min(cur & loops)])
+            return
         rows = [(i, operands[i].transitions[s]) for i, s in cur]
         for part in _refine(mask for _, row in rows for mask, _ in row):
             yield part, frozenset((i, t) for i, row in rows for mask, t in row if mask & part and t in live[i])

@@ -703,37 +703,66 @@ def test_every_product_key_is_an_intersection():
 @st.composite
 def _dfa_lists(draw) -> list[Dfa]:
     """Lists of regex DFAs, with repeats, ∅ and U among them."""
-    pool = draw(st.lists(small_regex().map(from_regex), min_size=1, max_size=3))
-    return draw(st.lists(st.sampled_from([*pool, empty_dfa(), universe_dfa()]), max_size=6))
+    pool = draw(st.lists(small_regex().map(from_regex), min_size=1, max_size=7))
+    return draw(st.lists(st.sampled_from([*pool, empty_dfa(), universe_dfa()]), max_size=10))
 
 
 def _check_union(dfas: list[Dfa], caps: Iterable[int] = ()) -> int:
     """``union(*dfas)`` equals the fold oracle; under each state cap of
-    ``caps`` it raises exactly where the oracle's walk over its subsets
-    passes the cap, and returns the fold's language where it does not.  ∅
-    for no operand, and one distinct operand as it is, under any cap.
-    Returns how many of ``caps`` raised."""
+    ``caps`` it raises exactly where one of the oracle's walks over its
+    subsets passes the cap, and returns the fold's language where none does.
+    ∅ for no operand, one distinct operand as it is, and U when U is one,
+    under any cap.  Returns how many of ``caps`` raised."""
     want, raised = reference_union(*dfas), 0
     assert union(*dfas) == want
     for cap in caps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
-            if len(set(dfas)) < 2:
-                assert union(*dfas) is (dfas[0] if dfas else empty_dfa())
-            elif _outcome(lambda: union_subsets(dfas, cap)) is StateBlowup:
+            if _outcome(lambda: union_subsets(dfas, cap)) is StateBlowup:
                 with pytest.raises(StateBlowup, match="subset construction exceeded"):
                     union(*dfas)
                 raised += 1
+            elif universe_dfa() in dfas or len(set(dfas)) < 2:
+                assert union(*dfas) is (universe_dfa() if universe_dfa() in dfas else dfas[0] if dfas else empty_dfa())
             else:
                 assert union(*dfas) == want
     return raised
 
 
+def _most_subsets(dfas: list[Dfa]) -> int:
+    """The most subsets one step of ``union(*dfas)`` explores."""
+    return max(map(len, union_subsets(dfas)), default=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_dfa_lists())
 def test_union_matches_the_fold_and_raises_where_its_subsets_pass_the_cap(dfas):
-    n = len(union_subsets(dfas))
+    n = _most_subsets(dfas)
     _check_union(dfas, {0, 1, n // 2, n - 1, n})
+
+
+_WORDS = "secret password token private key admin backup config credential internal finance payroll hr legal ops dev".split()
+_UNANCHORED = {
+    "*c*": [f"*{c}*" for c in "abcdefghijklmnopq"],
+    "*c*z": [f"*{c}*z" for c in "abcdefghijklmnopq"],
+    "*word*": [f"*{w}*" for w in _WORDS],
+    "bucket/*/word/*.pdf": [f"bucket/*/{w}/*.pdf" for w in _WORDS],
+}
+
+
+@pytest.mark.parametrize("name", list(_UNANCHORED))
+def test_a_union_of_unanchored_patterns_stays_small(name):
+    # One subset construction over all the operands keeps an operand that
+    # has seen its letter or word in every later set, beside those still
+    # waiting for theirs: on the 17 `*c*` or `*c*z` patterns it passes the
+    # default cap.
+    dfas = [from_pattern(p) for p in _UNANCHORED[name]]
+    n = _most_subsets(dfas)
+    assert n < 1_000
+    _check_union(dfas, {n - 1, n})
+    for i in (0, 5, len(dfas)):
+        with_u = [*dfas[:i], universe_dfa(), *dfas[i:]]
+        assert union(*with_u) is universe_dfa() and union_subsets(with_u) == []
 
 
 def test_union_law_cases_raise_where_their_subsets_pass_the_cap():
@@ -741,7 +770,7 @@ def test_union_law_cases_raise_where_their_subsets_pass_the_cap():
     twin, u, e = Dfa(d.transitions, d.accepting), universe_dfa(), empty_dfa()
     caps = raised = 0
     for dfas in ([d, d], [d, twin], [d, u], [u, d], [d, e], [e, d], [d, d.complement()], [d, twin, u, e]):
-        n = len(union_subsets(dfas))
+        n = _most_subsets(dfas)
         raised += _check_union(dfas, range(n + 2))
         caps += n + 2
     assert 0 < raised < caps

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from policylens import automata, requestsets
+from policylens import automata, cli, requestsets
 from policylens.automata import Dfa, OperationCache, empty_dfa, from_pattern, from_regex, operation_cache, universe_dfa
 from policylens.errors import CubeBlowup, InsufficientLanguage, SchemaError, StateBlowup
 from policylens.policy import Effect, parse_policy
@@ -234,6 +235,27 @@ def test_a_projection_is_the_fold_of_its_components_on_the_corpus_and_scale_poli
             assert project(x, dim) == reference_union(*dict.fromkeys(cube[i] for cube in x.cubes)), dim
             checked += len(x.cubes) > 1
     assert checked > 30
+
+
+def test_a_projection_of_many_unanchored_resources_is_the_fold(tmp_path):
+    # Allows whose resources start with "*" do not die apart, as the scale
+    # policies' anchored prefixes do; one of them with Resource "*" makes
+    # the projection U.
+    for name, resources in [
+        ("*c*", [f"*{c}*" for c in "abcdefghijklmnopq"]),
+        ("*word*.pdf", [f"bucket/*{w}*.pdf" for w in "secret private admin backup config finance payroll hr legal ops dev".split()]),
+    ]:
+        for extra in ([], ["*"]):
+            statements = [{"Effect": "Allow", "Principal": "*", "Action": "s3:GetObject", "Resource": r} for r in resources + extra]
+            text = json.dumps({"Version": "2012-10-17", "Statement": statements})
+            x = compile_policy(parse_policy(text))
+            i = x.schema.index("resource")
+            got = project(x, "resource")
+            assert got == reference_union(*dict.fromkeys(cube[i] for cube in x.cubes)), name
+            assert (got == universe_dfa()) == bool(extra)
+            path = tmp_path / "p.json"
+            path.write_text(text)
+            assert CliRunner().invoke(cli.main, ["count", str(path), "--no-timestamp"]).exit_code == 0
 
 
 def test_cube_operations_match_brute_force():
