@@ -10,18 +10,17 @@ accepting set.  State 0 is always the start state.
 Construction paths: one worklist kernel, :func:`_explore`, numbers the states
 of every automaton built here, in the order it discovers them from state 0.
 Every row is built by intersecting masks and left unordered; canonicalization
-orders the edges.  One subset construction (:func:`_subsets`) builds a regex's
-table and a union's: a state is a set of keys, and each mask of the keys that
-can follow splits its row's parts.  For a regex (:func:`from_regex`; a policy
-clause is one alternation) the keys are its Glushkov positions, which need no
-ε-closures; for each step of :func:`union` they are (operand, live state) pairs.
-:meth:`Dfa.intersect` is the one product: a pair's row is the nonzero
-intersections of its two rows' masks (:func:`_pair_moves`).  It explores only
-pairs of live states (:func:`_live_edges`): every edge into a pair with a dead
-side goes to one sink, and a dead start pair is ∅ at once.  As complements are
-free on canonical total DFAs, :meth:`Dfa.difference` is ``a ∩ ¬b``.  A product
-that copies an operand (:func:`_copies`) is that operand, so ``a.intersect(a)``
-is ``a``; any other table is minimized by Hopcroft refinement and renumbered.
+orders the edges.  A regex (:func:`from_regex`; a policy clause is one
+alternation) compiles by subset construction over its Glushkov positions,
+which need no ε-closures.  :meth:`Dfa.intersect` is the one product: a pair's
+row is the nonzero intersections of its two rows' masks (:func:`_pair_moves`).
+It explores only pairs of live states (:func:`_live_edges`): every edge into a
+pair with a dead side goes to one sink, and a dead start pair is ∅ at once.
+As complements are free on canonical total DFAs, the product serves all
+three operations: :meth:`Dfa.difference` is ``a ∩ ¬b``, and :func:`union` is
+``¬(¬a ∩ ¬b ∩ …)``, a balanced fold of products.  A product that copies an
+operand (:func:`_copies`) is that operand, so ``a.intersect(a)`` is ``a``;
+any other table is minimized by Hopcroft refinement and renumbered.
 The tests check the table builders and every product against the oracles'
 kernels.  The kernel is the one place that raises
 :class:`~policylens.errors.StateBlowup` on states, when more are reachable than
@@ -46,8 +45,8 @@ exhaustive enumeration.
 Operation cache: a function decorated :func:`memoized` is memoized on
 ``(function, *arguments)`` inside an :func:`operation_cache` scope, whose one
 table holds everything derived.  The memoized functions are the one product,
-:meth:`Dfa.intersect` (so a difference is stored as the intersection it
-runs), :meth:`Dfa.complement`, a DFA's live-edge table
+:meth:`Dfa.intersect` (so a difference, and each step of a union, is stored
+as the intersection it runs), :meth:`Dfa.complement`, a DFA's live-edge table
 (:attr:`Dfa.live_edges`), :meth:`Dfa.count_models`, :meth:`Dfa.extract_regex`,
 pattern compilation (:func:`from_pattern`), :func:`_intern`, the sampler's
 draw programs, and the summarizer's candidate parses and scores.  The
@@ -92,7 +91,6 @@ from .regex import (
 
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_POSITION_CAP = 100_000  # the corpus, benchmark inputs and CLI cases reach 2,401
-UNION_STEP = 4  # operands per subset construction of a union, the running union among them
 
 _Row = tuple[tuple[int, int], ...]  # ((mask, target), ...) partitioning the alphabet
 _Pair = tuple[int, int]
@@ -592,56 +590,39 @@ def from_regex(r: RegexAst) -> Dfa:
 
 def _subset_rows(r: RegexAst) -> _Table:
     """The subset table of ``r``, whose keys are Glushkov positions: position 0
-    alone at the start, and the positions that can follow, each with its mask."""
+    alone at the start.  A row starts as the alphabet leading nowhere, and each
+    mask of the positions that can follow splits every part, the part inside
+    gaining that mask's positions."""
     masks, follow, last = _positions(r)
 
-    def items(state: frozenset[int]) -> list[tuple[int, int]]:
-        return [(masks[q], q) for q in set().union(*{f for p in state for f in follow[p]})]
+    def moves(state: frozenset[int]) -> list[tuple[int, frozenset[int]]]:
+        by_mask: dict[int, list[int]] = {}
+        for q in set().union(*{f for p in state for f in follow[p]}):
+            by_mask.setdefault(masks[q], []).append(q)
+        row: list[tuple[int, list[int]]] = [(FULL_MASK, [])]
+        for mask, qs in by_mask.items():
+            row = [(m, to + qs if m & mask else to) for part, to in row for m in (part & mask, part & ~mask) if m]
+        return [(m, frozenset(to)) for m, to in row]
 
-    return _subsets(frozenset([0]), items, last)
+    states, rows = _explore(frozenset([0]), moves, "subset construction")
+    return rows, {i for i, state in enumerate(states) if state & last}
 
 
 def union(*dfas: Dfa) -> Dfa:
     """The union of the languages: ∅ for none, the operand itself for one
-    distinct one, U when one is U.  A left fold: each step is one subset
-    construction over the (operand, live state) pairs of the running union
-    and the next operands, :data:`UNION_STEP` in all, then minimized, since
-    the sets of many operands' states can number the product of their sizes.
-    A set holding an operand's accept-all state moves to that state alone."""
+    distinct one, U when one is U.  Otherwise ``¬(¬a ∩ ¬b ∩ …)``, the
+    intersection a balanced fold of the one product: each level pairs
+    adjacent complements, and an odd one out carries to the next level."""
     operands = list(dict.fromkeys(dfas))
-    while len(operands) > 1 and _UNIVERSE_DFA not in operands:
-        step, operands = operands[:UNION_STEP], operands[UNION_STEP:]
-        edges = [d.live_edges for d in step]
-        full = {(i, s) for i, d in enumerate(step) for s in d.accepting if d.transitions[s] == ((FULL_MASK, s),)}
-
-        def items(state: frozenset[_Pair]) -> list[tuple[int, _Pair]]:
-            if top := full & state:  # an accept-all state decides the set
-                return [(FULL_MASK, min(top))]
-            return [(m, (i, t)) for i, s in state for m, t in edges[i][s]]
-
-        start = frozenset((i, 0) for i, e in enumerate(edges) if e is not None)
-        table = _subsets(start, items, {(i, s) for i, d in enumerate(step) for s in d.accepting})
-        operands.insert(0, _canonicalize(*table))
-    return _UNIVERSE_DFA if _UNIVERSE_DFA in operands else operands[0] if operands else _EMPTY_DFA
-
-
-def _subsets(start: frozenset[_K], items: Callable[[frozenset[_K]], list[tuple[int, _K]]], last: AbstractSet[_K]) -> _Table:
-    """The total, unminimized table of the sets of keys reachable from
-    ``start``, accepting where one meets ``last``.  A row starts as the
-    alphabet leading to the empty set, and each mask of the state's ``(mask,
-    key)`` items splits every part, the part inside gaining that mask's keys."""
-
-    def moves(state: frozenset[_K]) -> list[tuple[int, frozenset[_K]]]:
-        by_mask: dict[int, list[_K]] = {}
-        for mask, key in items(state):
-            by_mask.setdefault(mask, []).append(key)
-        row: list[tuple[int, list[_K]]] = [(FULL_MASK, [])]
-        for mask, keys in by_mask.items():
-            row = [(m, to + keys if m & mask else to) for part, to in row for m in (part & mask, part & ~mask) if m]
-        return [(m, frozenset(to)) for m, to in row]
-
-    states, rows = _explore(start, moves, "subset construction")
-    return rows, {i for i, state in enumerate(states) if not state.isdisjoint(last)}
+    if _UNIVERSE_DFA in operands:
+        return _UNIVERSE_DFA
+    if len(operands) < 2:
+        return operands[0] if operands else _EMPTY_DFA
+    level = [d.complement() for d in operands]
+    while len(level) > 1:
+        pairs = [a.intersect(b) for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[-1:] if len(level) % 2 else pairs
+    return level[0].complement()
 
 
 def from_pattern(*patterns: object) -> Dfa:

@@ -10,8 +10,10 @@ per dimension, and denotes their product; it is empty iff any component is.
 Unions of cubes are closed under union, intersection and difference (the
 difference of two cubes distributes into at most one cube per dimension), so
 policy compilation and the permissiveness comparison stay exact.  A clause
-compiles as one alternation and a projection as one union; a condition key's
-conjunction folds from the first; :func:`_cube_difference` settles trivial terms.
+compiles as one alternation; a projection is the union of its components,
+built by the same product as every intersection and difference; a condition
+key's conjunction folds from the first; :func:`_cube_difference` settles
+trivial terms.
 
 Deny-overrides semantics: a policy's set is (union of allow-statement cubes)
 minus (union of deny-statement cubes): ``s = ⋃A ∖ ⋃D``, one fold of

@@ -15,15 +15,14 @@ alone, with dead states found by a forward search from each state.  The
 set operations minimize the full product with Moore's rounds, and raise
 where the live-pair product passes the state cap; the cube difference
 builds every term with them, with no operation cache and no settled terms.
-A union is the left fold the engine ran before it built one subset
-construction: ``¬(¬a ∩ ¬b)`` by :func:`reference_product`, operand by
-operand (:func:`reference_union`); :func:`union_subsets` walks the subsets
-that construction explores, to check where it passes the state cap.  A
-clause's language is also built the way the engine built it before it
-compiled a clause as one alternation: one DFA per pattern, folded by that
-union (:func:`reference_disjunction`).  Padding (:func:`reference_pad`) reshapes a
-request set onto more dimensions, each new one unconstrained: two policies
-compiled apart, padded and differenced check a pair compiled over one schema.
+A union is ``¬(¬a ∩ ¬b)`` by :func:`reference_product`, folded in the
+engine's pairing order (:func:`reference_union`), so it raises where the
+engine's fold does.  A clause's language is also built the way the engine
+built it before it compiled a clause as one alternation: one DFA per
+pattern, folded by that union (:func:`reference_disjunction`).  Padding
+(:func:`reference_pad`) reshapes a request set onto more dimensions, each
+new one unconstrained: two policies compiled apart, padded and differenced
+check a pair compiled over one schema.
 
 :func:`table_dfa` only builds inputs: it canonicalizes a raw table through
 the engine's own worklist and minimizer.
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import random
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 from policylens import automata, sampler
@@ -524,51 +523,26 @@ def table_dfa(rows, start: int, accepting) -> automata.Dfa:
     return automata._canonicalize(reached, {i for i, s in enumerate(states) if s in accepting})
 
 
-def reference_union(*dfas) -> automata.Dfa:
-    """The union of the languages, folded left to right from the first by
-    :func:`reference_product`; ∅ for none."""
-    return reduce(lambda a, b: reference_product("union", a, b), dfas) if dfas else automata.empty_dfa()
-
-
-def union_subsets(dfas, cap: float | None = None) -> list[list[frozenset]]:
-    """The sets of (operand, live state) pairs each subset construction of
-    the union of the distinct ``dfas`` reaches, in the order
-    :func:`automata.union` folds them: ``automata.UNION_STEP`` operands a
-    step, the step's union (:func:`reference_union`) then first among the
-    rest, until one operand is left or one is U.  ``cap`` as in
-    :func:`_explore`."""
-    operands, walks = list(dict.fromkeys(dfas)), []
-    while len(operands) > 1 and automata.universe_dfa() not in operands:
-        step, operands = operands[: automata.UNION_STEP], operands[automata.UNION_STEP :]
-        walks.append(_union_walk(step, cap))
-        operands.insert(0, reference_union(*step))
-    return walks
-
-
-def _union_walk(operands, cap: float | None) -> list[frozenset]:
-    """The sets of (operand, live state) pairs reachable from the operands'
-    starts, the empty set standing for the sink.  A set's parts refine its
-    members' masks, each part leading to the pairs of the live states it
-    reaches; but a set holding an accepting state that loops on every
-    character moves on every character to the least such pair alone."""
-    live = [_live(d.transitions, d.accepting) for d in operands]
-    loops = {(i, s) for i, d in enumerate(operands) for s in d.accepting if all(t == s for _, t in d.transitions[s])}
-
-    def moves(cur):
-        if cur & loops:
-            yield FULL_MASK, frozenset([min(cur & loops)])
-            return
-        rows = [(i, operands[i].transitions[s]) for i, s in cur]
-        for part in _refine(mask for _, row in rows for mask, _ in row):
-            yield part, frozenset((i, t) for i, row in rows for mask, t in row if mask & part and t in live[i])
-
-    start = frozenset((i, 0) for i in range(len(operands)) if 0 in live[i])
-    return _explore(start, moves, "subset construction", cap)[0]
+def reference_union(*dfas, steps: list | None = None) -> automata.Dfa:
+    """The union of the languages: ∅ for none, the operand itself for one
+    distinct one, U when one is U.  Otherwise a balanced fold of
+    :func:`reference_product` over the distinct operands: each level joins
+    adjacent operands, and an odd one out carries to the next level.  Each
+    joined pair is appended to ``steps`` when it is a list."""
+    level = list(dict.fromkeys(dfas))
+    if automata.universe_dfa() in level:
+        return automata.universe_dfa()
+    while len(level) > 1:
+        pairs = list(zip(level[::2], level[1::2]))
+        if steps is not None:
+            steps += pairs
+        level = [reference_product("union", a, b) for a, b in pairs] + level[2 * len(pairs) :]
+    return level[0] if level else automata.empty_dfa()
 
 
 def reference_disjunction(patterns) -> automata.Dfa:
     """The union of the patterns' languages, each compiled on its own and
-    folded left to right by :func:`reference_union`."""
+    folded by :func:`reference_union`."""
     return reference_union(*(automata.from_pattern(p) for p in patterns))
 
 

@@ -12,9 +12,17 @@ second replaces one clause of one statement drawn from the same stream
 (``rng.randrange(n)``, then ``inputs._edit_statement``).  ``compare`` and
 ``diff`` run on the pair; ``requests -k 3``, ``summarize`` (its defaults,
 so the mock provider) and ``count -b 100`` on the first policy.  Each cell
-is the child's wall time and peak RSS.  The table reports; it checks
-nothing, since times depend on the machine and its load.  The file name
-keeps pytest from collecting it.
+is the child's wall time and peak RSS.
+
+A second table runs the same way on policies of 18 Allows whose resources
+start with ``*``, so a projection's components do not die apart as the
+random policies' anchored prefixes do (:data:`UNANCHORED`): ``count -b 100``
+and ``summarize`` on ``bucket/*/<word>/*.pdf``, and ``count -b 100`` alone
+on ``*<word>*``, whose ``summarize`` does not finish printing its exact
+regex (ROADMAP item 4).
+
+The tables report; they check nothing, since times depend on the machine
+and its load.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ from perfbench import inputs  # noqa: E402
 
 SIZES = (20, 40, 80, 160)
 CLI = "from policylens.cli import main; main()"
+WORDS = "secret password token private key admin backup config credential internal finance payroll hr legal ops dev audit billing".split()
+COUNT, SUMMARIZE = ("count", "-b", "100"), ("summarize",)
+# (resource pattern, the commands run on its policy)
+UNANCHORED = (("bucket/*/{}/*.pdf", (COUNT, SUMMARIZE)), ("*{}*", (COUNT,)))
 
 
 def scale_pair(n: int) -> tuple[str, str]:
@@ -46,6 +58,11 @@ def scale_pair(n: int) -> tuple[str, str]:
     return inputs._doc(first), inputs._doc(second)
 
 
+def unanchored_policy(pattern: str) -> str:
+    """JSON text of one Allow per word of :data:`WORDS` on ``pattern`` filled with it."""
+    return inputs._doc([{"Effect": "Allow", "Principal": "*", "Action": "s3:GetObject", "Resource": pattern.format(w)} for w in WORDS])
+
+
 def run(checkout: Path, *args: str) -> tuple[float, float, int]:
     """Wall seconds, peak RSS in MB and exit code of one CLI child."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
@@ -54,6 +71,11 @@ def run(checkout: Path, *args: str) -> tuple[float, float, int]:
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
     return time.perf_counter() - start, usage.ru_maxrss / 1024, child.returncode
+
+
+def cell(checkout: Path, *args: str) -> str:
+    seconds, rss, code = run(checkout, *args)
+    return f"{seconds:.2f} s, {rss:.0f} MB" + (f" (exit {code})" if code else "")
 
 
 def main(argv: list[str]) -> int:
@@ -67,7 +89,6 @@ def main(argv: list[str]) -> int:
             for path, text in zip(paths, scale_pair(n)):
                 path.write_text(text)
             first, second = map(str, paths)
-            cells = []
             commands = (
                 ("compare", first, second),
                 ("diff", first, second),
@@ -75,10 +96,16 @@ def main(argv: list[str]) -> int:
                 ("summarize", first),
                 ("count", "-b", "100", first),
             )
-            for args in commands:
-                seconds, rss, code = run(checkout, *args)
-                cells.append(f"{seconds:.2f} s, {rss:.0f} MB" + (f" (exit {code})" if code else ""))
+            cells = [cell(checkout, *args) for args in commands]
             print(f"| {n} | {' | '.join(cells)} |", flush=True)
+        print(f"\n{len(WORDS)} Allows, one per word, on an unanchored resource (-: not run)")
+        print("| resource | `count -b 100` | `summarize` |")
+        print("|---|---|---|")
+        for pattern, run_on in UNANCHORED:
+            path = Path(tmp, "unanchored.json")
+            path.write_text(unanchored_policy(pattern))
+            cells = [cell(checkout, *args, str(path)) if args in run_on else "-" for args in (COUNT, SUMMARIZE)]
+            print(f"| `{pattern.format('<word>')}` | {' | '.join(cells)} |", flush=True)
     return 0
 
 

@@ -34,6 +34,7 @@ from conftest import ALLOW_ALL_POLICY, MUSIC_POLICY, POLICY_DIR, corpus_paths
 from oracles import (
     UNIVERSE_TABLE,
     glob_match,
+    live_product_rows,
     moore_canonical,
     re_accepts,
     reference_count_models,
@@ -41,7 +42,6 @@ from oracles import (
     reference_union,
     strings_up_to,
     table_dfa,
-    union_subsets,
 )
 from test_regex import SMALL as ABC, ast_strategy
 
@@ -399,6 +399,14 @@ def test_a_scope_interns_one_object_per_language():
         assert from_pattern("*") is universe_dfa() and a.difference(a) is empty_dfa()
 
 
+def test_a_union_with_a_subset_is_the_superset_itself():
+    # ¬logs/* ⊆ ¬logs/a, so the product of the complements copies ¬logs/*,
+    # whose complement in the scope is logs/* itself
+    with operation_cache():
+        a, b = from_pattern("logs/*"), from_pattern("logs/a")
+        assert union(a, b) is a and union(b, a) is a
+
+
 def test_nothing_is_interned_outside_a_scope():
     with operation_cache():
         inside = from_regex(parse_regex("(a|b)*"))
@@ -451,18 +459,19 @@ def test_state_blowup_repeats_and_is_never_cached(monkeypatch):
     with operation_cache() as cache:
         monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
         for _ in range(2):  # a blowup is never stored, so it repeats
-            with pytest.raises(StateBlowup, match="subset construction exceeded"):
+            with pytest.raises(StateBlowup, match="product construction exceeded"):
                 union(a, b)
             with pytest.raises(StateBlowup, match="subset construction exceeded"):
                 from_pattern("*a??")
-        fn = automata._compile_pattern
-        assert (cache.hits[fn], cache.misses[fn], _keys_of(cache, fn)) == (0, 2, [])
+        for fn in (automata._compile_pattern, Dfa.intersect):
+            assert (cache.hits[fn], cache.misses[fn], _keys_of(cache, fn)) == (0, 2, [])
         monkeypatch.undo()  # back to the default cap, in the same scope
         assert union(a, b) == expected
         from_pattern("*a??")
-        assert len(_keys_of(cache, fn)) == 1
-        # a union builds no product and has no memo entry of its own
-        assert (cache.misses[Dfa.intersect], _keys_of(cache, Dfa.intersect)) == (0, [])
+        assert len(_keys_of(cache, automata._compile_pattern)) == 1
+        # a union's step is stored as the intersection of the complements it
+        # runs, and the union has no memo entry of its own
+        assert _keys_of(cache, Dfa.intersect) == [(Dfa.intersect, a.complement(), b.complement())]
         assert not any(key[0] is union for key in cache.table)
 
 
@@ -589,7 +598,7 @@ def test_product_ops_match_set_semantics(r1, r2):
 # -- former identity-law cases -----------------------------------------------------
 
 _OPS = ("union", "intersect", "difference")
-_PRODUCTS = ("intersect", "difference")  # the operations that run the product
+_PRODUCTS = ("intersect", "difference")  # the operations that are one product
 
 
 def _apply(op: str, a: Dfa, b: Dfa) -> Dfa:
@@ -661,7 +670,7 @@ def test_former_law_cases_raise_where_the_product_raises(monkeypatch):
         _check_law_cases_against_the_product(d, cap, _PRODUCTS)
     # One state short, a case raises exactly where the oracle's live pairs
     # need all n states; a product with an ∅ operand, ¬U included, is ∅ at
-    # once and raises nowhere.  A union's cap is its own subsets' (below).
+    # once and raises nowhere.  A union's cap is its fold's (below).
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", n - 1)
     cases = _law_cases(d, _PRODUCTS)
     raised = [_outcome(lambda: getattr(a, op)(b)) is StateBlowup for op, a, b, _ in cases]
@@ -709,17 +718,17 @@ def _dfa_lists(draw) -> list[Dfa]:
 
 def _check_union(dfas: list[Dfa], caps: Iterable[int] = ()) -> int:
     """``union(*dfas)`` equals the fold oracle; under each state cap of
-    ``caps`` it raises exactly where one of the oracle's walks over its
-    subsets passes the cap, and returns the fold's language where none does.
-    ∅ for no operand, one distinct operand as it is, and U when U is one,
-    under any cap.  Returns how many of ``caps`` raised."""
+    ``caps`` it raises, as a product construction, exactly where the oracle
+    raises, and returns the fold's language where it does not.  ∅ for no
+    operand, one distinct operand as it is, and U when U is one, under any
+    cap.  Returns how many of ``caps`` raised."""
     want, raised = reference_union(*dfas), 0
     assert union(*dfas) == want
     for cap in caps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automata, "DEFAULT_STATE_CAP", cap)
-            if _outcome(lambda: union_subsets(dfas, cap)) is StateBlowup:
-                with pytest.raises(StateBlowup, match="subset construction exceeded"):
+            if _outcome(lambda: reference_union(*dfas)) is StateBlowup:
+                with pytest.raises(StateBlowup, match="product construction exceeded"):
                     union(*dfas)
                 raised += 1
             elif universe_dfa() in dfas or len(set(dfas)) < 2:
@@ -729,15 +738,18 @@ def _check_union(dfas: list[Dfa], caps: Iterable[int] = ()) -> int:
     return raised
 
 
-def _most_subsets(dfas: list[Dfa]) -> int:
-    """The most subsets one step of ``union(*dfas)`` explores."""
-    return max(map(len, union_subsets(dfas)), default=0)
+def _most_live_pairs(dfas: list[Dfa]) -> int:
+    """The most live pairs one step of ``union(*dfas)`` explores: the
+    oracle's live-pair product of the complements of each pair it joins."""
+    steps: list[tuple[Dfa, Dfa]] = []
+    reference_union(*dfas, steps=steps)
+    return max((len(live_product_rows(a.complement().table, b.complement().table)[0]) for a, b in steps), default=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_dfa_lists())
-def test_union_matches_the_fold_and_raises_where_its_subsets_pass_the_cap(dfas):
-    n = _most_subsets(dfas)
+def test_union_matches_the_fold_and_raises_where_the_fold_raises(dfas):
+    n = _most_live_pairs(dfas)
     _check_union(dfas, {0, 1, n // 2, n - 1, n})
 
 
@@ -750,27 +762,32 @@ _UNANCHORED = {
 }
 
 
+def _no_construction(*_):
+    raise AssertionError("an automaton was built")
+
+
 @pytest.mark.parametrize("name", list(_UNANCHORED))
 def test_a_union_of_unanchored_patterns_stays_small(name):
-    # One subset construction over all the operands keeps an operand that
-    # has seen its letter or word in every later set, beside those still
-    # waiting for theirs: on the 17 `*c*` or `*c*z` patterns it passes the
-    # default cap.
+    # Each step intersects two complements, whose pairs die once either
+    # side has seen its letter or word; U among the operands is the union
+    # before any product.
     dfas = [from_pattern(p) for p in _UNANCHORED[name]]
-    n = _most_subsets(dfas)
+    n = _most_live_pairs(dfas)
     assert n < 1_000
     _check_union(dfas, {n - 1, n})
     for i in (0, 5, len(dfas)):
         with_u = [*dfas[:i], universe_dfa(), *dfas[i:]]
-        assert union(*with_u) is universe_dfa() and union_subsets(with_u) == []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "_explore", _no_construction)
+            assert union(*with_u) is universe_dfa()
 
 
-def test_union_law_cases_raise_where_their_subsets_pass_the_cap():
+def test_union_law_cases_raise_where_the_fold_raises():
     d = from_pattern("*a??")
     twin, u, e = Dfa(d.transitions, d.accepting), universe_dfa(), empty_dfa()
     caps = raised = 0
     for dfas in ([d, d], [d, twin], [d, u], [u, d], [d, e], [e, d], [d, d.complement()], [d, twin, u, e]):
-        n = _most_subsets(dfas)
+        n = _most_live_pairs(dfas)
         raised += _check_union(dfas, range(n + 2))
         caps += n + 2
     assert 0 < raised < caps

@@ -37,7 +37,7 @@ from policylens.requestsets import (
 from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
 import scale_table
 from oracles import ref_decide, reference_cube_difference, reference_disjunction, reference_pad, reference_union
-from test_automata import _keys_of, small_regex
+from test_automata import _keys_of, _no_construction, small_regex
 
 SCHEMA = DimensionSchema()
 
@@ -106,10 +106,6 @@ def test_cube_difference_distribution_shape():
 
 def _no_product(*_):
     raise AssertionError("a product was built for a settled term")
-
-
-def _no_construction(*_):
-    raise AssertionError("an automaton was built")
 
 
 def test_cube_difference_settles_trivial_terms_without_a_product(monkeypatch):
