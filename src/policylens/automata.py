@@ -2,15 +2,15 @@
 
 Every :class:`Dfa` is *total* (each state has an outgoing transition for every
 alphabet symbol, grouped into disjoint character-class masks) and *canonical*
-(trimmed, minimized, states renumbered breadth-first from the start state with
+(trimmed, minimized, states numbered breadth-first from the start state with
 edges ordered by lowest class member).  Canonical form makes structural
 equality coincide with language equality and makes emptiness a check of the
 accepting set.  State 0 is always the start state.
 
 Construction paths: one worklist kernel, :func:`_explore`, numbers the states
-of every automaton built here, in the order it discovers them from state 0.
-Every row is built by intersecting masks and left unordered; canonicalization
-orders the edges.  A regex (:func:`from_regex`; a policy clause is one
+of every automaton built here, in the order it discovers them from state 0,
+with each row's edges ordered by lowest class member, as a canonical DFA's
+are.  A regex (:func:`from_regex`; a policy clause is one
 alternation) compiles by subset construction over its Glushkov positions,
 which need no ε-closures.  :meth:`Dfa.intersect` is the one product: a pair's
 row is the nonzero intersections of its two rows' masks (:func:`_pair_moves`).
@@ -20,7 +20,7 @@ As complements are free on canonical total DFAs, the product serves all
 three operations: :meth:`Dfa.difference` is ``a ∩ ¬b``, and :func:`union` is
 ``¬(¬a ∩ ¬b ∩ …)``, a balanced fold of products.  A product that copies an
 operand (:func:`_copies`) is that operand, so ``a.intersect(a)`` is ``a``;
-any other table is minimized by Hopcroft refinement and renumbered.
+any other table is minimized by Hopcroft refinement.
 The tests check the table builders and every product against the oracles'
 kernels.  The kernel is the one place that raises
 :class:`~policylens.errors.StateBlowup` on states, when more are reachable than
@@ -328,10 +328,11 @@ def _explore(
     start: _K, moves: Callable[[_K], Iterable[tuple[int, _K]]], what: str, depth: int | None = None
 ) -> tuple[list[_K], list[list[tuple[int, int]]]]:
     """The keys reachable from ``start`` within ``depth`` steps (any number
-    when None), numbered in the order they are discovered (``start`` is 0),
-    and each key's row: the ``(mask, target)`` pairs in the order
-    ``moves(key)`` yields its ``(mask, key)`` edges.  A key ``depth`` steps
-    away is numbered but its row is left empty.
+    when None), numbered breadth-first in the order they are discovered
+    (``start`` is 0), and each key's row: the ``(mask, target)`` pairs of
+    the disjoint ``(mask, key)`` edges ``moves(key)`` yields, ordered by
+    lowest class member before their targets are numbered.  A key ``depth``
+    steps away is numbered but its row is left empty.
 
     The one worklist behind every automaton built here, and the one place
     the state cap is checked.  Raises StateBlowup, naming ``what``, when a
@@ -345,7 +346,7 @@ def _explore(
             level, level_end = level + 1, len(keys)
         row = []
         if level != depth:
-            for mask, target in moves(key):
+            for mask, target in sorted(moves(key), key=lambda edge: edge[0] & -edge[0]):
                 i = index.get(target)
                 if i is None:
                     if len(keys) >= DEFAULT_STATE_CAP:
@@ -358,30 +359,24 @@ def _explore(
 
 
 def _canonicalize(trans: _Rows, accepting: AbstractSet[int]) -> Dfa:
-    """Minimize a total table whose states are all reachable from state 0,
-    and number its blocks breadth-first with edges ordered by lowest class
-    member."""
+    """Minimize a total table :func:`_explore` numbered.  Each block is
+    numbered and its row merged, by target block in edge order, when its
+    first state comes: as a block's later states lead only into blocks its
+    first state reached, that numbers the quotient as :func:`_explore` would."""
     if not accepting:
         return _EMPTY_DFA
     block = _coarsest_partition(trans, accepting)
-
-    qtrans: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(trans):
-        b = block[i]
-        if b in qtrans:
+    number = {block[0]: 0}
+    rows: list[_Row] = []
+    for row, b in zip(trans, block):
+        if number[b] < len(rows):  # not the block's first state
             continue
-        merged = {}
+        merged: dict[int, int] = {}  # target block's number -> mask
         for mask, t in row:
-            tb = block[t]
+            tb = number.setdefault(block[t], len(number))
             merged[tb] = merged.get(tb, 0) | mask
-        qtrans[b] = merged
-
-    def edges(b: int) -> list[tuple[int, int]]:
-        return sorted(((mask, tb) for tb, mask in qtrans[b].items()), key=lambda e: e[0] & -e[0])
-
-    blocks, rows = _explore(block[0], edges, "canonicalization")
-    order = {b: i for i, b in enumerate(blocks)}
-    return _intern(Dfa(tuple(map(tuple, rows)), frozenset(order[block[s]] for s in accepting)))
+        rows.append(tuple((mask, tb) for tb, mask in merged.items()))
+    return _intern(Dfa(tuple(rows), frozenset(number[block[s]] for s in accepting)))
 
 
 def _coarsest_partition(trans: _Rows, accepting: AbstractSet[int]) -> list[int]:

@@ -36,6 +36,7 @@ from .requestsets import compare_policies, compile_policy, project, sample_reque
 from .simplifier import (
     SimplifierConfig,
     SummarizationReport,
+    count_str,
     fraction_str,
     generate_summarization,
     summarize_difference,
@@ -278,9 +279,9 @@ def count(policy_path, projection, bound, out, fmt, no_timestamp):
         "policy": policy_path,
         "dimension": projection,
         "bound": bound,
-        "count": str(value),
+        "count": count_str(value),
     }
-    _emit(payload, str(value), out, fmt, no_timestamp)
+    _emit(payload, payload["count"], out, fmt, no_timestamp)
 
 
 @main.command()

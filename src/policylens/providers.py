@@ -209,5 +209,7 @@ def load_provider(kind: str, config: Mapping[str, object] | None = None) -> LlmP
                     numbers[key] = convert(config[key])  # type: ignore[arg-type]
                 except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf), float(10**400)
                     raise ProviderError(f"http provider config {key!r} is not a number: {config[key]!r}") from None
+        if isinstance(retries := config.get("retries"), float) and retries != numbers["retries"]:  # int() truncates
+            raise ProviderError(f"http provider config 'retries' is not a whole number: {retries!r}")
         return HttpProvider(**strings, **numbers)
     raise ProviderError(f"unknown provider kind {kind!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .automata import Dfa, from_regex, memoized, operation_cache, similarity_counts
@@ -102,12 +103,18 @@ class SummarizationReport:
             "similarity": None if self.similarity is None else fraction_str(self.similarity),
             "model_counts": None
             if self.model_counts is None
-            else {"intersection": str(self.model_counts[0]), "union": str(self.model_counts[1])},
+            else {"intersection": count_str(self.model_counts[0]), "union": count_str(self.model_counts[1])},
             "config": self.config,
         }
         if include_volatile:
             out["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
         return out
+
+
+def count_str(n: int) -> str:
+    """``str(n)`` for an exact count of any length: a ``Decimal`` prints
+    without the interpreter's limit on int-to-str digits."""
+    return str(Decimal(n))
 
 
 def fraction_str(j: Fraction) -> str:

@@ -5,6 +5,7 @@ import errno
 import gc
 import io
 import json
+import sys
 import weakref
 
 import pytest
@@ -23,6 +24,7 @@ from policylens.errors import (
 from policylens.policy import parse_policy
 from policylens.providers import MOCK_TIMEOUT
 from policylens.requestsets import compare_policies, compile_policy, sample_requests
+from policylens.simplifier import count_str
 
 from conftest import ALLOW_ALL_POLICY, DENY_ALL_POLICY, MUSIC_POLICY, MUSIC_REGEX, corpus_paths
 from test_requestsets import _hand_over
@@ -201,6 +203,55 @@ def test_count_empty_language(runner):
 def test_count_negative_bound(runner):
     result = runner.invoke(main, ["count", MUSIC, "-b", "-1"])
     assert result.exit_code == 1
+
+
+def _pinned(text: str, n: int) -> bool:
+    """Whether ``text`` is the decimal digits of ``n``, by its length and its
+    first and last 30 digits: ``n`` is never converted to a string."""
+    head = 10 ** (len(text) - 30)
+    in_range = 10 ** (len(text) - 1) <= n < 10 ** len(text)
+    return in_range and int(text[:30]) == n // head and int(text[-30:]) == n % 10**30
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 9121, 95**100, 10**4299, 10**4300 - 1])
+def test_a_count_within_the_int_str_limit_prints_as_str(n):
+    assert count_str(n) == str(n)
+
+
+def _int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()  # Python 3.10.7 and later
+
+
+def test_count_longer_than_the_int_str_limit_prints(runner):
+    limit = _int_str_limit()
+    result = runner.invoke(main, ["count", ALLOW_ALL, "-b", "2175", "--no-timestamp"])
+    assert_handled(result, 0)
+    lines = result.output.splitlines()
+    assert len(lines[0]) > 4300 and _pinned(lines[0], (95**2176 - 1) // 94)
+    assert json.loads("\n".join(lines[1:]))["count"] == lines[0]
+    assert _int_str_limit() == limit
+
+
+@pytest.mark.parametrize(
+    "args, side",
+    [
+        (["summarize", ALLOW_ALL], None),
+        (["summarize", MUSIC, "--threshold", "0"], None),
+        (["diff", ALLOW_ALL, DENY_ALL], "first_only"),
+    ],
+    ids=["summarize", "summarize-threshold-0", "diff"],
+)
+def test_model_counts_longer_than_the_int_str_limit_print(runner, tmp_path, args, side):
+    limit = _int_str_limit()
+    cfg = provider_config(tmp_path, script=[".*"])
+    options = ["--bound", "2200", "--provider", "mock", "--provider-config", cfg, "--no-timestamp"]
+    result = runner.invoke(main, args + options)
+    assert_handled(result, 0)
+    report = body_json(result.output)
+    counts = (report[side] if side else report)["model_counts"]
+    assert _pinned(counts["union"], (95**2201 - 1) // 94)  # .* within the bound
+    assert len(counts["intersection"]) > 4300
+    assert _int_str_limit() == limit
 
 
 def test_requests_command(runner):
@@ -525,10 +576,12 @@ def test_candidate_too_large_to_score_falls_back(runner, monkeypatch):
         ({"temperature": True}, "config 'temperature' is not a number: True"),
         ({"timeout": True}, "config 'timeout' is not a number: True"),
         ({"retries": True}, "config 'retries' is not a number: True"),
+        ({"retries": 1.9}, "config 'retries' is not a whole number: 1.9"),
     ],
     ids=[
         "retries-overflow", "api-key-null", "model-number",
         "temperature-overflow", "temperature-nan", "temperature-true", "timeout-true", "retries-true",
+        "retries-fractional",
     ],
 )
 def test_malformed_http_provider_setting_is_an_input_error(runner, tmp_path, command, setting, message):

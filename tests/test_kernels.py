@@ -3,8 +3,8 @@ kernels kept in ``oracles.py``: Thompson NFA ε-closures, product rows that
 refine both rows' masks and look up each part's targets, and a counting walk
 that numbers its pairs level by level.
 
-The engine builds rows by intersecting masks and does not order them, so
-its states are numbered differently from the oracles'.  Both sides must
+The engine orders each row by lowest class member and the oracles do not,
+so their states are numbered differently.  Both sides must
 reach the same number of states, and their tables must have the same
 canonical DFA (``oracles.moore_canonical``), at the default cap and under
 every state cap from 0 to one past that number, or raise the same
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import signal
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -94,23 +95,35 @@ def _check_subset_kernel(r, stride: int = 1) -> None:
     _check_kernel(lambda: _subset_rows(r), lambda: thompson_subset_rows(r), stride)
 
 
+def _ordered(rows) -> bool:
+    """Whether each row's edges are ordered by lowest class member."""
+    return all(lows == sorted(lows) for lows in ([m & -m for m, _ in row] for row in rows))
+
+
+def _explored(run) -> list[tuple[str, list, list]]:
+    """The label, keys and rows of every table :func:`automata._explore`
+    returns while ``run`` runs."""
+    tables, explore = [], automata._explore
+
+    def record(start, moves, what, depth=None):
+        keys, rows = explore(start, moves, what, depth)
+        tables.append((what, keys, rows))
+        return keys, rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_explore", record)
+        run()
+    return tables
+
+
 def _product_table(a: Dfa, b: Dfa):
     """The unminimized table ``a.intersect(b)`` explores, accepting where
     both sides accept; called outside an operation-cache scope, so it is
     built afresh.  A start pair with a dead side is ∅ at once: the one
     rejecting state."""
-    tables, explore = [], automata._explore
-
-    def record(start, moves, what, depth=None):
-        pairs, rows = explore(start, moves, what, depth)
-        if what == "product construction":
-            tables.append((rows, {i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting}))
-        return pairs, rows
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automata, "_explore", record)
-        a.intersect(b)
-    return tables[0] if tables else ([[(FULL_MASK, 0)]], set())
+    for _, pairs, rows in _explored(lambda: a.intersect(b)):
+        return rows, {i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting}
+    return [[(FULL_MASK, 0)]], set()
 
 
 def _check_product_kernel(a: Dfa, b: Dfa) -> None:
@@ -221,6 +234,42 @@ def test_subset_kernel_matches_the_thompson_oracle_on_echo_mock_candidates():
     assert len(candidates) >= 10
     for r in candidates:  # tables of 99 to 1,399 states: every 25th cap
         _check_subset_kernel(r, stride=25)
+
+
+@settings(deadline=None)
+@given(regexes(), regexes())
+def test_every_explored_row_is_ordered_by_lowest_class_member(r1, r2):
+    a, b = from_regex(r1), from_regex(r2)
+    tables = _explored(lambda: [_subset_rows(r1), _subset_rows(r2), a.intersect(b), a.complement().intersect(b)])
+    assert all(_ordered(rows) for _, _, rows in tables)
+
+
+def test_every_table_explored_on_the_corpus_orders_its_rows():
+    docs = [parse_policy(path.read_text()) for path in corpus_paths()]
+
+    def run():
+        with automata.operation_cache():
+            for doc in docs:
+                request_set = compile_policy(doc)
+                for dim in request_set.schema.dimensions:
+                    project(request_set, dim).count_models(6)
+                for other in docs:
+                    compare_policies(doc, other, 3, 0)
+
+    tables = _explored(run)
+    assert all(_ordered(rows) for _, _, rows in tables)
+    kinds = Counter(what for what, _, _ in tables)
+    assert kinds["subset construction"] > 10 and kinds["product construction"] > 100 and kinds["counting walk"] > 10
+
+
+@settings(deadline=None)
+@given(regexes(), regexes())
+@example(parse_regex("(a|b)*abb"), parse_regex("a*b*"))  # a product that is minimized
+def test_compiling_a_regex_or_building_a_product_explores_once(r1, r2):
+    # outside an operation-cache scope, so nothing is served from a cache
+    assert len(_explored(lambda: from_regex(r1))) == 1
+    a, b = from_regex(r1), from_regex(r2)
+    assert len(_explored(lambda: a.intersect(b))) == (0 if a.is_empty() or b.is_empty() else 1)
 
 
 @contextmanager

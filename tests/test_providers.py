@@ -327,6 +327,12 @@ def test_load_provider_rejects_an_http_setting_that_is_not_a_string(key, value):
         load_provider("http", {"endpoint": "https://e", "model": "m", key: value})
 
 
+@pytest.mark.parametrize("value", [1.9, 0.5, -0.5])
+def test_load_provider_rejects_a_fractional_retries(value):
+    with pytest.raises(ProviderError, match=f"^http provider config 'retries' is not a whole number: {value}$"):
+        load_provider("http", {"endpoint": "https://e", "model": "m", "retries": value})
+
+
 def test_load_provider_converts_numeric_http_settings():
     h = load_provider("http", {"endpoint": "https://e", "model": "m", "temperature": "0.5", "timeout": 3, "retries": 4.0})
     assert (h.temperature, h.timeout, h.retries) == (0.5, 3.0, 4)
