@@ -18,9 +18,9 @@ It explores only pairs of live states (:func:`_live_edges`): every edge into a
 pair with a dead side goes to one sink, and a dead start pair is ∅ at once.
 As complements are free on canonical total DFAs, the product serves all
 three operations: :meth:`Dfa.difference` is ``a ∩ ¬b``, and :func:`union` is
-``¬(¬a ∩ ¬b ∩ …)``, a balanced fold of products.  A product that copies an
-operand (:func:`_copies`) is that operand, so ``a.intersect(a)`` is ``a``;
-any other table is minimized by Hopcroft refinement.
+``¬(¬a ∩ ¬b ∩ …)``, a balanced fold of products.  A product whose explored
+table is an operand's own table is that operand, so ``a.intersect(a)`` is
+``a``; any other table is minimized by Hopcroft refinement.
 The tests check the table builders and every product against the oracles'
 kernels.  The kernel is the one place that raises
 :class:`~policylens.errors.StateBlowup` on states, when more are reachable than
@@ -232,15 +232,18 @@ class Dfa:
     @memoized
     def intersect(self, other: "Dfa", /) -> "Dfa":
         """The one product: the pairs of live states reachable from (0, 0),
-        accepting where both sides accept, and one sink for every dead pair."""
+        accepting where both sides accept, and one sink for every dead pair.
+        As :func:`_explore` numbers a copy of an operand as the operand is
+        numbered, a table equal to an operand's returns it, ``self`` first."""
         a_edges, b_edges = self.live_edges, other.live_edges
         if a_edges is None or b_edges is None:
             return _EMPTY_DFA
         pairs, rows = _explore((0, 0), _pair_moves(a_edges, b_edges, True), "product construction")
         accepting = {i for i, (p, q) in enumerate(pairs) if p in self.accepting and q in other.accepting}
-        for side, operand in enumerate((self, other)):
-            if _copies(operand, side, pairs, rows, accepting):
-                return operand
+        for operand in (self, other):
+            if len(rows) == operand.state_count and accepting == operand.accepting:
+                if all(tuple(row) == t for row, t in zip(rows, operand.transitions)):
+                    return operand
         return _canonicalize(rows, accepting)
 
     def difference(self, other: "Dfa") -> "Dfa":
@@ -332,7 +335,8 @@ def _explore(
     (``start`` is 0), and each key's row: the ``(mask, target)`` pairs of
     the disjoint ``(mask, key)`` edges ``moves(key)`` yields, ordered by
     lowest class member before their targets are numbered.  A key ``depth``
-    steps away is numbered but its row is left empty.
+    steps away is numbered but its row is left empty.  The order also makes
+    a product that copies an operand explore as that operand's own table.
 
     The one worklist behind every automaton built here, and the one place
     the state cap is checked.  Raises StateBlowup, naming ``what``, when a
@@ -427,21 +431,6 @@ def _coarsest_partition(trans: _Rows, accepting: AbstractSet[int]) -> list[int]:
                     for s in part:
                         block[s] = new_id
     return block
-
-
-def _copies(d: Dfa, side: int, pairs: list[_Pair], rows: _Rows, accepting: AbstractSet[int]) -> bool:
-    """Whether a product is its operand ``d`` under the projection on ``side``,
-    the sink onto ``d``'s dead state: one pair per state, accepting where it
-    does, and each live pair leading to live pairs on exactly its live edges."""
-    if len(pairs) != d.state_count or len({pair[side] for pair in pairs}) != len(pairs):
-        return False
-    edges = d.live_edges
-    return all(
-        (i in accepting) == (s in d.accepting)
-        and sum(m for m, j in row if pairs[j][0] >= 0) == sum(m for m, _ in edges[s])  # type: ignore[index]
-        for i, (s, row) in enumerate(zip((pair[side] for pair in pairs), rows))
-        if s >= 0
-    )
 
 
 def _pair_moves(a_rows: _Rows, b_rows: _Rows, total: bool = False) -> Callable[[_Pair], list[tuple[int, _Pair]]]:

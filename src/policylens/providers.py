@@ -12,8 +12,9 @@ behavior reads it back.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
+import sys
+import threading
 import time
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -103,8 +104,9 @@ class HttpProvider(LlmProvider):
 
     Connection errors, timeouts, 429 and 5xx are retried up to ``retries``
     times with exponential backoff; any other 4xx fails at once.  The
-    ``temperature`` must be finite, the ``timeout`` finite and positive and
-    ``retries`` non-negative.
+    ``temperature`` must be finite, the ``timeout`` positive and at most
+    :data:`threading.TIMEOUT_MAX` seconds (past that a socket rejects it), and
+    ``retries`` a non-negative int.
     """
 
     name = "http"
@@ -119,10 +121,16 @@ class HttpProvider(LlmProvider):
         retries: int = 2,
         session: requests.Session | None = None,
     ) -> None:
-        if not math.isfinite(temperature):  # the request body could not encode it
+        # The request body could not encode nan or ±inf.  An int past the
+        # largest float fails too, where math.isfinite would raise OverflowError.
+        if not -sys.float_info.max <= temperature <= sys.float_info.max:
             raise ProviderError(f"http provider temperature must be a finite number: {temperature!r}")
         if not 0 < timeout < float("inf"):
             raise ProviderError(f"http provider timeout must be a finite positive number of seconds: {timeout!r}")
+        if timeout > threading.TIMEOUT_MAX:
+            raise ProviderError(f"http provider timeout must be at most {threading.TIMEOUT_MAX} seconds: {timeout!r}")
+        if not isinstance(retries, int) or isinstance(retries, bool):
+            raise ProviderError(f"http provider retries must be an integer: {retries!r}")
         if retries < 0:
             raise ProviderError(f"http provider retries must be non-negative: {retries!r}")
         self.endpoint = endpoint

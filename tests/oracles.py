@@ -15,6 +15,9 @@ alone, with dead states found by a forward search from each state.  The
 set operations minimize the full product with Moore's rounds, and raise
 where the live-pair product passes the state cap; the cube difference
 builds every term with them, with no operation cache and no settled terms.
+Whether a product copies an operand is the engine's earlier rule, a
+projection of the explored pairs onto one side
+(:func:`reference_copies`), where the engine now compares tables.
 A union is ``¬(¬a ∩ ¬b)`` by :func:`reference_product`, folded in the
 engine's pairing order (:func:`reference_union`), so it raises where the
 engine's fold does.  A clause's language is also built the way the engine
@@ -440,6 +443,21 @@ def reference_product(op: str, a, b):
     }[op])
     rows, accepting = refine_product_rows(a, b, KEEP[op], cap=float("inf"))
     return automata.Dfa(*moore_canonical(rows, 0, accepting))
+
+
+def reference_copies(d: automata.Dfa, side: int, pairs, rows, accepting) -> bool:
+    """Whether a product is its operand ``d`` under the projection on ``side``,
+    the sink onto ``d``'s dead state: one pair per state, accepting where it
+    does, and each live pair leading to live pairs on exactly its live edges."""
+    if len(pairs) != d.state_count or len({pair[side] for pair in pairs}) != len(pairs):
+        return False
+    edges = d.live_edges
+    return all(
+        (i in accepting) == (s in d.accepting)
+        and sum(m for m, j in row if pairs[j][0] >= 0) == sum(m for m, _ in edges[s])  # type: ignore[index]
+        for i, (s, row) in enumerate(zip((pair[side] for pair in pairs), rows))
+        if s >= 0
+    )
 
 
 def reference_count_common(a, b, bound: int) -> int:

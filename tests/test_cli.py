@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import sys
+import threading
 import weakref
 
 import pytest
@@ -577,11 +578,12 @@ def test_candidate_too_large_to_score_falls_back(runner, monkeypatch):
         ({"timeout": True}, "config 'timeout' is not a number: True"),
         ({"retries": True}, "config 'retries' is not a number: True"),
         ({"retries": 1.9}, "config 'retries' is not a whole number: 1.9"),
+        ({"timeout": 1e12}, f"timeout must be at most {threading.TIMEOUT_MAX} seconds: 1000000000000.0"),
     ],
     ids=[
         "retries-overflow", "api-key-null", "model-number",
         "temperature-overflow", "temperature-nan", "temperature-true", "timeout-true", "retries-true",
-        "retries-fractional",
+        "retries-fractional", "timeout-past-the-socket-limit",
     ],
 )
 def test_malformed_http_provider_setting_is_an_input_error(runner, tmp_path, command, setting, message):

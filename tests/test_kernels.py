@@ -13,7 +13,10 @@ its oracle is the live-pair product, whose canonical DFA must also be that
 of the product over every pair.  Every product's result, whether it is
 minimized or found to be a copy of an operand and returned as that operand,
 must be the DFA of ``oracles.reference_product`` under every cap, or raise
-where it raises.  Both walks must give the same count or
+where it raises.  Outside an operation-cache scope a product must be an
+operand exactly where the engine's earlier projection rule
+(``oracles.reference_copies``) finds a copy, and then run no minimization.
+Both walks must give the same count or
 raise the same message under every cap from 0 to one past the number of
 pairs within the bound.
 """
@@ -45,6 +48,7 @@ from oracles import (
     live_product_rows,
     moore_canonical,
     reference_count_common,
+    reference_copies,
     reference_disjunction,
     reference_product,
     refine_product_rows,
@@ -126,6 +130,35 @@ def _product_table(a: Dfa, b: Dfa):
     return [[(FULL_MASK, 0)]], set()
 
 
+def _check_copy_rule(x: Dfa, y: Dfa) -> Dfa:
+    """``x.intersect(y)``, called outside an operation-cache scope, where no
+    ``_intern`` makes a missed copy the operand's object anyway.  It must be
+    ``x`` exactly when ``oracles.reference_copies`` finds the explored table
+    copies side 0; otherwise ``y`` exactly when it copies side 1.  A product
+    returned as an operand runs no ``_coarsest_partition``."""
+    products, partitioned, partition = [], [], automata._coarsest_partition
+
+    def record(trans, accepting):
+        partitioned.append(trans)
+        return partition(trans, accepting)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_coarsest_partition", record)
+        tables = _explored(lambda: products.append(x.intersect(y)))
+    [product] = products
+    if not tables:  # a dead start pair is ∅ at once
+        assert product is automata.empty_dfa() and not partitioned
+        return product
+    [(_, pairs, rows)] = tables
+    accepting = {i for i, (p, q) in enumerate(pairs) if p in x.accepting and q in y.accepting}
+    copied = [side for side, d in enumerate((x, y)) if reference_copies(d, side, pairs, rows, accepting)]
+    assert (product is x) == (copied[:1] == [0])
+    if product is not x:
+        assert (product is y) == (1 in copied)
+    assert len(partitioned) == (0 if copied or not accepting else 1)
+    return product
+
+
 def _check_product_kernel(a: Dfa, b: Dfa) -> None:
     def live():
         return live_product_rows(a.table, b.table)
@@ -181,6 +214,50 @@ def test_a_product_with_itself_or_the_universe_is_the_operand_outside_a_scope(te
     a = from_pattern(text)
     assert a.intersect(a) is a
     assert a.intersect(automata.universe_dfa()) is a
+
+
+@settings(deadline=None)
+@given(regexes(), regexes())
+@example(EPSILON, parse_regex("a*"))  # a copy of ε that only its empty live edge mask tells from a*
+# x ∪ y is ac|bc|bd, whose states after a and after b differ: x's one state
+# after a or b makes two pairs, so the product has x's language but is minimized
+@example(parse_regex("(a|b)c"), parse_regex("bd"))
+def test_a_product_with_a_superset_is_the_operand_itself_outside_a_scope(r1, r2):
+    x = from_regex(r1)
+    y = automata.union(x, from_regex(r2))
+    assert _check_copy_rule(x, y) == x
+    assert _check_copy_rule(y, x) == x
+
+
+@settings(deadline=None)
+@given(regexes(), regexes())
+@example(EPSILON, parse_regex("a*"))
+def test_a_product_is_an_operand_exactly_where_the_projection_rule_finds_a_copy(r1, r2):
+    a, b = from_regex(r1), from_regex(r2)
+    for x, y in ((a, b), (b, a), (a, a), (a.complement(), b.complement()), (a, b.complement()), (a.complement(), b)):
+        _check_copy_rule(x, y)
+
+
+def test_a_corpus_clause_product_is_an_operand_exactly_where_the_projection_rule_finds_a_copy():
+    clauses = list(
+        dict.fromkeys(
+            from_pattern(*clause.patterns)
+            for path in corpus_paths()
+            for s in parse_policy(path.read_text()).statements
+            for clause in (s.principal, s.action, s.resource)
+        )
+    )
+    universe = automata.universe_dfa()
+    products = []
+    for d in clauses:
+        twin = Dfa(d.transitions, d.accepting)  # equal, built apart
+        for x, y in ((d, universe), (universe, d), (d, d), (d, twin), (twin, d)):
+            products.append((x, y, _check_copy_rule(x, y)))
+        for other in clauses:
+            u = automata.union(d, other)
+            products += [(d, u, _check_copy_rule(d, u)), (u, d, _check_copy_rule(u, d))]
+    returned = Counter("x" if p is x else "y" if p is y else "minimized" for x, y, p in products)
+    assert len(clauses) > 10 and all(returned[kind] > 10 for kind in ("x", "y", "minimized")), returned
 
 
 def test_subset_kernel_matches_the_thompson_oracle_on_every_corpus_and_perfbench_pattern():

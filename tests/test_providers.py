@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import socket
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import pytest
 import requests
+from hypothesis import example, given, settings, strategies as st
 
 from policylens import parse_policy, providers
 from policylens.errors import ProviderError
@@ -200,10 +204,11 @@ def test_http_provider_response_nested_too_deep(monkeypatch):
     [
         {"timeout": -1.0}, {"timeout": 0}, {"timeout": float("nan")}, {"timeout": float("inf")}, {"retries": -1},
         {"temperature": float("inf")}, {"temperature": float("-inf")}, {"temperature": float("nan")},
+        {"timeout": 1e12},  # past what a socket accepts
     ],
     ids=[
         "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf", "retries-negative",
-        "temperature-inf", "temperature-minus-inf", "temperature-nan",
+        "temperature-inf", "temperature-minus-inf", "temperature-nan", "timeout-huge",
     ],
 )
 def test_http_provider_rejects_out_of_range_numbers(setting):
@@ -213,6 +218,57 @@ def test_http_provider_rejects_out_of_range_numbers(setting):
     with pytest.raises(ProviderError, match=f"^http provider {next(iter(setting))} must be "):
         load_provider("http", {"endpoint": "https://e", "model": "m", **setting})
     assert session.requests == []
+
+
+@pytest.mark.parametrize("retries", [1.5, 2.0, True, False, "2", None])
+def test_http_provider_rejects_retries_that_is_not_an_int(retries):
+    session = FakeSession([])
+    with pytest.raises(ProviderError, match=f"^http provider retries must be an integer: {retries!r}$"):
+        HttpProvider("https://api.test", "m", retries=retries, session=session)
+    assert session.requests == []
+
+
+def test_http_provider_takes_a_timeout_up_to_the_platform_limit():
+    p = HttpProvider("https://api.test", "m", timeout=threading.TIMEOUT_MAX, session=FakeSession([]))
+    assert p.timeout == threading.TIMEOUT_MAX
+    with pytest.raises(ProviderError, match=f"^http provider timeout must be at most {threading.TIMEOUT_MAX} seconds: "):
+        HttpProvider("https://api.test", "m", timeout=math.nextafter(threading.TIMEOUT_MAX, math.inf))
+
+
+# Every kind of number a setting could be given: ints, floats (huge,
+# fractional, negative, nan and ±inf) and bools; a config file can also hold strings.
+NUMBERS = st.one_of(st.integers(), st.integers(min_value=10**12, max_value=10**400), st.floats(), st.booleans())
+CONFIG_VALUES = st.one_of(NUMBERS, NUMBERS.map(str), st.text(max_size=8))
+
+
+def _check_http_settings(build) -> None:
+    """``build`` raises ProviderError or builds a provider whose ``retries``
+    counts attempts and whose ``timeout`` a socket accepts."""
+    try:
+        p = build()
+    except ProviderError:
+        return
+    range(p.retries + 1)
+    with socket.socket() as sock:  # never connected
+        sock.settimeout(p.timeout)
+
+
+@settings(deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: NUMBERS for key in ("temperature", "timeout", "retries")}))
+@example({"retries": 1.5})
+@example({"timeout": 1e12})
+@example({"temperature": 10**400})
+def test_http_provider_settings_build_a_usable_provider_or_raise_provider_error(setting):
+    _check_http_settings(lambda: HttpProvider("https://api.test", "m", session=FakeSession([]), **setting))
+
+
+@settings(deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: CONFIG_VALUES for key in ("temperature", "timeout", "retries")}))
+@example({"retries": "1.5"})
+@example({"timeout": 1e12})
+@example({"timeout": "1e12"})
+def test_http_provider_config_builds_a_usable_provider_or_raises_provider_error(config):
+    _check_http_settings(lambda: load_provider("http", {"endpoint": "https://e", "model": "m", **config}))
 
 
 def test_http_provider_http_error_retries(monkeypatch):
