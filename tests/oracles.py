@@ -17,7 +17,7 @@ where the live-pair product passes the state cap; the cube difference
 builds every term with them, with no operation cache and no settled terms.
 Whether a product copies an operand is the engine's earlier rule, a
 projection of the explored pairs onto one side
-(:func:`reference_copies`), where the engine now compares tables.
+(:func:`reference_copies`), where the engine compares tables.
 A union is ``¬(¬a ∩ ¬b)`` by :func:`reference_product`, folded in the
 engine's pairing order (:func:`reference_union`), so it raises where the
 engine's fold does.  A clause's language is also built the way the engine
