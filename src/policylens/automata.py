@@ -51,7 +51,9 @@ as the intersection it runs), :meth:`Dfa.complement`, a DFA's live-edge table
 pattern compilation (:func:`from_pattern`), :func:`_intern`, the sampler's
 draw programs, and the summarizer's candidate parses and scores.  The
 policy-level entry points (compilation, comparison, sampling, summarization)
-each enter a scope, and the CLI runs every command in one.  Nested scopes share
+each enter a scope, and the CLI runs every command in one, its context: the
+scope also times stages (:meth:`OperationCache.stage`) and counts engine
+events (:func:`_count`; :meth:`OperationCache.stats`).  Nested scopes share
 the outermost one's table, dropped when it exits, so memory is bounded by one
 command's work and there is no size setting.  Cached values are the ones a
 fresh call returns, and a call that raises stores nothing.  No key holds the
@@ -66,6 +68,7 @@ call is computed afresh and no object stands for its language: there
 from __future__ import annotations
 
 import functools
+import time
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -107,16 +110,33 @@ _MISSING = object()
 
 
 class OperationCache:
-    """Memo table of one :func:`operation_cache` scope, with hit and miss
-    counts per memoized function (the first element of every key)."""
+    """The context of one :func:`operation_cache` scope: its memo table, with
+    hit and miss counts per memoized function (the first element of every
+    key), the seconds of its timed stages, and its engine events' counts."""
 
-    __slots__ = ("table", "hits", "misses")
+    __slots__ = ("table", "hits", "misses", "events", "timings", "started")
 
     def __init__(self) -> None:
         # ∅ and U stay the module's objects
         self.table: dict[Hashable, object] = {(_intern, d): d for d in (_EMPTY_DFA, _UNIVERSE_DFA)}
         self.hits: Counter[Callable[..., object]] = Counter()
         self.misses: Counter[Callable[..., object]] = Counter()
+        events = ("states", "splits", "cubes", "draws", "provider_calls", "provider_failures", "http_retries")
+        self.events: Counter[str] = Counter(dict.fromkeys(events, 0))  # each added to by _count
+        self.timings: dict[str, float] = {}
+        self.started = time.perf_counter()
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Time the block as stage ``name``, in wall-clock seconds."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
+
+    def stats(self) -> dict[str, int]:
+        """The events' counts and the products run and served from the cache, by name, sorted."""
+        products = {"products": self.misses[_PRODUCT], "products_cached": self.hits[_PRODUCT]}
+        return dict(sorted({**products, **self.events}.items()))
 
     def get(self, key: tuple[Hashable, ...], compute: Callable[..., _T], *args: object) -> _T:
         value = self.table.get(key, _MISSING)
@@ -148,6 +168,12 @@ def operation_cache() -> Iterator[OperationCache]:
         yield cache
     finally:
         _ACTIVE.reset(token)
+
+
+def _count(event: str, n: int = 1) -> None:
+    """Add ``n`` to ``event``'s count in the active scope; nothing outside one."""
+    if (scope := _ACTIVE.get()) is not None:
+        scope.events[event] += n
 
 
 def memoized(fn: Callable[..., _T]) -> Callable[..., _T]:
@@ -315,6 +341,7 @@ class Dfa:
         return out[init].get(final, EMPTY)
 
 
+_PRODUCT = Dfa.intersect  # the memo key of the one product
 _EMPTY_DFA = Dfa((((FULL_MASK, 0),),), frozenset())
 _UNIVERSE_DFA = Dfa((((FULL_MASK, 0),),), frozenset({0}))
 
@@ -359,6 +386,7 @@ def _explore(
                     keys.append(target)
                 row.append((mask, i))
         rows.append(row)
+    _count("states", len(keys))
     return keys, rows
 
 
@@ -430,6 +458,7 @@ def _coarsest_partition(trans: _Rows, accepting: AbstractSet[int]) -> list[int]:
                     waiting.append(new_id)
                     for s in part:
                         block[s] = new_id
+    _count("splits", len(members) - 2)
     return block
 
 

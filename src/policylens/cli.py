@@ -13,8 +13,8 @@ runner, :func:`_command`, which reads the codes of typed errors from one table.
 
 The full report goes to ``--out`` (or standard output) as json or text; a
 one-line human summary always goes to standard output.  ``--no-timestamp``
-drops the volatile fields (timestamp and timings) so identical runs are
-byte-identical.
+drops the volatile fields (timestamp, and the timings and stats of the
+command's operation cache scope) so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -122,9 +123,15 @@ def _scalar(v: object) -> str:
 
 
 def _emit(report: dict, summary: str, out: str | None, fmt: str, no_timestamp: bool) -> None:
-    """Print the summary line, then write the report (with a ``timestamp``
-    unless ``no_timestamp``) to ``out`` or standard output."""
+    """Print the summary line, then write the report to ``out`` or standard
+    output.  Unless ``no_timestamp``, it gains the scope's timings (a summary
+    keeps its own, ``diff`` one per side), its stats and a ``timestamp``."""
     if not no_timestamp:
+        with operation_cache() as scope:
+            if report["command"] != "diff":
+                timings = {**scope.timings, "total": time.perf_counter() - scope.started}
+                report.setdefault("timings", {k: round(v, 6) for k, v in timings.items()})
+            report["stats"] = scope.stats()
         report["timestamp"] = _timestamp()
     _echo(summary)
     if fmt == "json":
@@ -156,7 +163,7 @@ _dim = click.option("--dim", "projection", default=_DEFAULTS.projection, show_de
 _output = [
     click.option("--out", default=None, help="Write the full report to this file."),
     click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "text"])),
-    click.option("--no-timestamp", is_flag=True, default=False, help="Omit volatile fields (timestamp, timings)."),
+    click.option("--no-timestamp", is_flag=True, default=False, help="Omit volatile fields (timestamp, timings, stats)."),
 ]
 
 _summarizer = [
@@ -273,7 +280,10 @@ def count(policy_path, projection, bound, out, fmt, no_timestamp):
     doc = _load_policy(policy_path)
     if bound < 0:
         raise PolicyLensError("bound must be non-negative")
-    value = project(compile_policy(doc), projection).count_models(bound)
+    with operation_cache() as scope, scope.stage("compile"):
+        dfa = project(compile_policy(doc), projection)
+    with scope.stage("count"):
+        value = dfa.count_models(bound)
     payload = {
         "command": "count",
         "policy": policy_path,

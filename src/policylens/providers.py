@@ -19,6 +19,7 @@ import time
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from .automata import _count
 from .errors import ProviderError
 from .regex import escape_literal
 
@@ -103,8 +104,9 @@ class HttpProvider(LlmProvider):
     """Chat-completions client over HTTP with a bounded retry budget.
 
     Connection errors, timeouts, 429 and 5xx are retried up to ``retries``
-    times with exponential backoff; any other 4xx fails at once.  The
-    ``temperature`` must be finite, the ``timeout`` positive and at most
+    times with exponential backoff, each counted as an ``http_retries`` event;
+    any other 4xx fails at once.  No setting may be a bool: the ``temperature``
+    must be finite, the ``timeout`` positive and at most
     :data:`threading.TIMEOUT_MAX` seconds (past that a socket rejects it), and
     ``retries`` a non-negative int.
     """
@@ -123,9 +125,9 @@ class HttpProvider(LlmProvider):
     ) -> None:
         # The request body could not encode nan or ±inf.  An int past the
         # largest float fails too, where math.isfinite would raise OverflowError.
-        if not -sys.float_info.max <= temperature <= sys.float_info.max:
+        if isinstance(temperature, bool) or not -sys.float_info.max <= temperature <= sys.float_info.max:
             raise ProviderError(f"http provider temperature must be a finite number: {temperature!r}")
-        if not 0 < timeout < float("inf"):
+        if isinstance(timeout, bool) or not 0 < timeout < float("inf"):
             raise ProviderError(f"http provider timeout must be a finite positive number of seconds: {timeout!r}")
         if timeout > threading.TIMEOUT_MAX:
             raise ProviderError(f"http provider timeout must be at most {threading.TIMEOUT_MAX} seconds: {timeout!r}")
@@ -164,6 +166,7 @@ class HttpProvider(LlmProvider):
         last = ""
         for attempt in range(self.retries + 1):
             if attempt:
+                _count("http_retries")
                 time.sleep(min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_MAX_S))
             try:
                 resp = self.session.post(

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .automata import Dfa, empty_dfa, from_pattern, operation_cache, union, universe_dfa
+from .automata import Dfa, _count, empty_dfa, from_pattern, operation_cache, union, universe_dfa
 from .errors import CubeBlowup, InsufficientLanguage, SchemaError, StateBlowup, VerificationError
 from .policy import Effect, PolicyDocument, WildcardPattern
 from .sampler import sample
@@ -144,17 +144,14 @@ def set_difference(x: RequestSet, y: RequestSet) -> RequestSet:
         nxt: list[RequestCube] = []
         for a in cubes:
             nxt.extend(_cube_difference(a, b))
-            _check_cubes(len(nxt))
+            if len(nxt) > DEFAULT_CUBE_CAP:  # the cap is read when checked
+                raise CubeBlowup(f"request-set operation exceeded the cube cap of {DEFAULT_CUBE_CAP}")
         cubes = nxt
         if not cubes:
             break
-    return RequestSet(x.schema, tuple(cubes))
-
-
-def _check_cubes(count: int) -> None:
-    """Raise CubeBlowup past the cube cap, read when the check runs."""
-    if count > DEFAULT_CUBE_CAP:
-        raise CubeBlowup(f"request-set operation exceeded the cube cap of {DEFAULT_CUBE_CAP}")
+    out = RequestSet(x.schema, tuple(cubes))
+    _count("cubes", len(out.cubes))
+    return out
 
 
 # -- policy compilation -------------------------------------------------------
@@ -327,13 +324,16 @@ def sample_requests(
     Both sides are built even for ``k == 0``, so a blowup still raises."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    allowed_set = compile_policy(doc)
-    universe = universe_set(allowed_set.schema)
-    denied_set = set_difference(universe, allowed_set)
-    return (
-        _verified(allowed_set, k, seed, allowed_set, empty_set(allowed_set.schema)),
-        _verified(denied_set, k, seed, universe, allowed_set),
-    )
+    with operation_cache() as scope, scope.stage("compile"):
+        allowed_set = compile_policy(doc)
+    with scope.stage("complement"):
+        universe = universe_set(allowed_set.schema)
+        denied_set = set_difference(universe, allowed_set)
+    with scope.stage("sample"):
+        return (
+            _verified(allowed_set, k, seed, allowed_set, empty_set(allowed_set.schema)),
+            _verified(denied_set, k, seed, universe, allowed_set),
+        )
 
 
 class Permissiveness(enum.Enum):
@@ -363,7 +363,8 @@ def compare_policies(
     Raises ValueError when ``witness_count < 0``, whatever the verdict."""
     if witness_count < 0:
         raise ValueError("witness_count must be non-negative")
-    s1, s2, f1, f2 = policy_differences(p1, p2)
+    with operation_cache() as scope, scope.stage("compile"):
+        s1, s2, f1, f2 = policy_differences(p1, p2)
     if is_empty_set(f1) and is_empty_set(f2):
         kind = Permissiveness.EQUIVALENT
     elif is_empty_set(f2):
@@ -372,6 +373,7 @@ def compare_policies(
         kind = Permissiveness.SECOND_MORE_PERMISSIVE
     else:
         kind = Permissiveness.INCOMPARABLE
-    w1 = tuple(_verified(f1, witness_count, seed, s1, s2))
-    w2 = tuple(_verified(f2, witness_count, seed, s2, s1))
+    with scope.stage("sample"):
+        w1 = tuple(_verified(f1, witness_count, seed, s1, s2))
+        w2 = tuple(_verified(f2, witness_count, seed, s2, s1))
     return PermissivenessVerdict(kind, w1, w2)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 
 from .alphabet import chars_of
-from .automata import memoized
+from .automata import _count, memoized
 from .errors import EmptyLanguage
 from .regex import EMPTY, CharClass, Concat, RegexAst, Star, Union, union_children
 
@@ -53,6 +53,7 @@ def sample(r: RegexAst, rng: random.Random) -> str:
 
     Inside an operation cache scope the draw program is compiled once per
     regex and shared by every call."""
+    _count("draws")
     return _draw(_compile(r), rng)
 
 
@@ -62,6 +63,7 @@ def sample_n(r: RegexAst, n: int, seed: int = 0) -> set[str]:
         raise ValueError("n must be at least 1")
     program = _compile(r)
     rng = random.Random(seed)
+    _count("draws", n)
     return {_draw(program, rng) for _ in range(n)}
 
 

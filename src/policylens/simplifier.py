@@ -17,12 +17,11 @@ does not.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
-from .automata import Dfa, from_regex, memoized, operation_cache, similarity_counts
+from .automata import Dfa, _count, from_regex, memoized, operation_cache, similarity_counts
 from .errors import PolicyLensError, ProviderError, RegexSyntaxError, StateBlowup
 from .policy import PolicyDocument
 from .providers import SAMPLES_BEGIN, SAMPLES_END, LlmProvider
@@ -211,125 +210,83 @@ def _parse_candidate(line: str) -> RegexAst | str:
         return f"unparseable: {e}"
 
 
-def _config_echo(cfg: SimplifierConfig, provider: LlmProvider) -> dict:
-    echo = {k: v for k, v in asdict(cfg).items() if k != "fallback"}
-    return {**echo, "provider": provider.name}
-
-
-def _empty_report(cfg: SimplifierConfig, provider: LlmProvider, timings: dict[str, float]) -> SummarizationReport:
-    return SummarizationReport(
-        projection=cfg.projection,
-        empty_language=True,
-        extracted_regex=EMPTY_TOKEN,
-        samples=[],
-        candidates=[],
-        chosen=EMPTY_TOKEN,
-        chosen_source="empty",
-        fallback=False,
-        similarity=None,
-        model_counts=None,
-        config=_config_echo(cfg, provider),
-        timings=timings,
-    )
-
-
-class _StageTimer:
-    """Wall-clock seconds per pipeline stage, and ``total``: the time since
-    the timer started plus the ``earlier`` stages it was given."""
-
-    def __init__(self, earlier: dict[str, float] | None = None) -> None:
-        self.timings = dict(earlier or {})
-        self._start = time.perf_counter() - sum(self.timings.values())
-
-    @contextmanager
-    def stage(self, name: str):
-        t0 = time.perf_counter()
-        yield
-        self.timings[name] = time.perf_counter() - t0
-
-    def finish(self) -> dict[str, float]:
-        self.timings["total"] = time.perf_counter() - self._start
-        return self.timings
-
-
-@operation_cache()
-def summarize_set(
-    request_set: RequestSet,
-    cfg: SimplifierConfig,
-    provider: LlmProvider,
-    *,
-    earlier: dict[str, float] | None = None,
-) -> SummarizationReport:
+def summarize_set(request_set: RequestSet, cfg: SimplifierConfig, provider: LlmProvider) -> SummarizationReport:
     """The pipeline tail: projection, extraction, sampling, provider attempts,
-    similarity scoring, and the threshold decision.
+    similarity scoring, and the threshold decision.  An empty set is the
+    ``∅`` summary, with no stage run.
 
-    ``earlier`` holds the timings of stages a caller ran before this one
-    (``compile``); they are reported and counted into ``total``."""
-    timer = _StageTimer(earlier)
-    request_set.schema.index(cfg.projection)  # SchemaError on an unknown dimension, even if empty
-    if is_empty_set(request_set):
-        return _empty_report(cfg, provider, timer.finish())
+    It times its stages in a copy of its operation cache scope's timings,
+    taken for its report, and then puts the scope's own back.  So the report
+    holds the stages its caller timed before it (``compile``), its own, and
+    ``total``: the caller's stages plus its own time."""
+    with operation_cache() as scope:
+        earlier = scope.timings
+        scope.timings, started = dict(earlier), time.perf_counter()
+        request_set.schema.index(cfg.projection)  # SchemaError on an unknown dimension, even if empty
+        empty = is_empty_set(request_set)
+        extracted_text, samples, candidates = EMPTY_TOKEN, [], []
+        if not empty:
+            with scope.stage("project"):
+                dfa = project(request_set, cfg.projection)
 
-    with timer.stage("project"):
-        dfa = project(request_set, cfg.projection)
+            with scope.stage("extract"):
+                extracted = dfa.extract_regex()
+                extracted_text = print_regex(extracted)
 
-    with timer.stage("extract"):
-        extracted = dfa.extract_regex()
-        extracted_text = print_regex(extracted)
+            with scope.stage("sample"):
+                samples = sorted(sample_n(extracted, cfg.samples, cfg.seed))
 
-    with timer.stage("sample"):
-        samples = sorted(sample_n(extracted, cfg.samples, cfg.seed))
+            with scope.stage("llm"):
+                prompt = build_prompt(samples, extracted_text if cfg.include_extracted_in_prompt else None)
+                for attempt in range(1, cfg.attempts + 1):
+                    _count("provider_calls")
+                    try:
+                        cand = generate_regex_from_llm(prompt, provider, attempt)
+                    except ProviderError as e:
+                        _count("provider_failures")
+                        cand = LlmCandidate(attempt, None, None, error=f"provider: {e}")
+                    candidates.append(cand)
 
-    with timer.stage("llm"):
-        prompt = build_prompt(samples, extracted_text if cfg.include_extracted_in_prompt else None)
-        candidates: list[LlmCandidate] = []
-        for attempt in range(1, cfg.attempts + 1):
-            try:
-                cand = generate_regex_from_llm(prompt, provider, attempt)
-            except ProviderError as e:
-                cand = LlmCandidate(attempt, None, None, error=f"provider: {e}")
-            candidates.append(cand)
+            if not cfg.fallback and all(c.response is None for c in candidates):
+                raise ProviderError("all provider attempts failed and fallback is disabled")
 
-    if not cfg.fallback and all(c.response is None for c in candidates):
-        raise ProviderError("all provider attempts failed and fallback is disabled")
+            with scope.stage("similarity"):
+                # Attempts often return the same regex; an AST is one object per tree, so the
+                # operation cache scores each distinct candidate once, a failure
+                # included, and counts the projection once for all of them.
+                for cand in candidates:
+                    if cand.ast is not None:
+                        outcome = _score(dfa, cand.ast, cfg.bound)
+                        if isinstance(outcome, str):
+                            cand.error = outcome
+                        else:
+                            cand.counts, cand.similarity = outcome, _jaccard(outcome)
 
-    with timer.stage("similarity"):
-        # Attempts often return the same regex; an AST is one object per tree, so the
-        # operation cache scores each distinct candidate once, a failure
-        # included, and counts the projection once for all of them.
-        for cand in candidates:
-            if cand.ast is not None:
-                outcome = _score(dfa, cand.ast, cfg.bound)
-                if isinstance(outcome, str):
-                    cand.error = outcome
-                else:
-                    cand.counts, cand.similarity = outcome, _jaccard(outcome)
+        scored = [c for c in candidates if c.similarity is not None]
+        best = max(scored, key=lambda c: (c.similarity, -len(c.regex_text), -c.attempt), default=None)
+        # Exact-decimal threshold: Fraction("0.8") is 4/5, unlike the float 0.8.
+        if best is not None and best.similarity >= Fraction(str(cfg.threshold)):
+            chosen, source, similarity, counts = best.regex_text, "candidate", best.similarity, best.counts
+        else:
+            # Chosen output is the exact extracted regex; scores stay per-candidate.
+            chosen, source, similarity, counts = extracted_text, "empty" if empty else "extracted", None, None
 
-    scored = [c for c in candidates if c.similarity is not None]
-    best = max(scored, key=lambda c: (c.similarity, -len(c.regex_text), -c.attempt), default=None)
-    # Exact-decimal threshold: Fraction("0.8") is 4/5, unlike the float 0.8.
-    if best is not None and best.similarity >= Fraction(str(cfg.threshold)):
-        chosen, source, fallback = best.regex_text, "candidate", False
-        similarity, counts = best.similarity, best.counts
-    else:
-        # Chosen output is the exact extracted regex; scores stay per-candidate.
-        chosen, source, fallback = extracted_text, "extracted", True
-        similarity, counts = None, None
-
-    return SummarizationReport(
-        projection=cfg.projection,
-        empty_language=False,
-        extracted_regex=extracted_text,
-        samples=samples,
-        candidates=candidates,
-        chosen=chosen,
-        chosen_source=source,
-        fallback=fallback,
-        similarity=similarity,
-        model_counts=counts,
-        config=_config_echo(cfg, provider),
-        timings=timer.finish(),
-    )
+        timings, scope.timings = scope.timings, earlier
+        timings["total"] = sum(earlier.values()) + time.perf_counter() - started
+        return SummarizationReport(
+            projection=cfg.projection,
+            empty_language=empty,
+            extracted_regex=extracted_text,
+            samples=samples,
+            candidates=candidates,
+            chosen=chosen,
+            chosen_source=source,
+            fallback=source == "extracted",
+            similarity=similarity,
+            model_counts=counts,
+            config={**{k: v for k, v in asdict(cfg).items() if k != "fallback"}, "provider": provider.name},
+            timings=timings,
+        )
 
 
 @operation_cache()
@@ -337,10 +294,9 @@ def generate_summarization(
     doc: PolicyDocument, cfg: SimplifierConfig, provider: LlmProvider
 ) -> SummarizationReport:
     """Summarize the requests a policy allows, projected to one dimension."""
-    timer = _StageTimer()
-    with timer.stage("compile"):
+    with operation_cache() as scope, scope.stage("compile"):
         request_set = compile_policy(doc)
-    return summarize_set(request_set, cfg, provider, earlier=timer.timings)
+    return summarize_set(request_set, cfg, provider)
 
 
 @operation_cache()
@@ -348,9 +304,6 @@ def summarize_difference(
     p1: PolicyDocument, p2: PolicyDocument, cfg: SimplifierConfig, provider: LlmProvider
 ) -> tuple[SummarizationReport, SummarizationReport]:
     """Summaries of what p1 allows beyond p2 and what p2 allows beyond p1."""
-    timer = _StageTimer()
-    with timer.stage("compile"):
+    with operation_cache() as scope, scope.stage("compile"):
         _, _, f1, f2 = policy_differences(p1, p2)
-    first = summarize_set(f1, cfg, provider, earlier=timer.timings)
-    second = summarize_set(f2, cfg, provider, earlier=timer.timings)
-    return first, second
+    return summarize_set(f1, cfg, provider), summarize_set(f2, cfg, provider)

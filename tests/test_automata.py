@@ -683,6 +683,26 @@ def _intersection_of(op: str, a: Dfa, b: Dfa) -> tuple[Dfa, Dfa]:
     return {"intersect": (a, b), "difference": (a, b.complement())}[op]
 
 
+def test_a_scope_counts_the_states_explored_and_the_blocks_minimization_splits_off():
+    r = parse_regex("(a|b)*abb")
+    with operation_cache() as scope:
+        d = from_regex(r)
+    # One subset construction, then one minimization: rejecting and accepting, then the rest split off.
+    assert scope.events["states"] == len(_subset_rows(r)[0])
+    assert scope.events["splits"] == d.state_count - 2 > 0
+    stats = scope.stats()
+    assert list(stats) == sorted(stats) and stats["products"] == stats["products_cached"] == 0
+
+
+def test_a_scope_times_the_stages_of_its_nested_scopes():
+    with operation_cache() as scope:
+        with scope.stage("outer"):
+            with operation_cache() as inner, inner.stage("inner"):
+                from_regex(parse_regex("(a|b)*abb"))
+    assert list(scope.timings) == ["inner", "outer"]
+    assert 0 <= scope.timings["inner"] <= scope.timings["outer"]
+
+
 def test_set_operations_always_go_through_the_operation_cache():
     d = from_pattern("*a??")
     cases = _law_cases(d, _PRODUCTS)

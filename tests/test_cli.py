@@ -5,6 +5,8 @@ import errno
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -13,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from policylens import automata, cli
+from policylens.automata import Dfa
 from policylens.cli import main
 from policylens.errors import (
     CubeBlowup,
@@ -28,6 +31,7 @@ from policylens.requestsets import compare_policies, compile_policy, sample_requ
 from policylens.simplifier import count_str
 
 from conftest import ALLOW_ALL_POLICY, DENY_ALL_POLICY, MUSIC_POLICY, MUSIC_REGEX, corpus_paths
+from test_kernels import _explored
 from test_requestsets import _hand_over
 
 MUSIC = str(MUSIC_POLICY)
@@ -422,7 +426,76 @@ def test_every_command_writes_out_in_text_format(runner, tmp_path, argv, stamped
     lines = out.read_text().splitlines()
     assert lines[0] == f"command: {argv[0]}"
     assert any(line.startswith("timestamp: ") for line in lines) == stamped
-    assert any(line.strip() == "timings:" for line in lines) == (stamped and argv[0] in ("summarize", "diff"))
+    # Every command reports its timings (diff per side) and its scope's stats.
+    assert any(line.strip() == "timings:" for line in lines) == stamped
+    assert ("stats:" in lines) == stamped
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_every_command_reports_stats_and_timings_with_a_total(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    report = body_json(result.output)
+    stats = report["stats"]
+    assert list(stats) == sorted(stats) and set(stats) >= {"products", "products_cached", "states", "draws"}
+    assert all(type(value) is int and value >= 0 for value in stats.values())
+    sides = [report["first_only"], report["second_only"]] if argv[0] == "diff" else [report]
+    for timings in (side["timings"] for side in sides):
+        assert "total" in timings and timings["total"] >= sum(v for k, v in timings.items() if k != "total")
+    assert ("timings" in report) == (argv[0] != "diff")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_reported_products_are_the_misses_and_hits_of_the_product(runner, monkeypatch, command):
+    scopes, call = [], getattr(cli, LIBRARY_CALLS[command])
+
+    def spy(*args, **kwargs):
+        scopes.append(automata._ACTIVE.get())
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(cli, LIBRARY_CALLS[command], spy)
+    result = runner.invoke(main, COMMANDS[command])
+    assert result.exit_code == 0, result.output
+    [scope] = scopes
+    stats = body_json(result.output)["stats"]
+    assert (stats["products"], stats["products_cached"]) == (scope.misses[Dfa.intersect], scope.hits[Dfa.intersect])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_reported_states_are_the_keys_every_exploration_numbered(runner, command):
+    results = []
+    tables = _explored(lambda: results.append(runner.invoke(main, COMMANDS[command])))
+    assert results[0].exit_code == 0, results[0].output
+    assert body_json(results[0].output)["stats"]["states"] == sum(len(keys) for _, keys, _ in tables) > 0
+
+
+def test_summarize_reports_its_draws_and_a_failed_provider_attempt(runner, tmp_path):
+    cfg = provider_config(tmp_path, script=[MOCK_TIMEOUT, MUSIC_REGEX])
+    argv = ["summarize", MUSIC, "-n", "20", "-b", "14", "--attempts", "2", "--provider-config", cfg]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    stats = body_json(result.output)["stats"]
+    assert (stats["draws"], stats["provider_calls"], stats["provider_failures"], stats["http_retries"]) == (20, 2, 1, 0)
+
+
+# Runs each argument list of the JSON list in argv[1] through the CLI, in one process.
+STATS_CHILD = """
+import json, sys
+from policylens.cli import main
+for argv in json.loads(sys.argv[1]):
+    main.main(args=argv, prog_name="policylens", standalone_mode=False)
+"""
+
+
+def test_stats_do_not_depend_on_the_hash_seed(tmp_path):
+    stats = []
+    for seed in ("1", "2"):
+        outs = {command: tmp_path / f"{seed}-{command}.json" for command in COMMANDS}
+        cases = [COMMANDS[command] + ["--out", str(out)] for command, out in outs.items()]
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", STATS_CHILD, json.dumps(cases)], env=env, capture_output=True, check=True)
+        stats.append({command: json.loads(out.read_text())["stats"] for command, out in outs.items()})
+    assert stats[0] == stats[1]
 
 
 # The library call each command makes, by the name the CLI module binds it to.

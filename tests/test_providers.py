@@ -29,7 +29,7 @@ from policylens.providers import (
 )
 from policylens.regex import parse_regex
 from policylens.simplifier import SimplifierConfig, generate_summarization
-from policylens.automata import from_regex
+from policylens.automata import from_regex, operation_cache
 
 PROMPT = f"intro\n{SAMPLES_BEGIN}\nalpha\nbeta\nalpha\n{SAMPLES_END}\ntail"
 
@@ -205,17 +205,22 @@ def test_http_provider_response_nested_too_deep(monkeypatch):
         {"timeout": -1.0}, {"timeout": 0}, {"timeout": float("nan")}, {"timeout": float("inf")}, {"retries": -1},
         {"temperature": float("inf")}, {"temperature": float("-inf")}, {"temperature": float("nan")},
         {"timeout": 1e12},  # past what a socket accepts
+        {"temperature": True}, {"temperature": False}, {"timeout": True},  # a bool is not a number
     ],
     ids=[
         "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf", "retries-negative",
         "temperature-inf", "temperature-minus-inf", "temperature-nan", "timeout-huge",
+        "temperature-true", "temperature-false", "timeout-true",
     ],
 )
 def test_http_provider_rejects_out_of_range_numbers(setting):
     session = FakeSession([])
-    with pytest.raises(ProviderError, match=f"^http provider {next(iter(setting))} must be "):
+    [(key, value)] = setting.items()
+    with pytest.raises(ProviderError, match=f"^http provider {key} must be .*: {value!r}$"):
         HttpProvider("https://api.test", "m", session=session, **setting)
-    with pytest.raises(ProviderError, match=f"^http provider {next(iter(setting))} must be "):
+    # A config file's bool is rejected before conversion, as not a number.
+    config_message = f"config '{key}' is not a number" if isinstance(value, bool) else f"{key} must be "
+    with pytest.raises(ProviderError, match=f"^http provider {config_message}"):
         load_provider("http", {"endpoint": "https://e", "model": "m", **setting})
     assert session.requests == []
 
@@ -241,13 +246,15 @@ NUMBERS = st.one_of(st.integers(), st.integers(min_value=10**12, max_value=10**4
 CONFIG_VALUES = st.one_of(NUMBERS, NUMBERS.map(str), st.text(max_size=8))
 
 
-def _check_http_settings(build) -> None:
-    """``build`` raises ProviderError or builds a provider whose ``retries``
-    counts attempts and whose ``timeout`` a socket accepts."""
+def _check_http_settings(build, setting) -> None:
+    """``build`` raises ProviderError, as it must for a bool ``setting``, or
+    builds a provider whose ``retries`` counts attempts and whose
+    ``timeout`` a socket accepts."""
     try:
         p = build()
     except ProviderError:
         return
+    assert not any(isinstance(value, bool) for value in setting.values())
     range(p.retries + 1)
     with socket.socket() as sock:  # never connected
         sock.settimeout(p.timeout)
@@ -258,8 +265,10 @@ def _check_http_settings(build) -> None:
 @example({"retries": 1.5})
 @example({"timeout": 1e12})
 @example({"temperature": 10**400})
+@example({"temperature": True})
+@example({"timeout": True})
 def test_http_provider_settings_build_a_usable_provider_or_raise_provider_error(setting):
-    _check_http_settings(lambda: HttpProvider("https://api.test", "m", session=FakeSession([]), **setting))
+    _check_http_settings(lambda: HttpProvider("https://api.test", "m", session=FakeSession([]), **setting), setting)
 
 
 @settings(deadline=None)
@@ -268,7 +277,7 @@ def test_http_provider_settings_build_a_usable_provider_or_raise_provider_error(
 @example({"timeout": 1e12})
 @example({"timeout": "1e12"})
 def test_http_provider_config_builds_a_usable_provider_or_raises_provider_error(config):
-    _check_http_settings(lambda: load_provider("http", {"endpoint": "https://e", "model": "m", **config}))
+    _check_http_settings(lambda: load_provider("http", {"endpoint": "https://e", "model": "m", **config}), config)
 
 
 def test_http_provider_http_error_retries(monkeypatch):
@@ -293,9 +302,11 @@ def test_http_provider_server_errors_retried_with_backoff(monkeypatch, sleeps):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     session = FakeSession([FakeResponse(503, {}), FakeResponse(503, {}), _ok("up")])
     p = HttpProvider("https://api.test", "m", retries=2, session=session)
-    assert p.complete("q") == "up"
+    with operation_cache() as scope:
+        assert p.complete("q") == "up"
     assert len(session.requests) == 3
     assert len(sleeps) == 2 and 0 < sleeps[0] < sleeps[1]
+    assert scope.events["http_retries"] == 2
 
 
 def test_http_provider_rate_limit_retried(monkeypatch):

@@ -34,7 +34,7 @@ from policylens.requestsets import (
     universe_set,
 )
 
-from conftest import MUSIC_REGEX, corpus_paths, random_policy_text
+from conftest import MUSIC_POLICY, MUSIC_REGEX, corpus_paths, random_policy_text
 import scale_table
 from oracles import ref_decide, reference_cube_difference, reference_disjunction, reference_pad, reference_union
 from test_automata import _keys_of, _no_construction, small_regex
@@ -749,6 +749,14 @@ def test_operation_cache_matches_uncached_path(monkeypatch):
     # The oracle: every operation computed afresh, even inside a scope.
     monkeypatch.setattr(OperationCache, "get", lambda self, key, compute, *args: compute(*args))
     assert _cache_workload(docs) == cached
+
+
+def test_a_scope_counts_the_cubes_set_difference_returns():
+    doc = parse_policy(MUSIC_POLICY.read_text())
+    with operation_cache() as scope:
+        allowed = compile_policy(doc)  # one set_difference: allow cubes minus deny cubes
+        denied = set_difference(universe_set(allowed.schema), allowed)
+    assert scope.events["cubes"] == len(allowed.cubes) + len(denied.cubes) > 1
 
 
 def test_repeated_clause_hits_the_cache():
